@@ -1,5 +1,7 @@
 #include "bitstream/config_memory.h"
 
+#include <algorithm>
+
 #include "support/error.h"
 
 namespace jpg {
@@ -64,20 +66,13 @@ void ConfigMemory::copy_frame_from(const ConfigMemory& other, std::size_t idx) {
 
 void ConfigMemory::write_frame_words(std::size_t idx,
                                      const std::uint32_t* words) {
-  BitVector& f = frame(idx);
-  const std::size_t nwords = device_->frames().frame_words();
-  for (std::size_t w = 0; w < nwords; ++w) {
-    f.set_word(w, words[w]);
-  }
+  frame(idx).set_words(words);
 }
 
 void ConfigMemory::read_frame_words(std::size_t idx,
                                     std::uint32_t* words) const {
-  const BitVector& f = frame(idx);
-  const std::size_t nwords = device_->frames().frame_words();
-  for (std::size_t w = 0; w < nwords; ++w) {
-    words[w] = f.word(w);
-  }
+  const std::vector<std::uint32_t>& src = frame(idx).words();
+  std::copy(src.begin(), src.end(), words);
 }
 
 void ConfigMemory::clear() {

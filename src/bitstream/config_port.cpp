@@ -1,5 +1,6 @@
 #include "bitstream/config_port.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/error.h"
@@ -72,6 +73,28 @@ void ConfigPort::load_word(std::uint32_t word) {
     // completed startup keeps operating.
     abort();
     throw;
+  }
+}
+
+void ConfigPort::load(std::span<const std::uint32_t> words) {
+  JPG_COUNT("port.words_loaded", words.size());
+  constexpr auto kFdri = static_cast<std::uint32_t>(ConfigReg::FDRI);
+  std::size_t i = 0;
+  while (i < words.size()) {
+    // Inside an FDRI payload every word but the last only feeds the CRC and
+    // the frame buffer, and neither can throw: take that run in one step.
+    if (expect_ == Expect::Payload && fdri_active_ && remaining_payload_ > 1) {
+      const std::size_t run =
+          std::min<std::size_t>(remaining_payload_ - 1, words.size() - i);
+      const std::span<const std::uint32_t> payload = words.subspan(i, run);
+      for (const std::uint32_t w : payload) crc_.update(kFdri, w);
+      fdri_buffer_.insert(fdri_buffer_.end(), payload.begin(), payload.end());
+      remaining_payload_ -= static_cast<std::uint32_t>(run);
+      words_consumed_ += run;
+      i += run;
+      continue;
+    }
+    load_word(words[i++]);
   }
 }
 

@@ -48,10 +48,13 @@ class ConfigPort {
   /// frames committed before the error stay committed.
   void load_word(std::uint32_t word);
 
-  void load(std::span<const std::uint32_t> words) {
-    JPG_COUNT("port.words_loaded", words.size());
-    for (const std::uint32_t w : words) load_word(w);
-  }
+  /// Clocks a run of words in. Equivalent to load_word on each word in
+  /// turn — same plane, committed-frame log, words_consumed() and the same
+  /// exception at the same word — but FDRI payload runs are ingested in
+  /// bulk: CRC over the run, then one append to the frame buffer. The last
+  /// payload word of a packet still goes through load_word, so frames
+  /// commit (and errors are thrown) exactly where they would word by word.
+  void load(std::span<const std::uint32_t> words);
   void load(const Bitstream& bs) { load(bs.words); }
 
   // --- State ------------------------------------------------------------------
@@ -62,11 +65,14 @@ class ConfigPort {
   // --- Statistics (benches, dynamic-safety tests) -----------------------------
   [[nodiscard]] std::uint64_t words_consumed() const { return words_consumed_; }
   [[nodiscard]] std::size_t frames_committed() const { return frames_committed_; }
-  /// Linear indices of every frame committed since the last reset_stats(),
-  /// in commit order (duplicates possible).
+  /// Linear indices of every frame committed since the last reset_stats()
+  /// or clear_committed_frames(), in commit order (duplicates possible).
   [[nodiscard]] const std::vector<std::size_t>& committed_frames() const {
     return committed_frame_log_;
   }
+  /// Empties the committed-frame log only (a long-lived consumer folds it
+  /// and clears it so it does not grow with every stream).
+  void clear_committed_frames() { committed_frame_log_.clear(); }
   void reset_stats();
 
   // --- Readback ---------------------------------------------------------------

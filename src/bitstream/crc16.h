@@ -7,11 +7,11 @@
 // resets it on success). Polynomial: CRC-16/IBM, x^16 + x^15 + x^2 + 1
 // (0x8005), zero initial value.
 //
-// Crc16 is the table-driven byte-at-a-time implementation used on the hot
-// paths (every configuration word clocked through ConfigPort, every word
-// emitted by BitstreamWriter, and every verified-download attempt pays one
-// update per word). Crc16Serial is the bit-serial formulation straight from
-// the definition above; it exists as the cross-check reference — the test
+// Crc16 is the table-driven implementation used on the hot paths (every
+// configuration word clocked through ConfigPort, every word emitted by
+// BitstreamWriter, and every verified-download attempt pays one update per
+// word). Crc16Serial is the bit-serial formulation straight from the
+// definition above; it exists as the cross-check reference — the test
 // suite asserts the two agree over random register-write streams.
 #pragma once
 
@@ -22,72 +22,80 @@ namespace jpg {
 
 namespace detail {
 
-// Feeding a data bit b into the left-shifting register:
-//   crc' = (crc << 1) ^ ((b ^ crc[15]) ? 0x8005 : 0)
-// i.e. the input enters at the MSB end. Eight MSB-first bits at once give
-// the classic table step  crc' = (crc << 8) ^ T[(crc >> 8) ^ byte].
-// The stream feeds each data byte LSB-first, which is the same as feeding
-// its bit-reversal MSB-first, hence the companion reverse table.
-consteval std::array<std::uint16_t, 256> make_crc16_table() {
-  std::array<std::uint16_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t v = i << 8;
-    for (int b = 0; b < 8; ++b) {
-      v = (v & 0x8000u) ? (v << 1) ^ 0x8005u : v << 1;
+// Crc16 keeps its register bit-reversed. Feeding a bit b to the
+// left-shifting register of the definition,
+//   crc' = (crc << 1) ^ ((b ^ crc[15]) ? 0x8005 : 0),
+// is, on the reversed register r,
+//   r' = (r >> 1) ^ ((b ^ r[0]) ? 0xA001 : 0),
+// which takes the LSB-first stream as it comes: no per-byte bit reversal.
+inline constexpr std::uint32_t kCrc16PolyReflected = 0xA001u;
+
+consteval std::uint16_t crc16_feed(std::uint32_t r, std::uint32_t bits,
+                                   int n) {
+  for (int i = 0; i < n; ++i) {
+    const bool x = ((r ^ (bits >> i)) & 1u) != 0;
+    r = (r >> 1) ^ (x ? kCrc16PolyReflected : 0u);
+  }
+  return static_cast<std::uint16_t>(r);
+}
+
+// One update is linear in (register, data, address), so it splits into
+// independent lookups. With x = r ^ data (the register overlaps the first
+// 16 data bits), byte k of x contributes T[k][byte]: the register after
+// that byte, the 3 - k data bytes behind it and the 5 address bits, all
+// fed from zero with everything else zero. The address contributes
+// kCrc16TailTable[addr], its 5 bits fed alone.
+consteval std::array<std::array<std::uint16_t, 256>, 4> make_crc16_tables() {
+  std::array<std::array<std::uint16_t, 256>, 4> t{};
+  for (int k = 0; k < 4; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t r = crc16_feed(0, i, 8);
+      r = crc16_feed(r, 0, 8 * (3 - k) + 5);
+      t[static_cast<std::size_t>(k)][i] = static_cast<std::uint16_t>(r);
     }
-    t[i] = static_cast<std::uint16_t>(v);
   }
   return t;
 }
 
-consteval std::array<std::uint8_t, 256> make_rev8_table() {
-  std::array<std::uint8_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint8_t r = 0;
-    for (int b = 0; b < 8; ++b) {
-      r = static_cast<std::uint8_t>((r << 1) | ((i >> b) & 1u));
-    }
-    t[i] = r;
-  }
+consteval std::array<std::uint16_t, 32> make_crc16_tail_table() {
+  std::array<std::uint16_t, 32> t{};
+  for (std::uint32_t a = 0; a < 32; ++a) t[a] = crc16_feed(0, a, 5);
   return t;
 }
 
-inline constexpr auto kCrc16Table = make_crc16_table();
-inline constexpr auto kRev8Table = make_rev8_table();
+inline constexpr auto kCrc16Tables = make_crc16_tables();
+inline constexpr auto kCrc16TailTable = make_crc16_tail_table();
+
+constexpr std::uint16_t reverse16(std::uint16_t v) noexcept {
+  std::uint16_t r = 0;
+  for (int i = 0; i < 16; ++i) {
+    r = static_cast<std::uint16_t>((r << 1) | ((v >> i) & 1u));
+  }
+  return r;
+}
 
 }  // namespace detail
 
 class Crc16 {
  public:
-  void reset() noexcept { crc_ = 0; }
+  void reset() noexcept { reg_ = 0; }
 
   /// Accumulates one register write: 32 data bits LSB-first, then the 5
   /// register-address bits LSB-first.
   void update(std::uint32_t reg_addr, std::uint32_t data) noexcept {
-    std::uint16_t c = crc_;
-    c = step_byte(c, static_cast<std::uint8_t>(data));
-    c = step_byte(c, static_cast<std::uint8_t>(data >> 8));
-    c = step_byte(c, static_cast<std::uint8_t>(data >> 16));
-    c = step_byte(c, static_cast<std::uint8_t>(data >> 24));
-    // The 5-bit address tail stays bit-serial; it is not byte-aligned.
-    for (int i = 0; i < 5; ++i) {
-      const std::uint32_t bit = (reg_addr >> i) & 1u;
-      const std::uint32_t x = bit ^ (static_cast<std::uint32_t>(c) >> 15);
-      c = static_cast<std::uint16_t>((c << 1) ^ (x ? 0x8005u : 0u));
-    }
-    crc_ = c;
+    const std::uint32_t x = reg_ ^ data;
+    const auto& t = detail::kCrc16Tables;
+    reg_ = static_cast<std::uint16_t>(
+        t[0][x & 0xFFu] ^ t[1][(x >> 8) & 0xFFu] ^ t[2][(x >> 16) & 0xFFu] ^
+        t[3][x >> 24] ^ detail::kCrc16TailTable[reg_addr & 0x1Fu]);
   }
 
-  [[nodiscard]] std::uint16_t value() const noexcept { return crc_; }
+  [[nodiscard]] std::uint16_t value() const noexcept {
+    return detail::reverse16(reg_);
+  }
 
  private:
-  static std::uint16_t step_byte(std::uint16_t c, std::uint8_t lsb_first) noexcept {
-    const std::uint8_t m = detail::kRev8Table[lsb_first];
-    return static_cast<std::uint16_t>(
-        (c << 8) ^ detail::kCrc16Table[((c >> 8) ^ m) & 0xFFu]);
-  }
-
-  std::uint16_t crc_ = 0;
+  std::uint16_t reg_ = 0;  ///< the CRC register, bit-reversed
 };
 
 /// Bit-serial reference implementation (the definition, one bit at a time).

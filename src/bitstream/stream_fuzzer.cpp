@@ -94,7 +94,11 @@ std::string FuzzReport::summary() const {
      << " accepted, reader " << reader_rejections << " rejected / "
      << reader_accepts << " accepted, " << desync_violations
      << " desync violations, " << recovery_failures << " recovery failures, "
-     << stream_equiv_failures << " stream-equivalence failures\n";
+     << stream_equiv_failures << " stream-equivalence failures, "
+     << bulk_equiv_failures << " bulk-equivalence failures\n";
+  if (!first_bulk_divergence.empty()) {
+    os << "first bulk divergence: " << first_bulk_divergence << "\n";
+  }
   os << "mutations:";
   for (int k = 0; k < kNumMutationKinds; ++k) {
     os << " " << mutation_kind_name(static_cast<MutationKind>(k)) << "="
@@ -190,6 +194,49 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     }
   };
 
+  // Word-at-a-time twin: the reference for ConfigPort::load's bulk FDRI
+  // ingest. It sees the same traffic as `port`, one load_word per word, and
+  // must end every load in the same state: same outcome (exception text),
+  // same words_consumed (cumulative, so the throw came at the same word),
+  // same committed-frame log and sync/started state; the planes are
+  // compared with the other twin's below.
+  ConfigMemory wmem(dev);
+  ConfigPort wport(wmem);
+  for (const std::uint32_t w : full_base.words) wport.load_word(w);
+  const auto outcome = [](const auto& load) -> std::string {
+    try {
+      load();
+      return "accepted";
+    } catch (const BitstreamError& e) {
+      return std::string("threw '") + e.what() + "'";
+    }
+  };
+  const auto bulk_diverged = [&rep](const std::string& why) {
+    if (rep.bulk_equiv_failures++ == 0) {
+      rep.first_bulk_divergence =
+          "iteration " + std::to_string(rep.iterations) + ": " + why;
+    }
+  };
+  // Returns true when the bulk load threw.
+  const auto load_both = [&](std::span<const std::uint32_t> words) {
+    port.clear_committed_frames();
+    wport.clear_committed_frames();
+    const std::string bulk = outcome([&] { port.load(words); });
+    const std::string single = outcome([&] {
+      for (const std::uint32_t w : words) wport.load_word(w);
+    });
+    if (bulk != single || port.words_consumed() != wport.words_consumed() ||
+        port.committed_frames() != wport.committed_frames() ||
+        port.synced() != wport.synced() || port.started() != wport.started()) {
+      std::ostringstream os;
+      os << "bulk " << bulk << " after word " << port.words_consumed()
+         << ", word-at-a-time " << single << " after word "
+         << wport.words_consumed();
+      bulk_diverged(os.str());
+    }
+    return bulk != "accepted";
+  };
+
   for (int it = 0; it < opts.iterations; ++it) {
     ++rep.iterations;
     Bitstream mutated = corpus[rng.uniform(corpus.size())];
@@ -205,12 +252,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
 
     // Device-side consumer. Only BitstreamError may escape the port; any
     // other exception type propagates out of the harness as a finding.
-    bool threw = false;
-    try {
-      port.load(mutated);
-    } catch (const BitstreamError&) {
-      threw = true;
-    }
+    const bool threw = load_both(mutated.words);
     threw ? ++rep.port_rejections : ++rep.port_accepts;
     if (threw && port.synced()) ++rep.desync_violations;
 
@@ -237,10 +279,11 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
 
     // Recovery contract: whatever the mutated stream did, ABORT plus a
     // valid stream must decode cleanly and land its frames.
+    port.abort();
+    wport.abort();
     try {
-      port.abort();
-      port.load(recovery);
-      if (port.readback_frames(rec_first, 2) != rec_expect) {
+      if (load_both(recovery.words) ||
+          port.readback_frames(rec_first, 2) != rec_expect) {
         ++rep.recovery_failures;
       }
     } catch (const JpgError&) {
@@ -255,15 +298,19 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     // After identical traffic plus identical recovery, the twins' planes
     // must agree word for word.
     if (smem != mem) ++rep.stream_equiv_failures;
+    if (wmem != mem) bulk_diverged("planes differ");
 
     if (opts.full_reload_every > 0 && (it + 1) % opts.full_reload_every == 0) {
+      port.abort();
+      wport.abort();
       try {
-        port.abort();
-        port.load(full_base);
-        if (mem != base_plane) ++rep.recovery_failures;
+        if (load_both(full_base.words) || mem != base_plane) {
+          ++rep.recovery_failures;
+        }
       } catch (const JpgError&) {
         ++rep.recovery_failures;
       }
+      if (wmem != mem) bulk_diverged("planes differ");
       try {
         sport.abort();
         load_segmented(full_base.words);

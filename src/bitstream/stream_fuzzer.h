@@ -65,13 +65,20 @@ struct FuzzReport {
   /// the identical word sequence (throw/accept, sync/started state, or
   /// final plane) — contract violation: chunking must be invisible.
   int stream_equiv_failures = 0;
+  /// ConfigPort::load's bulk ingest diverged from a word-at-a-time
+  /// load_word twin on the identical traffic (exception text or the word
+  /// it was thrown at, words_consumed, committed-frame log, sync/started
+  /// state, or plane) — contract violation: bulk ingest must be invisible.
+  int bulk_equiv_failures = 0;
+  /// The first bulk divergence, described (empty when there was none).
+  std::string first_bulk_divergence;
   std::array<int, kNumMutationKinds> mutation_counts{};
 
   /// True when every contract held. (Accept/reject counts are
   /// informational: many mutations are semantically harmless.)
   [[nodiscard]] bool clean() const {
     return desync_violations == 0 && recovery_failures == 0 &&
-           stream_equiv_failures == 0;
+           stream_equiv_failures == 0 && bulk_equiv_failures == 0;
   }
   [[nodiscard]] std::string summary() const;
 };

@@ -241,7 +241,7 @@ PartialGenResult PartialBitstreamGenerator::generate(
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
       ++cache_hits_;
       JPG_COUNT("pgen.cache.hits", 1);
-      PartialGenResult result = it->second->result;
+      PartialGenResult result = *it->second->result;
       // The price of a buffered hit: the whole cached stream is copied out.
       // generate_leased() is the zero-copy alternative for download paths.
       JPG_COUNT("pgen.cache.copy_bytes", result.bitstream.size_bytes());
@@ -280,7 +280,8 @@ PartialGenResult PartialBitstreamGenerator::generate(
       // deterministic, so just refresh recency.
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     } else {
-      cache_lru_.push_front(CacheEntry{key, result, false});
+      cache_lru_.push_front(CacheEntry{
+          key, std::make_shared<const PartialGenResult>(result), false});
       cache_index_.emplace(key, cache_lru_.begin());
       trim_cache_locked();
     }
@@ -389,11 +390,10 @@ PbitLease PartialBitstreamGenerator::generate_leased(
   if (!use_cache) {
     // Nothing to pin into: the lease owns a private copy. Slower, but the
     // lease contract (words stay valid until release) still holds.
-    auto owned = std::make_shared<const PartialGenResult>(
-        generate_uncached(module_config, region, opts));
     JPG_COUNT("pgen.generations", 1);
-    const PartialGenResult* result = owned.get();
-    return PbitLease(nullptr, nullptr, std::move(owned), result);
+    return PbitLease(nullptr, nullptr,
+                     std::make_shared<const PartialGenResult>(
+                         generate_uncached(module_config, region, opts)));
   }
 
   const CacheKey key{region, opts.diff_only, opts.include_crc,
@@ -412,13 +412,14 @@ PbitLease PartialBitstreamGenerator::generate_leased(
       entry.pinned = true;
       ++cache_pinned_;
       JPG_COUNT("pgen.cache.pins", 1);
-      return PbitLease(this, &entry, nullptr, &entry.result);
+      return PbitLease(this, &entry, entry.result);
     }
     ++cache_misses_;
     JPG_COUNT("pgen.cache.misses", 1);
   }
 
-  PartialGenResult result = generate_uncached(module_config, region, opts);
+  auto result = std::make_shared<const PartialGenResult>(
+      generate_uncached(module_config, region, opts));
   JPG_COUNT("pgen.generations", 1);
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_index_.find(key);
@@ -432,7 +433,7 @@ PbitLease PartialBitstreamGenerator::generate_leased(
     entry.pinned = true;
     ++cache_pinned_;
     JPG_COUNT("pgen.cache.pins", 1);
-    return PbitLease(this, &entry, nullptr, &entry.result);
+    return PbitLease(this, &entry, entry.result);
   }
   cache_lru_.push_front(CacheEntry{key, std::move(result), true});
   cache_index_.emplace(key, cache_lru_.begin());
@@ -440,7 +441,7 @@ PbitLease PartialBitstreamGenerator::generate_leased(
   JPG_COUNT("pgen.cache.pins", 1);
   trim_cache_locked();
   CacheEntry& entry = cache_lru_.front();
-  return PbitLease(this, &entry, nullptr, &entry.result);
+  return PbitLease(this, &entry, entry.result);
 }
 
 void PartialBitstreamGenerator::unpin_internal(void* entry) const {
@@ -507,11 +508,9 @@ PbitLease& PbitLease::operator=(PbitLease&& other) noexcept {
   if (result_ != nullptr && gen_ != nullptr) gen_->unpin_internal(entry_);
   gen_ = other.gen_;
   entry_ = other.entry_;
-  owned_ = std::move(other.owned_);
-  result_ = other.result_;
+  result_ = std::move(other.result_);
   other.gen_ = nullptr;
   other.entry_ = nullptr;
-  other.result_ = nullptr;
   return *this;
 }
 
@@ -536,14 +535,18 @@ const std::vector<std::size_t>& PbitLease::frames() const {
   return result().frames;
 }
 
+const std::shared_ptr<const PartialGenResult>& PbitLease::shared() const {
+  JPG_REQUIRE(valid(), "lease is not valid (released or default-constructed)");
+  return result_;
+}
+
 void PbitLease::release() {
   JPG_REQUIRE(result_ != nullptr,
               "lease already released (unpin without a pin)");
   if (gen_ != nullptr) gen_->unpin_internal(entry_);
   gen_ = nullptr;
   entry_ = nullptr;
-  owned_.reset();
-  result_ = nullptr;
+  result_.reset();
 }
 
 }  // namespace jpg

@@ -116,6 +116,10 @@ class PbitLease {
   /// The resident words, spanning the cache entry directly.
   [[nodiscard]] std::span<const std::uint32_t> words() const;
   [[nodiscard]] const std::vector<std::size_t>& frames() const;
+  /// Shared ownership of the leased result. Holding it keeps the result
+  /// alive (e.g. in an applied-pbit ledger) but does not pin the cache
+  /// entry: the entry stays evictable once the lease is released.
+  [[nodiscard]] const std::shared_ptr<const PartialGenResult>& shared() const;
 
   /// Unpins the entry now (making it evictable again) and invalidates the
   /// lease. Throws JpgError if the lease was already released.
@@ -124,14 +128,13 @@ class PbitLease {
  private:
   friend class PartialBitstreamGenerator;
   PbitLease(const PartialBitstreamGenerator* gen, void* entry,
-            std::shared_ptr<const PartialGenResult> owned,
-            const PartialGenResult* result)
-      : gen_(gen), entry_(entry), owned_(std::move(owned)), result_(result) {}
+            std::shared_ptr<const PartialGenResult> result)
+      : gen_(gen), entry_(entry), result_(std::move(result)) {}
 
-  const PartialBitstreamGenerator* gen_ = nullptr;  ///< null: owning lease
+  const PartialBitstreamGenerator* gen_ = nullptr;  ///< null: unpinned lease
   void* entry_ = nullptr;  ///< opaque cache-entry handle (pinned node)
-  std::shared_ptr<const PartialGenResult> owned_;  ///< capacity-0 fallback
-  const PartialGenResult* result_ = nullptr;
+  /// The cache entry's result, or a private one (capacity-0 fallback).
+  std::shared_ptr<const PartialGenResult> result_;
 };
 
 class PartialBitstreamGenerator {
@@ -261,7 +264,8 @@ class PartialBitstreamGenerator {
   // span over a pinned entry safe across unrelated insertions/evictions.
   struct CacheEntry {
     CacheKey key;
-    PartialGenResult result;
+    /// Shared so a ledger can hold the result past eviction; immutable.
+    std::shared_ptr<const PartialGenResult> result;
     bool pinned = false;
   };
 

@@ -1,5 +1,7 @@
 #include "hwif/sim_board.h"
 
+#include <utility>
+
 #include "cbits/cbits.h"
 
 #include "support/log.h"
@@ -7,14 +9,44 @@
 namespace jpg {
 
 SimBoard::SimBoard(const Device& device)
-    : device_(&device), memory_(device), port_(memory_) {}
+    : device_(&device), memory_(device), port_(memory_) {
+  const FrameMap& fm = device.frames();
+  clb_col_of_frame_.assign(fm.num_frames(), -1);
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    const FrameAddress a = fm.address_of_index(f);
+    if (a.block_type == 0 &&
+        fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb) {
+      clb_col_of_frame_[f] = fm.clb_col_of_major(static_cast<int>(a.major));
+    }
+  }
+}
 
 std::string SimBoard::board_name() const {
   return "simboard-" + device_->spec().name;
 }
 
 void SimBoard::send_config(std::span<const std::uint32_t> words) {
-  port_.load(words);
+  try {
+    port_.load(words);
+  } catch (...) {
+    // Frames committed before the error stay committed.
+    fold_committed_frames();
+    throw;
+  }
+  fold_committed_frames();
+}
+
+void SimBoard::fold_committed_frames() {
+  const auto& log = port_.committed_frames();
+  if (log.empty()) return;
+  int last = -1;
+  for (const std::size_t f : log) {
+    const int col = clb_col_of_frame_[f];
+    if (col >= 0 && col != last) stale_cols_.insert(col);
+    last = col;
+  }
+  stale_ = true;
+  port_.clear_committed_frames();
 }
 
 void SimBoard::abort_config() { port_.abort(); }
@@ -41,20 +73,12 @@ void SimBoard::capture_state() {
 }
 
 void SimBoard::rebuild_if_stale() {
-  const auto& log = port_.committed_frames();
-  if (sim_ != nullptr && frames_seen_ == log.size()) return;
+  if (sim_ != nullptr && !stale_) return;
 
   // Columns whose frames were (re)written since the last rebuild: their FFs
   // restart at INIT; all other FFs carry their state across.
-  std::set<int> touched_cols;
-  const FrameMap& fm = device_->frames();
-  for (std::size_t i = frames_seen_; i < log.size(); ++i) {
-    const FrameAddress a = fm.address_of_index(log[i]);
-    if (fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb) {
-      touched_cols.insert(fm.clb_col_of_major(static_cast<int>(a.major)));
-    }
-  }
-  frames_seen_ = log.size();
+  const std::set<int> touched_cols = std::exchange(stale_cols_, {});
+  stale_ = false;
 
   std::map<BitstreamSim::FfKey, bool> carried;
   if (sim_ != nullptr) {

@@ -55,6 +55,12 @@ class SimBoard final : public Xhwif {
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   /// Number of simulator rebuilds (== configuration sessions observed).
   [[nodiscard]] int rebuilds() const { return rebuilds_; }
+  /// The port's committed-frame log. send_config folds it into the set of
+  /// stale CLB columns and clears it, so between calls it stays empty
+  /// instead of growing with every stream the board has seen.
+  [[nodiscard]] const std::vector<std::size_t>& committed_frames() const {
+    return port_.committed_frames();
+  }
 
   /// The live circuit simulator (forces a rebuild if stale).
   [[nodiscard]] BitstreamSim& sim();
@@ -68,12 +74,20 @@ class SimBoard final : public Xhwif {
 
  private:
   void rebuild_if_stale();
+  /// Moves the port's newly committed frames into stale_cols_ / stale_.
+  void fold_committed_frames();
 
   const Device* device_;
   ConfigMemory memory_;
   ConfigPort port_;
   std::unique_ptr<BitstreamSim> sim_;
-  std::size_t frames_seen_ = 0;  ///< committed-frame log cursor
+  /// Configuration changed since the last rebuild.
+  bool stale_ = false;
+  /// CLB columns rewritten since the last rebuild: their FFs restart at
+  /// INIT across it.
+  std::set<int> stale_cols_;
+  /// CLB column of each linear frame index, or -1 outside CLB columns.
+  std::vector<int> clb_col_of_frame_;
   std::map<std::string, bool> pin_state_;
   std::uint64_t cycles_ = 0;
   int rebuilds_ = 0;

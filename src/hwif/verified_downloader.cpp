@@ -5,7 +5,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "bitstream/bitstream_reader.h"
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
 #include "support/log.h"
@@ -20,6 +19,15 @@ bool is_capture_frame(const FrameMap& fm, std::size_t frame) {
   const FrameAddress a = fm.address_of_index(frame);
   return a.block_type == 0 && (a.minor == 16 || a.minor == 17) &&
          fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb;
+}
+
+/// Sorted, deduplicated linear indices of the frames `port` committed.
+std::vector<std::size_t> touched_frames(const ConfigPort& port) {
+  std::vector<std::size_t> frames(port.committed_frames().begin(),
+                                  port.committed_frames().end());
+  std::sort(frames.begin(), frames.end());
+  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
+  return frames;
 }
 
 }  // namespace
@@ -99,31 +107,52 @@ VerifiedDownloader::VerifiedDownloader(Xhwif& board, const Device& device,
   JPG_REQUIRE(policy.max_attempts > 0, "max_attempts must be positive");
   JPG_REQUIRE(policy.rollback_max_attempts > 0,
               "rollback_max_attempts must be positive");
+  const FrameMap& fm = device.frames();
+  all_frames_.resize(fm.num_frames());
+  std::iota(all_frames_.begin(), all_frames_.end(), 0);
+  capture_frame_.resize(fm.num_frames());
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    capture_frame_[f] = is_capture_frame(fm, f) ? 1 : 0;
+  }
+  // Every capture frame masks the same bit positions.
+  capture_mask_.assign(fm.frame_words(), ~0u);
+  const auto cap = std::find(capture_frame_.begin(), capture_frame_.end(), 1);
+  if (cap != capture_frame_.end()) {
+    mask_capture_words_inplace(
+        device, static_cast<std::size_t>(cap - capture_frame_.begin()),
+        capture_mask_);
+  }
 }
 
 void VerifiedDownloader::assume_board_state(const ConfigMemory& plane) {
   JPG_REQUIRE(&plane.device() == device_,
               "mirror plane targets a different device");
   mirror_ = std::make_unique<ConfigMemory>(plane);
+  reseed_shadow();
+}
+
+void VerifiedDownloader::reseed_shadow() {
+  if (shadow_ == nullptr) {
+    shadow_ = std::make_unique<ConfigMemory>(*mirror_);
+    shadow_port_ = std::make_unique<ConfigPort>(*shadow_);
+  } else {
+    *shadow_ = *mirror_;
+  }
+}
+
+void VerifiedDownloader::settle_shadow(bool success) {
+  for (const std::size_t f : shadow_port_->committed_frames()) {
+    if (success) {
+      mirror_->copy_frame_from(*shadow_, f);
+    } else {
+      shadow_->copy_frame_from(*mirror_, f);
+    }
+  }
 }
 
 const ConfigMemory& VerifiedDownloader::mirror() const {
   JPG_REQUIRE(mirror_ != nullptr, "no board mirror established");
   return *mirror_;
-}
-
-std::vector<std::size_t> VerifiedDownloader::touched_frames(
-    const Bitstream& stream) const {
-  const FrameMap& fm = device_->frames();
-  const BitstreamReader reader(stream);
-  std::vector<std::size_t> frames;
-  for (const auto& [far, count] : reader.far_blocks(fm.frame_words())) {
-    const std::size_t first = fm.frame_index_of(fm.decode_far(far));
-    for (std::size_t i = 0; i < count; ++i) frames.push_back(first + i);
-  }
-  std::sort(frames.begin(), frames.end());
-  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
-  return frames;
 }
 
 Bitstream VerifiedDownloader::build_frames_stream(
@@ -155,14 +184,27 @@ Bitstream VerifiedDownloader::build_frames_stream(
   return w.finish();
 }
 
+std::size_t VerifiedDownloader::first_mismatch(
+    std::size_t frame, std::span<const std::uint32_t> got,
+    std::span<const std::uint32_t> want) const {
+  if (!policy_.mask_capture_bits || capture_frame_[frame] == 0) {
+    // std::equal is the fast path (a memcmp); locate the word only on a miss.
+    if (std::equal(got.begin(), got.end(), want.begin())) return got.size();
+    return static_cast<std::size_t>(
+        std::mismatch(got.begin(), got.end(), want.begin()).first -
+        got.begin());
+  }
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    if (((got[w] ^ want[w]) & capture_mask_[w]) != 0) return w;
+  }
+  return got.size();
+}
+
 std::vector<std::size_t> VerifiedDownloader::verify_against(
     const ConfigMemory& target, const std::vector<std::size_t>& frames,
     DownloadReport& rep) {
-  const FrameMap& fm = device_->frames();
-  const std::size_t fw = fm.frame_words();
+  const std::size_t fw = device_->frames().frame_words();
   std::vector<std::size_t> bad;
-  expect_scratch_.resize(fw);
-  std::vector<std::uint32_t>& expect = expect_scratch_;
   std::vector<std::uint32_t>& got = readback_scratch_;
   std::size_t i = 0;
   while (i < frames.size()) {
@@ -189,15 +231,8 @@ std::vector<std::size_t> VerifiedDownloader::verify_against(
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t frame = first + k;
       ++rep.frames_verified;
-      target.read_frame_words(frame, expect.data());
-      const std::span<std::uint32_t> rb(got.data() + k * fw, fw);
-      if (policy_.mask_capture_bits && is_capture_frame(fm, frame)) {
-        // Mask both sides in the scratch buffers; `got` is this run's
-        // working copy and `expect` refills next frame, so in-place is free.
-        mask_capture_words_inplace(*device_, frame, rb);
-        mask_capture_words_inplace(*device_, frame, expect);
-      }
-      if (!std::equal(rb.begin(), rb.end(), expect.begin())) {
+      const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
+      if (first_mismatch(frame, rb, target.frame(frame).words()) != fw) {
         bad.push_back(frame);
       }
     }
@@ -216,14 +251,11 @@ bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
                                   std::vector<std::size_t> check, int budget,
                                   bool ensure_started, int& attempts,
                                   DownloadReport& rep) {
-  std::vector<std::size_t> sweep;
-  if (policy_.full_sweep) {
-    sweep.resize(device_->frames().num_frames());
-    std::iota(sweep.begin(), sweep.end(), 0);
-  }
   for (int attempt = 1; attempt <= budget; ++attempt) {
+    // Backoff follows the download's running attempt count, so a repair
+    // after a streamed send backs off like any other retry.
     ++attempts;
-    if (attempt > 1) backoff(attempt);
+    if (attempts > 1) backoff(attempts);
     try {
       // ABORT first: a previous stream cut off mid-payload left the port
       // waiting for FDRI words that would otherwise swallow this stream.
@@ -239,7 +271,7 @@ bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
     }
     std::vector<std::size_t> bad = verify_against(target, check, rep);
     if (bad.empty() && policy_.full_sweep) {
-      bad = verify_against(target, sweep, rep);
+      bad = verify_against(target, all_frames_, rep);
     }
     if (bad.empty()) {
       if (ensure_started && !board_->config_done()) {
@@ -284,8 +316,6 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
   constexpr std::size_t kChunkFrames = 32;
 
   AttestReport rep;
-  expect_scratch_.resize(fw);
-  std::vector<std::uint32_t>& expect = expect_scratch_;
   std::vector<std::uint32_t>& got = readback_scratch_;
   for (std::size_t first = 0; first < total; first += kChunkFrames) {
     const std::size_t count = std::min(kChunkFrames, total - first);
@@ -303,18 +333,18 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
     for (std::size_t k = 0; k < count; ++k) {
       const std::size_t frame = first + k;
       ++rep.frames_audited;
-      expected.read_frame_words(frame, expect.data());
-      const std::span<std::uint32_t> rb(got.data() + k * fw, fw);
-      if (policy_.mask_capture_bits && is_capture_frame(fm, frame)) {
-        mask_capture_words_inplace(*device_, frame, rb);
-        mask_capture_words_inplace(*device_, frame, expect);
-      }
-      for (std::size_t w = 0; w < fw; ++w) {
-        if (rb[w] != expect[w]) {
-          rep.findings.push_back({frame, fm.describe_frame(frame), w,
-                                  expect[w], rb[w]});
-          break;  // one finding per frame; the address is what matters
-        }
+      const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
+      const std::vector<std::uint32_t>& want = expected.frame(frame).words();
+      // One finding per frame (the address is what matters), reporting the
+      // words as compared: capture bits masked on both sides.
+      const std::size_t w = first_mismatch(frame, rb, want);
+      if (w != fw) {
+        const std::uint32_t m =
+            policy_.mask_capture_bits && capture_frame_[frame] != 0
+                ? capture_mask_[w]
+                : ~0u;
+        rep.findings.push_back(
+            {frame, fm.describe_frame(frame), w, want[w] & m, rb[w] & m});
       }
     }
   }
@@ -348,7 +378,7 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
     if (!port.started()) {
       throw BitstreamError("full bitstream does not start the device");
     }
-    touched = touched_frames(full);
+    touched = touched_frames(port);
   } catch (const JpgError& e) {
     rep.error = std::string("stream rejected tool-side, nothing sent: ") +
                 e.what();
@@ -360,6 +390,7 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
                /*ensure_started=*/true, rep.attempts, rep)) {
     rep.status = DownloadStatus::Success;
     mirror_ = std::move(plane);
+    reseed_shadow();
   } else {
     rep.error = "full download did not converge within the attempt budget";
   }
@@ -370,54 +401,11 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
 
 DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
   JPG_SPAN("dl.download_partial");
-  JPG_COUNT("dl.downloads", 1);
-  const std::uint64_t telem_t0 = telemetry::now_ns();
-  words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
-  JPG_REQUIRE(has_mirror(),
-              "no board mirror established; call download_full or "
-              "assume_board_state first");
-  DownloadReport rep;
-  ConfigMemory target = *mirror_;
-  std::vector<std::size_t> touched;
-  try {
-    ConfigPort port(target);
-    port.load(partial);
-    touched = touched_frames(partial);
-  } catch (const JpgError& e) {
-    rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                e.what();
-    finish_report(rep, telem_t0);
-    return rep;
-  }
-  rep.frames_touched = touched.size();
-  if (converge(partial, target, touched, policy_.max_attempts,
-               /*ensure_started=*/false, rep.attempts, rep)) {
-    rep.status = DownloadStatus::Success;
-    *mirror_ = target;
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
-  }
-  if (policy_.rollback) {
-    Bitstream rb = build_frames_stream(*mirror_, touched, false);
-    if (converge(std::move(rb), *mirror_, touched,
-                 policy_.rollback_max_attempts, /*ensure_started=*/false,
-                 rep.rollback_attempts, rep)) {
-      rep.status = DownloadStatus::RolledBack;
-      rep.error = "update did not converge; device rolled back to the "
-                  "pre-update plane";
-      finish_report(rep, telem_t0);
-      JPG_INFO(rep.summary());
-      return rep;
-    }
-    rep.error = "update did not converge and neither did the rollback; "
-                "board state unknown";
-  } else {
-    rep.error = "update did not converge and rollback is disabled";
-  }
-  finish_report(rep, telem_t0);
-  JPG_INFO(rep.summary());
-  return rep;
+  // One burst covering the whole stream: it replays completely before a
+  // word is sent, so a malformed stream is rejected with nothing sent.
+  StreamOptions opts;
+  opts.burst_words = std::max<std::size_t>(1, partial.words.size());
+  return download_stream(StreamSource::of(partial.words), opts);
 }
 
 DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
@@ -431,14 +419,29 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
               "assume_board_state first");
   JPG_REQUIRE(opts.burst_words > 0, "burst_words must be positive");
   DownloadReport rep;
-  ConfigMemory target = *mirror_;
-  ConfigPort port(target);  // tool-side replay, one burst ahead of the wire
+  shadow_port_->reset();
+  shadow_port_->reset_stats();
+  try {
+    stream_into_shadow(source, opts, rep);
+  } catch (...) {
+    settle_shadow(false);
+    throw;
+  }
+  settle_shadow(rep.ok());
+  finish_report(rep, telem_t0);
+  JPG_INFO(rep.summary());
+  return rep;
+}
 
+void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
+                                            const StreamOptions& opts,
+                                            DownloadReport& rep) {
+  ConfigPort& port = *shadow_port_;  // one burst ahead of the wire
   BurstCursor validate(source);
   BurstCursor send(source);
 
   // Burst 0 replays before a single word goes out: a stream malformed at
-  // the head is rejected with the same guarantee as download_partial.
+  // the head is rejected with nothing sent.
   {
     const std::span<const std::uint32_t> head = validate.next(opts.burst_words);
     if (!head.empty()) {
@@ -447,8 +450,7 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
       } catch (const JpgError& e) {
         rep.error = std::string("stream rejected tool-side, nothing sent: ") +
                     e.what();
-        finish_report(rep, telem_t0);
-        return rep;
+        return;
       }
       // ABORT first, as in converge(): a previous stream cut off
       // mid-payload must not swallow this one. The streamed send is one
@@ -518,47 +520,26 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
 
   // The replay port logged every frame it committed — a superset of what
   // the board can have committed (the wire saw a validated prefix).
-  std::vector<std::size_t> touched(port.committed_frames().begin(),
-                                   port.committed_frames().end());
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<std::size_t> touched = touched_frames(port);
   rep.frames_touched = touched.size();
 
   if (mid_stream_reject) {
     // Bursts already on the wire, but the stream's tail is malformed: there
     // is no intended plane to converge to. Abandon the update and roll the
     // committed superset back to the mirror.
-    if (policy_.rollback) {
-      Bitstream rb = build_frames_stream(*mirror_, touched, false);
-      if (converge(std::move(rb), *mirror_, std::move(touched),
-                   policy_.rollback_max_attempts, /*ensure_started=*/false,
-                   rep.rollback_attempts, rep)) {
-        rep.status = DownloadStatus::RolledBack;
-        rep.error += "; device rolled back to the pre-update plane";
-      } else {
-        rep.error += "; rollback did not converge; board state unknown";
-      }
-    } else {
-      rep.error += "; rollback disabled; board state unknown";
-    }
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
+    roll_back(std::move(touched), rep);
+    return;
   }
 
-  // Fully replayed: `target` is the intended plane. Verify the touched
-  // frames (plus the sweep), then repair/rollback exactly as
-  // download_partial would with the remaining attempt budget.
+  // Fully replayed: the shadow is the intended plane. Verify the touched
+  // frames (plus the sweep), then repair with the remaining attempt budget.
+  const ConfigMemory& target = *shadow_;
   std::vector<std::size_t> bad = verify_against(target, touched, rep);
   if (bad.empty() && policy_.full_sweep) {
-    std::vector<std::size_t> sweep(device_->frames().num_frames());
-    std::iota(sweep.begin(), sweep.end(), 0);
-    bad = verify_against(target, sweep, rep);
+    bad = verify_against(target, all_frames_, rep);
   }
-  bool converged;
-  if (bad.empty()) {
-    converged = true;
-  } else {
+  bool converged = bad.empty();
+  if (!converged) {
     rep.frames_repaired += bad.size();
     ++repair_rounds_;
     JPG_COUNT("dl.repair_rounds", 1);
@@ -569,31 +550,27 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
   }
   if (converged) {
     rep.status = DownloadStatus::Success;
-    *mirror_ = target;
-    finish_report(rep, telem_t0);
-    JPG_INFO(rep.summary());
-    return rep;
+    return;
   }
-  if (policy_.rollback) {
-    Bitstream rb = build_frames_stream(*mirror_, touched, false);
-    if (converge(std::move(rb), *mirror_, std::move(touched),
-                 policy_.rollback_max_attempts, /*ensure_started=*/false,
-                 rep.rollback_attempts, rep)) {
-      rep.status = DownloadStatus::RolledBack;
-      rep.error = "update did not converge; device rolled back to the "
-                  "pre-update plane";
-      finish_report(rep, telem_t0);
-      JPG_INFO(rep.summary());
-      return rep;
-    }
-    rep.error = "update did not converge and neither did the rollback; "
-                "board state unknown";
+  rep.error = "update did not converge";
+  roll_back(std::move(touched), rep);
+}
+
+void VerifiedDownloader::roll_back(std::vector<std::size_t> touched,
+                                   DownloadReport& rep) {
+  if (!policy_.rollback) {
+    rep.error += "; rollback disabled; board state unknown";
+    return;
+  }
+  Bitstream rb = build_frames_stream(*mirror_, touched, false);
+  if (converge(std::move(rb), *mirror_, std::move(touched),
+               policy_.rollback_max_attempts, /*ensure_started=*/false,
+               rep.rollback_attempts, rep)) {
+    rep.status = DownloadStatus::RolledBack;
+    rep.error += "; device rolled back to the pre-update plane";
   } else {
-    rep.error = "update did not converge and rollback is disabled";
+    rep.error += "; rollback did not converge; board state unknown";
   }
-  finish_report(rep, telem_t0);
-  JPG_INFO(rep.summary());
-  return rep;
 }
 
 }  // namespace jpg

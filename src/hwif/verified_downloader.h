@@ -5,17 +5,27 @@
 // the link and the stream completely. This wrapper makes the download
 // *verified*: every stream is validated tool-side before a single word goes
 // out (framing + CRC replayed against a mirror of the board's plane), the
-// send is followed by a readback of exactly the frames the stream touches
-// (BitstreamReader::far_blocks) compared word-for-word against the intended
-// contents, and mismatched frames are rewritten by targeted repair streams
-// under a bounded retry budget. When the budget is spent the downloader
-// rolls the touched frames back to the pre-update plane, so the device is
-// always in one of exactly two states: the update applied and verified, or
-// the previous configuration — never half-written.
+// send is followed by a readback of exactly the frames the replay
+// committed, compared word-for-word against the intended contents (plus,
+// under full_sweep, the whole plane), and mismatched frames are rewritten
+// by targeted repair streams under a bounded retry budget. When the budget
+// is spent the downloader rolls the touched frames back to the pre-update
+// plane, so the device is always in one of exactly two states: the update
+// applied and verified, or the previous configuration — never half-written.
 //
 // The downloader keeps a tool-side mirror (the last plane it verified onto
 // the board); repair and rollback streams are generated from it, which is
 // what makes recovery possible without re-reading the whole device.
+//
+// Next to the mirror it keeps a persistent shadow plane, with its own
+// ConfigPort, that equals the mirror between downloads. A partial download
+// replays into the shadow, which then holds the intended plane, and the
+// port's committed-frame log names exactly the frames where the two
+// differ. On Success those frames are copied shadow -> mirror; on every
+// other exit (rejected at the head or mid-stream, rolled back, failed, or
+// an exception) they are copied mirror -> shadow. Either way the pair is
+// equal again, and a swap copies only the frames it rewrites, never the
+// whole plane.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +35,7 @@
 #include <vector>
 
 #include "bitstream/config_memory.h"
+#include "bitstream/config_port.h"
 #include "bitstream/packet.h"
 #include "hwif/stream_source.h"
 #include "hwif/xhwif.h"
@@ -129,9 +140,10 @@ class VerifiedDownloader {
   /// a truncated stream dropped the START command.
   DownloadReport download_full(const Bitstream& full);
 
-  /// Downloads a partial bitstream against the established mirror. The
-  /// stream is first replayed onto a copy of the mirror (tool-side framing
-  /// and CRC check — nothing is sent if it is malformed), then sent,
+  /// Downloads a partial bitstream against the established mirror: a
+  /// download_stream with one burst covering the whole stream. The stream
+  /// is first replayed into the shadow plane (tool-side framing and CRC
+  /// check — nothing is sent if it is malformed), then sent,
   /// readback-verified, repaired, and on persistent failure rolled back.
   DownloadReport download_partial(const Bitstream& partial);
 
@@ -144,8 +156,8 @@ class VerifiedDownloader {
   /// after bursts 0..k replayed cleanly; a burst rejected before anything
   /// was sent reports the usual "nothing sent" error, one rejected
   /// mid-stream aborts the wire and rolls the frames committed so far back
-  /// to the mirror. After the last burst the touched frames are
-  /// readback-verified and repaired exactly like download_partial.
+  /// to the mirror. After the last burst the touched frames (and, under
+  /// full_sweep, the whole plane) are readback-verified and repaired.
   DownloadReport download_stream(const StreamSource& source,
                                  const StreamOptions& opts = {});
 
@@ -170,15 +182,18 @@ class VerifiedDownloader {
   [[nodiscard]] const ConfigMemory& mirror() const;
 
  private:
-  /// Sorted, deduplicated linear frame indices the stream writes.
-  [[nodiscard]] std::vector<std::size_t> touched_frames(
-      const Bitstream& stream) const;
-
   /// Emits a stream rewriting exactly `frames` (sorted) from `target`,
   /// optionally ending with a START command (full-download repairs).
   [[nodiscard]] Bitstream build_frames_stream(
       const ConfigMemory& target, const std::vector<std::size_t>& frames,
       bool ensure_started) const;
+
+  /// Index of the first word where readback `got` of `frame` differs from
+  /// `want`, or got.size() if none does. Capture bits of a capture frame
+  /// are ignored under mask_capture_bits.
+  [[nodiscard]] std::size_t first_mismatch(
+      std::size_t frame, std::span<const std::uint32_t> got,
+      std::span<const std::uint32_t> want) const;
 
   /// Reads back `frames` (sorted) and returns those differing from
   /// `target`. A failed readback marks its whole run mismatched.
@@ -193,6 +208,21 @@ class VerifiedDownloader {
                 std::vector<std::size_t> check, int budget,
                 bool ensure_started, int& attempts, DownloadReport& rep);
 
+  /// Replays `source` into the shadow plane one burst ahead of the wire,
+  /// then verifies, repairs or rolls back; fills `rep`.
+  void stream_into_shadow(const StreamSource& source, const StreamOptions& opts,
+                          DownloadReport& rep);
+
+  /// Rolls `touched` back to the mirror; appends the outcome to rep.error.
+  void roll_back(std::vector<std::size_t> touched, DownloadReport& rep);
+
+  /// Makes the shadow plane a copy of a newly established mirror.
+  void reseed_shadow();
+
+  /// Applies the shadow rule to the frames the shadow port committed:
+  /// shadow -> mirror on success, mirror -> shadow otherwise.
+  void settle_shadow(bool success);
+
   void backoff(int attempt);
 
   /// Fills rep.telemetry from the per-download tallies accumulated by
@@ -203,14 +233,22 @@ class VerifiedDownloader {
   const Device* device_;
   DownloadPolicy policy_;
   std::unique_ptr<ConfigMemory> mirror_;
+  /// Equal to *mirror_ between downloads (see the header comment).
+  std::unique_ptr<ConfigMemory> shadow_;
+  std::unique_ptr<ConfigPort> shadow_port_;
+  /// Every linear frame index in order: the full-plane sweep's frame list.
+  std::vector<std::size_t> all_frames_;
+  /// capture_frame_[f] != 0 iff frame f is a CLB capture minor.
+  std::vector<char> capture_frame_;
+  /// One frame of words with the FF capture bits cleared, the rest set.
+  std::vector<std::uint32_t> capture_mask_;
 
   // Readback-verification scratch (clear-don't-shrink): readback words land
-  // here via readback_into and are compared — and capture-masked — in
-  // place, so steady-state verification allocates nothing per run.
+  // here via readback_into and are compared in place against the target
+  // plane's frames, so steady-state verification allocates nothing per run.
   std::vector<std::uint32_t> readback_scratch_;
-  std::vector<std::uint32_t> expect_scratch_;
 
-  // Per-download tallies (reset at the top of download_full/download_partial;
+  // Per-download tallies (reset at the top of download_full/download_stream;
   // the downloader is single-threaded per instance, so plain integers do).
   mutable std::uint64_t words_sent_ = 0;
   mutable std::uint64_t readback_words_ = 0;

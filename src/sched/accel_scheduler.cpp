@@ -397,7 +397,7 @@ void AcceleratorScheduler::execute_node(Dispatch d) {
                   "service reported success but no applied pbit at slot");
       PartialBitstreamGenerator gen(fixture_->base());
       const PbitRelocator reloc(gen);
-      const ConfigMemory plane = reloc.decode(mine->pbit, region);
+      const ConfigMemory plane = reloc.decode(*mine->pbit, region);
       result.trace = sim_trace(*fixture_, plane,
                                static_cast<std::size_t>(d.slot), input);
       result.ok = true;

@@ -299,7 +299,10 @@ bool ReconfigService::dispatch_one_round_locked() {
                                        cfg_.drr_quantum_words);
     }
   }
-  if (nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
+  // Only a round that dispatched passes the turn on. An empty round (every
+  // head blocked on a busy board) keeps the cursor, or the next completion
+  // would always hand the first turn back to the same tenant.
+  if (progress && nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
   return progress;
 }
 
@@ -395,9 +398,12 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
         // Record the applied pbit (relocated ones included) so attest()
         // can reconstruct the board's expected plane and defragment()
         // knows which slots are live. Same-region swaps replace.
-        ctx.applied[p->req.region.to_string()] =
-            AppliedPbit{p->req.region, p->req.variant,
-                        resident->lease.bitstream(), ++apply_seq_};
+        const std::shared_ptr<const PartialGenResult>& res =
+            resident->lease.shared();
+        ctx.applied[p->req.region.to_string()] = AppliedPbit{
+            p->req.region, p->req.variant,
+            std::shared_ptr<const Bitstream>(res, &res->bitstream),
+            ++apply_seq_};
       }
     }
     --inflight_;
@@ -589,7 +595,7 @@ AttestReport ReconfigService::attest(std::size_t board) {
               });
     std::vector<Bitstream> streams;
     streams.reserve(applied.size());
-    for (const AppliedPbit& ap : applied) streams.push_back(ap.pbit);
+    for (const AppliedPbit& ap : applied) streams.push_back(*ap.pbit);
     const ConfigMemory expected =
         reconstruct_expected_plane(*base_, streams);
     rep = ctx.downloader->attest(expected);
@@ -641,8 +647,9 @@ DefragReport ReconfigService::defragment(std::size_t board) {
       // then a verified restore of the base at the vacated slot. Each step
       // is a download_partial, so the two-state invariant covers the whole
       // sequence: any failure leaves the board in a known configuration.
-      const PartialGenResult moved = reloc.relocate(ap.pbit, mv.from, mv.to);
-      DownloadReport dl = ctx.downloader->download_partial(moved.bitstream);
+      auto moved = std::make_shared<const Bitstream>(
+          reloc.relocate(*ap.pbit, mv.from, mv.to).bitstream);
+      DownloadReport dl = ctx.downloader->download_partial(*moved);
       if (!dl.ok()) {
         rep.ok = false;
         rep.error = "move to " + mv.to.to_string() + " failed: " + dl.error;
@@ -661,7 +668,7 @@ DefragReport ReconfigService::defragment(std::size_t board) {
         const std::lock_guard<std::mutex> lock(lock_);
         ctx.applied.erase(mv.from.to_string());
         ctx.applied[mv.to.to_string()] =
-            AppliedPbit{mv.to, ap.variant, moved.bitstream, ++apply_seq_};
+            AppliedPbit{mv.to, ap.variant, std::move(moved), ++apply_seq_};
         ++stats_.defrag_moves;
       }
     }

@@ -201,7 +201,9 @@ struct AppliedSlot {
   Region region;
   std::string variant;
   std::uint64_t seq = 0;  ///< apply order (ascending)
-  Bitstream pbit;
+  /// Shared with the service ledger (and the pbit cache, while resident);
+  /// immutable, so it stays valid after later swaps.
+  std::shared_ptr<const Bitstream> pbit;
 };
 
 /// Outcome of a defragmentation pass over one board.
@@ -243,7 +245,7 @@ class ReconfigService {
   [[nodiscard]] const SimBoard& board(std::size_t i) const;
 
   /// Snapshot of the pbits currently applied to board `i`, in apply order.
-  /// Copies the streams: the snapshot stays valid after later swaps.
+  /// Shares the streams rather than copying them.
   [[nodiscard]] std::vector<AppliedSlot> applied_pbits(std::size_t i) const;
 
   /// Readback attestation of one board: reconstructs the expected plane
@@ -279,7 +281,8 @@ class ReconfigService {
   struct AppliedPbit {
     Region region;
     std::string variant;
-    Bitstream pbit;
+    /// Shares the resident cache result; holding it does not pin the entry.
+    std::shared_ptr<const Bitstream> pbit;
     std::uint64_t seq = 0;
   };
 

@@ -5,6 +5,7 @@
 // partial bitstream generator needs (compare, copy ranges, population count).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +72,12 @@ class BitVector {
   void set_word(std::size_t w, std::uint32_t value) {
     JPG_ASSERT(w < words_.size());
     words_[w] = value;
+    mask_tail();
+  }
+
+  /// Overwrites every word from `src` (num_words() packed words).
+  void set_words(const std::uint32_t* src) {
+    std::copy_n(src, words_.size(), words_.begin());
     mask_tail();
   }
 

@@ -60,6 +60,45 @@ TEST(StreamFuzzer, DeterministicReplayFromSeed) {
   EXPECT_NE(a.summary(), c.summary());
 }
 
+// Property: ConfigPort::load(span) ingests FDRI payload runs in bulk, and
+// that must be indistinguishable from clocking the same words in one
+// load_word at a time — same plane, committed-frame log, words_consumed()
+// and the same exception text thrown at the same word — over the whole
+// mutated corpus, partials with several FAR blocks included.
+TEST(StreamFuzzer, BulkLoadMatchesWordAtATime) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  const std::size_t fw = fm.frame_words();
+  ConfigMemory plane(dev);
+  const Bitstream full = patterned_full(dev, plane);
+
+  BitstreamWriter w(dev);
+  w.begin();
+  w.write_cmd(Command::RCRC);
+  w.write_reg(ConfigReg::FLR, static_cast<std::uint32_t>(fw - 1));
+  w.write_reg(ConfigReg::IDCODE, dev.spec().idcode);
+  w.write_cmd(Command::WCFG);
+  for (const int major : {2, 5}) {
+    const std::size_t first = fm.frame_index(major, 0);
+    w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(first)));
+    w.write_frames(plane, first, 4);
+  }
+  w.write_crc();
+  w.write_cmd(Command::LFRM);
+  const std::vector<Bitstream> partials{w.finish()};
+
+  FuzzOptions opts;
+  opts.iterations = 400;
+  opts.seed = 4099;
+  const FuzzReport rep = fuzz_config_streams(dev, full, partials, opts);
+  EXPECT_EQ(rep.bulk_equiv_failures, 0) << rep.first_bulk_divergence;
+  EXPECT_TRUE(rep.clean()) << rep.summary();
+  // Both outcomes must be exercised: rejections compare exception text and
+  // position, accepts compare committed frames.
+  EXPECT_GT(rep.port_rejections, 50);
+  EXPECT_GT(rep.port_accepts, 10);
+}
+
 TEST(StreamFuzzer, MutationKindsAllNamed) {
   for (int k = 0; k < kNumMutationKinds; ++k) {
     EXPECT_NE(mutation_kind_name(static_cast<MutationKind>(k)), "?");

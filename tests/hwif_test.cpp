@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/bitgen.h"
+#include "bitstream/bitstream_writer.h"
 #include "hwif/sim_board.h"
 #include "netlib/generators.h"
 #include "pnr/flow.h"
@@ -17,17 +18,58 @@ class SimBoardTest : public ::testing::Test {
     dev_ = &Device::get("XCV50");
     const BaseFlowResult flow =
         run_base_flow(*dev_, netlib::make_counter(4), {});
-    ConfigMemory mem(*dev_);
-    CBits cb(mem);
+    plane_ = std::make_unique<ConfigMemory>(*dev_);
+    CBits cb(*plane_);
     flow.design->apply(cb);
-    bit_ = generate_full_bitstream(mem);
+    bit_ = generate_full_bitstream(*plane_);
     for (std::size_t i = 0; i < flow.design->iob_cells.size(); ++i) {
       pads_[flow.design->netlist().cell(flow.design->iob_cells[i]).port] =
           dev_->pad_number(flow.design->iob_sites[i]);
     }
   }
 
+  /// A partial rewriting the frame runs `{first, count}` with the design's
+  /// content.
+  Bitstream rewrite_frames(
+      const std::vector<std::pair<std::size_t, std::size_t>>& runs) const {
+    const FrameMap& fm = dev_->frames();
+    BitstreamWriter w(*dev_);
+    w.begin();
+    w.write_cmd(Command::RCRC);
+    w.write_reg(ConfigReg::FLR,
+                static_cast<std::uint32_t>(fm.frame_words() - 1));
+    w.write_reg(ConfigReg::IDCODE, dev_->spec().idcode);
+    w.write_cmd(Command::WCFG);
+    for (const auto& [first, count] : runs) {
+      w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(first)));
+      w.write_frames(*plane_, first, count);
+    }
+    w.write_crc();
+    w.write_cmd(Command::LFRM);
+    return w.finish();
+  }
+
+  /// A partial rewriting every frame of the CLB columns `majors`.
+  Bitstream rewrite_columns(const std::vector<int>& majors) const {
+    const FrameMap& fm = dev_->frames();
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    for (const int major : majors) {
+      runs.emplace_back(fm.frame_index(major, 0),
+                        static_cast<std::size_t>(fm.frames_in_major(major)));
+    }
+    return rewrite_frames(runs);
+  }
+
+  int counter_value(SimBoard& board) const {
+    int v = 0;
+    for (int b = 0; b < 4; ++b) {
+      if (board.get_pin(pads_.at("q" + std::to_string(b)))) v |= 1 << b;
+    }
+    return v;
+  }
+
   const Device* dev_ = nullptr;
+  std::unique_ptr<ConfigMemory> plane_;
   Bitstream bit_;
   std::map<std::string, int> pads_;
 };
@@ -69,6 +111,65 @@ TEST_F(SimBoardTest, RebuildOnlyOnConfigChange) {
   board.send_config(bit_.words);    // full reload
   board.step_clock(1);
   EXPECT_GT(board.rebuilds(), r1);
+}
+
+// The board folds its port's committed-frame log into a set of stale CLB
+// columns after every send and clears it, so the log stays within one
+// stream however many swaps the board sees. The folded set still drives
+// the rebuild: a swap elsewhere carries the counter's FF state across it,
+// and rewriting the counter's own columns restarts it at INIT.
+TEST_F(SimBoardTest, FrameLogStaysBoundedAcrossSwaps) {
+  const FrameMap& fm = dev_->frames();
+  std::vector<int> used;
+  int unused = -1;
+  for (int c = 0; c < dev_->cols(); ++c) {
+    const int major = fm.major_of_clb_col(c);
+    bool empty = true;
+    for (int minor = 0; minor < fm.frames_in_major(major); ++minor) {
+      empty = empty && plane_->frame(fm.frame_index(major, minor)).popcount() == 0;
+    }
+    if (!empty) {
+      used.push_back(major);
+    } else if (unused < 0) {
+      unused = major;
+    }
+  }
+  ASSERT_FALSE(used.empty());
+  ASSERT_GE(unused, 0);
+  const Bitstream away = rewrite_columns({unused});
+  const Bitstream home = rewrite_columns(used);
+
+  SimBoard board(*dev_);
+  board.send_config(bit_.words);
+  EXPECT_TRUE(board.committed_frames().empty());
+  board.step_clock(1);
+  const int rebuilds = board.rebuilds();
+  for (int i = 1; i <= 40; ++i) {
+    board.send_config(away.words);
+    EXPECT_LE(board.committed_frames().size(),
+              static_cast<std::size_t>(fm.frames_in_major(unused)));
+    EXPECT_EQ(counter_value(board), i & 0xF);  // state carried
+    EXPECT_EQ(board.rebuilds(), rebuilds + i);
+    board.step_clock(1);
+  }
+  board.send_config(home.words);
+  EXPECT_TRUE(board.committed_frames().empty());
+  EXPECT_EQ(counter_value(board), 0);  // rewritten columns restart at INIT
+}
+
+// BRAM content frames belong to no CLB column, so writing them restarts no
+// flip-flop — even though the right BRAM column's major number (1) is also
+// the first CLB column's.
+TEST_F(SimBoardTest, BramWritesKeepFlipFlopState) {
+  const FrameMap& fm = dev_->frames();
+  SimBoard board(*dev_);
+  board.send_config(bit_.words);
+  board.step_clock(5);
+  ASSERT_EQ(counter_value(board), 5);
+  board.send_config(
+      rewrite_frames({{fm.bram_frame_index(1, 0), FrameMap::kBramFrames}})
+          .words);
+  EXPECT_EQ(counter_value(board), 5);
 }
 
 TEST_F(SimBoardTest, FullReloadResetsState) {

@@ -107,6 +107,27 @@ TEST_F(PbitLeaseTest, EvictionDeferredWhilePinnedAppliesOnUnpin) {
   EXPECT_EQ(gen.cache_stats().pinned, 0u);
 }
 
+// A ledger shares the leased result instead of copying it. Sharing is not
+// pinning: once the lease is released the entry evicts as usual, and the
+// shared result stays valid — the same object the cache held, not a copy.
+TEST_F(PbitLeaseTest, SharedResultOutlivesEvictionWithoutPinning) {
+  PartialBitstreamGenerator gen(*base_);
+  const Region region{0, 5, dev_->rows() - 1, 8};
+  const ConfigMemory mod = module_plane(1);
+  const PartialGenResult want = gen.generate(mod, region);
+  PbitLease lease = gen.generate_leased(mod, region);
+  const std::shared_ptr<const PartialGenResult> shared = lease.shared();
+  EXPECT_EQ(shared.get(), &lease.result());
+  EXPECT_EQ(gen.cache_stats().pinned, 1u);
+  lease.release();
+  EXPECT_EQ(gen.cache_stats().pinned, 0u);
+  gen.set_cache_capacity(0);
+  EXPECT_EQ(gen.cache_stats().entries, 0u);
+  EXPECT_EQ(gen.cache_stats().evictions, 1u);
+  EXPECT_EQ(shared->bitstream.words, want.bitstream.words);
+  EXPECT_THROW((void)lease.shared(), JpgError);
+}
+
 TEST_F(PbitLeaseTest, ClearCacheKeepsPinnedEntries) {
   PartialBitstreamGenerator gen(*base_);
   const Region region{0, 5, dev_->rows() - 1, 8};

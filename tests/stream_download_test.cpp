@@ -6,6 +6,7 @@
 // (cfg.buffer_reallocs stays 0 after warm-up).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
 #include "bitstream/bitgen.h"
@@ -16,6 +17,7 @@
 #include "hwif/sim_board.h"
 #include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
+#include "support/rng.h"
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
@@ -148,6 +150,33 @@ class StreamDownloadTest : public ::testing::Test {
     }
     src.add(words.subspan(off));
     return src;
+  }
+
+  /// A partial rewriting `count` frames from `first` with a pattern keyed
+  /// by `salt` (distinct salts give distinct frame contents).
+  Bitstream make_partial(std::size_t first, std::size_t count,
+                         std::uint32_t salt) const {
+    const std::size_t fw = dev_->frames().frame_words();
+    ConfigMemory plane(*base_plane_);
+    for (std::size_t f = 0; f < count; ++f) {
+      for (std::size_t w = 0; w < fw; ++w) {
+        plane.frame(first + f).set_word(
+            w, (salt << 20) ^ (static_cast<std::uint32_t>(f) << 12) ^
+                   static_cast<std::uint32_t>(w));
+      }
+    }
+    BitstreamWriter w(*dev_);
+    w.begin();
+    w.write_cmd(Command::RCRC);
+    w.write_reg(ConfigReg::FLR, static_cast<std::uint32_t>(fw - 1));
+    w.write_reg(ConfigReg::IDCODE, dev_->spec().idcode);
+    w.write_cmd(Command::WCFG);
+    w.write_reg(ConfigReg::FAR,
+                dev_->frames().encode_far(dev_->frames().address_of_index(first)));
+    w.write_frames(plane, first, count);
+    w.write_crc();
+    w.write_cmd(Command::LFRM);
+    return w.finish();
   }
 
   static constexpr std::size_t kUpdateFrames = 4;
@@ -417,6 +446,125 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   tool2.connect(&board2);
   tool2.download(StreamSource::of(lease.words()));
   EXPECT_EQ(board_plane(board), board_plane(board2));
+}
+
+/// Forwards to whichever link is selected: the bare board (a clean link)
+/// or a FaultyBoard decorating it. Lets one downloader meet a different
+/// fault profile on every download.
+class LinkSwitch final : public Xhwif {
+ public:
+  explicit LinkSwitch(Xhwif& link) : link_(&link) {}
+  void select(Xhwif& link) { link_ = &link; }
+  [[nodiscard]] std::string board_name() const override {
+    return "switch(" + link_->board_name() + ")";
+  }
+  void send_config(std::span<const std::uint32_t> words) override {
+    link_->send_config(words);
+  }
+  void abort_config() override { link_->abort_config(); }
+  [[nodiscard]] bool config_done() override { return link_->config_done(); }
+  [[nodiscard]] std::vector<std::uint32_t> readback(
+      std::size_t first, std::size_t nframes) override {
+    return link_->readback(first, nframes);
+  }
+  void readback_into(std::size_t first, std::size_t nframes,
+                     std::vector<std::uint32_t>& out) override {
+    link_->readback_into(first, nframes, out);
+  }
+  void capture_state() override { link_->capture_state(); }
+  void step_clock(int cycles) override { link_->step_clock(cycles); }
+  void set_pin(int pad, bool value) override { link_->set_pin(pad, value); }
+  [[nodiscard]] bool get_pin(int pad) override { return link_->get_pin(pad); }
+
+ private:
+  Xhwif* link_;
+};
+
+// The downloader replays into a persistent shadow plane and must leave it
+// equal to the mirror after every outcome. A seeded sequence mixes all
+// five exits; after each one, a clean download must behave exactly as on a
+// fresh downloader seeded with the same mirror over an identical board. A
+// shadow frame left stale by the previous exit would show up here as a
+// different intended plane: extra repairs, a different mirror or plane.
+TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
+  const FrameMap& fm = dev_->frames();
+  SimBoard board(*dev_);
+  board.send_config(base_bit_.words);
+  LinkSwitch link(board);
+  DownloadPolicy policy;
+  policy.max_attempts = 2;
+  policy.rollback_max_attempts = 4;
+  VerifiedDownloader dl(link, *dev_, policy);
+  dl.assume_board_state(*base_plane_);
+
+  enum Kind { kSuccess, kRolledBack, kHeadReject, kMidStream, kFailed };
+  std::array<int, 5> seen{};
+  Rng rng(0x5AD0u);
+  std::uint32_t salt = 1;
+  // Overlapping frame ranges, so a stale frame from one step is visible to
+  // the next.
+  const auto random_partial = [&] {
+    const std::size_t first = fm.frame_index(3 + static_cast<int>(rng.uniform(2)),
+                                             static_cast<int>(rng.uniform(8)));
+    return make_partial(first, 2 + rng.uniform(5), salt++);
+  };
+  for (int step = 0; step < 40; ++step) {
+    const Bitstream pbit = random_partial();
+    Bitstream bad = pbit;
+    bad.words[bad.words.size() - 4] ^= 1u;  // CRC word: frames replay first
+    const auto kind = static_cast<Kind>(rng.uniform(5));
+    FaultProfile profile;
+    if (kind == kRolledBack) {
+      profile.send_failure = 1.0;  // both update sends fail, rollback lands
+      profile.fault_budget = 2;
+    } else if (kind == kFailed) {
+      profile.readback_failure = 1.0;  // nothing ever verifies
+    }
+    FaultyBoard faulty(board, profile, 7000u + static_cast<std::uint64_t>(step));
+    link.select(faulty);
+    StreamOptions opts;
+    DownloadReport rep;
+    switch (kind) {
+      case kHeadReject:
+        opts.burst_words = bad.words.size();
+        rep = dl.download_stream(StreamSource::of(bad.words), opts);
+        ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+        ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
+        break;
+      case kMidStream:
+        opts.burst_words = 8;
+        rep = dl.download_stream(StreamSource::of(bad.words), opts);
+        ASSERT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
+        ASSERT_NE(rep.error.find("mid-stream"), std::string::npos);
+        break;
+      case kSuccess:
+        ASSERT_TRUE(dl.download_partial(pbit).ok());
+        break;
+      case kRolledBack:
+        rep = dl.download_partial(pbit);
+        ASSERT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
+        break;
+      case kFailed:
+        rep = dl.download_partial(pbit);
+        ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+        break;
+    }
+    link.select(board);
+    ++seen[kind];
+
+    SimBoard twin(*dev_);
+    twin.send_config(generate_full_bitstream(board_plane(board)).words);
+    VerifiedDownloader fresh(twin, *dev_, policy);
+    fresh.assume_board_state(dl.mirror());
+    const Bitstream next = random_partial();
+    const DownloadReport a = dl.download_partial(next);
+    const DownloadReport b = fresh.download_partial(next);
+    ASSERT_TRUE(a.ok()) << "step " << step << ": " << a.summary();
+    ASSERT_EQ(a.summary(), b.summary()) << "step " << step;
+    ASSERT_EQ(dl.mirror(), fresh.mirror()) << "step " << step;
+    ASSERT_EQ(board_plane(board), board_plane(twin)) << "step " << step;
+  }
+  for (const int n : seen) EXPECT_GT(n, 0);
 }
 
 #if JPG_TELEMETRY_ENABLED
