@@ -87,7 +87,7 @@ void ConfigPort::load(std::span<const std::uint32_t> words) {
       const std::size_t run =
           std::min<std::size_t>(remaining_payload_ - 1, words.size() - i);
       const std::span<const std::uint32_t> payload = words.subspan(i, run);
-      for (const std::uint32_t w : payload) crc_.update(kFdri, w);
+      crc_.update_run(kFdri, payload);
       fdri_buffer_.insert(fdri_buffer_.end(), payload.begin(), payload.end());
       remaining_payload_ -= static_cast<std::uint32_t>(run);
       words_consumed_ += run;

@@ -292,6 +292,23 @@ TEST(Crc16, TableMatchesBitSerialReference) {
   }
 }
 
+TEST(Crc16, RunMatchesBitSerialReference) {
+  // update_run folds two writes per step; runs of every parity (and empty
+  // ones) must leave the same register as the one-bit-at-a-time definition.
+  Rng rng(0xC4C2ull);
+  Crc16 fast;
+  Crc16Serial ref;
+  std::vector<std::uint32_t> run;
+  for (int i = 0; i < 2000; ++i) {
+    const auto reg = static_cast<std::uint32_t>(rng.uniform(32));
+    run.resize(rng.uniform(9));
+    for (std::uint32_t& w : run) w = static_cast<std::uint32_t>(rng.next());
+    fast.update_run(reg, run);
+    for (const std::uint32_t w : run) ref.update(reg, w);
+    ASSERT_EQ(fast.value(), ref.value()) << "run " << i;
+  }
+}
+
 TEST(BitstreamReader, FarBlocksRejectsMisalignedPayload) {
   // A ragged FDRI payload used to be silently rounded down, undercounting
   // the frames a partial touches — the verify path would then skip frames
