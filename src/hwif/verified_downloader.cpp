@@ -473,6 +473,15 @@ void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
     // burst-wise: nothing unvalidated is ever sent.
     const std::span<const std::uint32_t> ahead = validate.next(opts.burst_words);
     std::future<void> ahead_done;
+    // The replay task reads the caller's words and writes the shadow plane:
+    // wait for it on every way out of this iteration, an exception from
+    // send_config included.
+    struct JoinOnExit {
+      std::future<void>& f;
+      ~JoinOnExit() {
+        if (f.valid()) f.wait();
+      }
+    } join_ahead{ahead_done};
     if (!ahead.empty() && opts.overlap_verify) {
       ahead_done =
           ThreadPool::global().submit([&port, ahead] { port.load(ahead); });
