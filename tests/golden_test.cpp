@@ -60,6 +60,12 @@ struct GoldenCase {
   }
 };
 
+// gtest would otherwise print the case as raw bytes, a heap pointer
+// included, and the discovered ctest names would change with every build.
+void PrintTo(const GoldenCase& gc, std::ostream* os) {
+  *os << gc.part << " seed " << gc.seed;
+}
+
 const std::vector<GoldenCase>& cases() {
   static const std::vector<GoldenCase> kCases = {
       {"XCV50", 11}, {"XCV50", 23}, {"XCV300", 11}, {"XCV300", 23}};

@@ -49,6 +49,12 @@ struct FlowCase {
   int param;
 };
 
+// gtest would otherwise print the case as raw bytes, pointers included, and
+// the discovered ctest names would change with every build.
+void PrintTo(const FlowCase& fc, std::ostream* os) {
+  *os << fc.part << " " << fc.generator << "(" << fc.param << ")";
+}
+
 class FullFlow : public ::testing::TestWithParam<FlowCase> {};
 
 TEST_P(FullFlow, ImplementExtractSimulate) {
