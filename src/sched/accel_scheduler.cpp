@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "core/partial_gen.h"
-#include "core/relocate.h"
-#include "sim/bitstream_sim.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/telemetry/telemetry.h"
@@ -20,24 +18,6 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Simulates one node at `slot` on the composed full plane: drive the input
-/// stream on the slot's pad, sample the output pad each cycle.
-std::vector<bool> sim_trace(const SchedFixture& fixture,
-                            const ConfigMemory& plane, std::size_t slot,
-                            const std::vector<bool>& input) {
-  BitstreamSim sim(plane);
-  const int p_in = fixture.in_pad(slot);
-  const int p_out = fixture.out_pad(slot);
-  std::vector<bool> out;
-  out.reserve(input.size());
-  for (const bool b : input) {
-    sim.set_pad(p_in, b);
-    sim.step();
-    out.push_back(sim.get_pad(p_out));
-  }
-  return out;
 }
 
 }  // namespace
@@ -83,17 +63,17 @@ std::vector<std::vector<bool>> reference_traces(const SchedFixture& fixture,
   for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
     const TaskNode& n = graph.nodes[i];
     const std::vector<bool> in = node_input(graph, i, traces, sim_cycles);
-    const ConfigMemory plane =
-        gen.compose(fixture.plane(n.kernel, n.pool.front(), 0),
-                    fixture.slots()[0]);
-    traces[i] = sim_trace(fixture, plane, 0, in);
+    const ExtractedCircuit circuit = extract_circuit(gen.compose(
+        fixture.plane(n.kernel, n.pool.front(), 0), fixture.slots()[0]));
+    traces[i] =
+        socket_trace(circuit, fixture.in_pad(0), fixture.out_pad(0), in);
   }
   return traces;
 }
 
 AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
                                            SchedConfig cfg)
-    : fixture_(&fixture), cfg_(std::move(cfg)) {
+    : fixture_(&fixture), cfg_(std::move(cfg)), circuits_(fixture) {
   JPG_REQUIRE(cfg_.num_boards >= 1, "scheduler needs at least one board");
   JPG_REQUIRE(cfg_.workers >= 1, "scheduler needs at least one worker");
   JPG_REQUIRE(cfg_.sim_cycles >= 1, "sim_cycles must be positive");
@@ -182,6 +162,7 @@ AppTicket AcceleratorScheduler::submit(TaskGraph graph) {
     if (inflight_ == 0 && all_boards_revoked_locked()) {
       fail_unstarted_locked("all boards revoked");
     }
+    drop_finished_locked();
   }
   JPG_COUNT("sched.apps.submitted", 1);
   cv_.notify_all();
@@ -209,7 +190,6 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
   if (free_slots.empty()) return false;
 
   for (const auto& app : apps_) {
-    if (app->finalized) continue;
     for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
       if (app->state[i] != NodeState::Ready) continue;
       const TaskNode& node = app->graph.nodes[i];
@@ -383,9 +363,10 @@ void AcceleratorScheduler::execute_node(Dispatch d) {
   }
 
   if (resp.ok()) {
-    // Completion bus payload: decode the pbit the service actually applied
-    // (applied_pbits is the ground truth — relocation-served requests carry
-    // the donor's translated stream, not the fixture plane) and simulate.
+    // Completion bus payload: the circuit of the pbit the service actually
+    // applied (applied_pbits is the ground truth — relocation-served
+    // requests carry the donor's translated stream, not the fixture plane),
+    // elaborated once per (region, pbit bytes), then simulated afresh.
     try {
       const std::vector<AppliedSlot> applied =
           svc_->applied_pbits(static_cast<std::size_t>(d.board));
@@ -395,11 +376,11 @@ void AcceleratorScheduler::execute_node(Dispatch d) {
       }
       JPG_REQUIRE(mine != nullptr,
                   "service reported success but no applied pbit at slot");
-      PartialBitstreamGenerator gen(fixture_->base());
-      const PbitRelocator reloc(gen);
-      const ConfigMemory plane = reloc.decode(*mine->pbit, region);
-      result.trace = sim_trace(*fixture_, plane,
-                               static_cast<std::size_t>(d.slot), input);
+      const auto slot = static_cast<std::size_t>(d.slot);
+      const std::shared_ptr<const ExtractedCircuit> circuit =
+          circuits_.circuit(mine->pbit, region);
+      result.trace = socket_trace(*circuit, fixture_->in_pad(slot),
+                                  fixture_->out_pad(slot), input);
       result.ok = true;
     } catch (const JpgError& e) {
       result.ok = false;
@@ -497,6 +478,7 @@ void AcceleratorScheduler::complete_node_locked(
   if (inflight_ == 0 && all_boards_revoked_locked()) {
     fail_unstarted_locked("all boards revoked");
   }
+  drop_finished_locked();
   cv_.notify_all();
 }
 
@@ -524,11 +506,17 @@ void AcceleratorScheduler::finalize_app_locked(AppCtx& app) {
   app.promise.set_value(std::move(report));
 }
 
+void AcceleratorScheduler::drop_finished_locked() {
+  std::erase_if(apps_, [](const std::shared_ptr<AppCtx>& app) {
+    return app->finalized;
+  });
+}
+
 void AcceleratorScheduler::cancel(std::uint64_t app_id) {
   {
     const std::lock_guard<std::mutex> guard(lock_);
     for (const auto& app : apps_) {
-      if (app->id != app_id || app->finalized) continue;
+      if (app->id != app_id) continue;
       app->cancelled = true;
       for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
         if (app->state[i] == NodeState::Waiting ||
@@ -542,6 +530,7 @@ void AcceleratorScheduler::cancel(std::uint64_t app_id) {
       if (app->unfinished == 0) finalize_app_locked(*app);
       break;
     }
+    drop_finished_locked();
   }
   cv_.notify_all();
 }
@@ -573,7 +562,6 @@ void AcceleratorScheduler::restore_board(std::size_t i) {
 
 void AcceleratorScheduler::fail_unstarted_locked(const std::string& why) {
   for (const auto& app : apps_) {
-    if (app->finalized) continue;
     for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
       if (app->state[i] == NodeState::Waiting ||
           app->state[i] == NodeState::Ready) {
@@ -585,6 +573,7 @@ void AcceleratorScheduler::fail_unstarted_locked(const std::string& why) {
     }
     if (app->unfinished == 0) finalize_app_locked(*app);
   }
+  drop_finished_locked();
 }
 
 DefragReport AcceleratorScheduler::defragment(std::size_t board) {
@@ -614,7 +603,6 @@ void AcceleratorScheduler::shutdown(bool drain) {
     accepting_ = false;
     if (!drain) {
       for (const auto& app : apps_) {
-        if (app->finalized) continue;
         app->cancelled = true;
         for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
           if (app->state[i] == NodeState::Waiting ||
@@ -627,15 +615,10 @@ void AcceleratorScheduler::shutdown(bool drain) {
         }
         if (app->unfinished == 0) finalize_app_locked(*app);
       }
+      drop_finished_locked();
       cv_.notify_all();
     }
-    cv_.wait(lk, [&] {
-      if (inflight_ != 0) return false;
-      for (const auto& app : apps_) {
-        if (!app->finalized) return false;
-      }
-      return true;
-    });
+    cv_.wait(lk, [&] { return inflight_ == 0 && apps_.empty(); });
     stop_dispatcher_ = true;
   }
   cv_.notify_all();
@@ -645,7 +628,9 @@ void AcceleratorScheduler::shutdown(bool drain) {
 
 SchedStats AcceleratorScheduler::stats() const {
   const std::lock_guard<std::mutex> guard(lock_);
-  return stats_;
+  SchedStats st = stats_;
+  st.apps_live = apps_.size();
+  return st;
 }
 
 }  // namespace jpg::sched

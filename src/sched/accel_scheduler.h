@@ -15,7 +15,8 @@
 //
 // Dependencies flow through a completion bus: the service's on_complete hook
 // plus the scheduler's own completion path mark successors ready and hand
-// each node the XOR of its predecessors' BitstreamSim output traces as its
+// each node the XOR of its predecessors' output traces (simulated over the
+// circuit of the pbit actually applied, memoised in SlotCircuitCache) as its
 // input stream, so any schedule that respects the DAG must reproduce the
 // sequential reference traces exactly (reference_traces) — the invariant the
 // scheduler oracle family proves per random graph.
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "sched/sched_fixture.h"
+#include "sched/slot_circuit_cache.h"
 #include "sched/task_graph.h"
 #include "service/reconfig_service.h"
 #include "support/thread_pool.h"
@@ -111,6 +113,9 @@ struct SchedStats {
   std::uint64_t dep_violations = 0;   ///< dispatches with an unfinished pred
   std::uint64_t completion_events = 0;  ///< service on_complete deliveries
   std::uint64_t boards_revoked = 0;
+  /// Registered apps whose future has not resolved yet (a resolved app is
+  /// dropped, so this is 0 at quiescence however many apps have run).
+  std::uint64_t apps_live = 0;
 
   /// Swap-avoidance hit rate: reuse placements over completed nodes.
   [[nodiscard]] double reuse_rate() const {
@@ -217,6 +222,8 @@ class AcceleratorScheduler {
   void complete_node_locked(std::unique_lock<std::mutex>& lock,
                             const Dispatch& d, NodeResult result);
   void finalize_app_locked(AppCtx& app);
+  /// Drops resolved apps from apps_. Never call it inside a loop over apps_.
+  void drop_finished_locked();
   /// Fails every not-yet-running node of every app (no boards left).
   void fail_unstarted_locked(const std::string& why);
   [[nodiscard]] bool all_boards_revoked_locked() const;
@@ -227,9 +234,12 @@ class AcceleratorScheduler {
   /// Private pool — see SchedConfig::workers. ThreadPool::sized() caches by
   /// width and must not be used here (aliasing with the service's pool).
   std::shared_ptr<ThreadPool> pool_;
+  /// Circuits of applied pbits, shared by every node of this scheduler.
+  SlotCircuitCache circuits_;
 
   mutable std::mutex lock_;
   std::condition_variable cv_;
+  /// Apps whose future has not resolved, in submission order.
   std::vector<std::shared_ptr<AppCtx>> apps_;
   std::vector<BoardState> boards_;
   /// variant label -> region keys a lease was created at. Advisory donor

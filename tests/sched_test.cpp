@@ -1,8 +1,9 @@
 // Accelerator-scheduler tests: task-graph generator invariants, the uniform
 // socket fixture, the oracle property family (including the fault and
 // defrag-mid-run tiers), the chaos tier (concurrent registration /
-// cancellation / board revocation / shutdown-with-inflight), and the service
-// stats-coherence invariant under submit churn.
+// cancellation / board revocation / shutdown-with-inflight), the memoised
+// slot circuits against a fresh decode, and the service stats-coherence
+// invariant under submit churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "bitstream/packet.h"
+#include "core/partial_gen.h"
+#include "core/relocate.h"
 #include "sched/accel_scheduler.h"
 #include "sched/sched_fixture.h"
+#include "sched/slot_circuit_cache.h"
 #include "sched/task_graph.h"
+#include "sim/bitstream_sim.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "testing/sched_oracle.h"
@@ -29,6 +35,51 @@ TaskGraph graph_for(std::uint64_t seed, const std::string& app = "app") {
   TaskGraphOptions opt;
   opt.num_impls = fixture().impls_per_kernel();
   return random_task_graph(rng, fixture().kernels(), opt, app);
+}
+
+std::vector<bool> random_bits(Rng& rng, std::size_t n) {
+  std::vector<bool> bits(n);
+  for (std::size_t i = 0; i < n; ++i) bits[i] = (rng.next() & 1) != 0;
+  return bits;
+}
+
+/// The uncached path: a fresh BitstreamSim over the decoded plane.
+std::vector<bool> fresh_trace(const ConfigMemory& plane, std::size_t slot,
+                              const std::vector<bool>& input) {
+  BitstreamSim sim(plane);
+  std::vector<bool> out;
+  for (const bool b : input) {
+    sim.set_pad(fixture().in_pad(slot), b);
+    sim.step();
+    out.push_back(sim.get_pad(fixture().out_pad(slot)));
+  }
+  return out;
+}
+
+std::vector<bool> cached_trace(SlotCircuitCache& cache,
+                               const std::shared_ptr<const Bitstream>& pbit,
+                               const Region& region, std::size_t slot,
+                               const std::vector<bool>& input) {
+  return socket_trace(*cache.circuit(pbit, region), fixture().in_pad(slot),
+                      fixture().out_pad(slot), input);
+}
+
+std::shared_ptr<const Bitstream> pbit_for(const std::string& kernel, int impl,
+                                          std::size_t slot,
+                                          const PartialGenOptions& opts = {}) {
+  const PartialBitstreamGenerator gen(fixture().base());
+  return std::make_shared<const Bitstream>(
+      gen.generate(fixture().plane(kernel, impl, slot),
+                   fixture().slots()[slot], opts)
+          .bitstream);
+}
+
+/// Slot `slot` widened by one column on the left: it covers every frame
+/// the slot's pbits write, so they decode there too, under another key.
+Region widened(std::size_t slot) {
+  Region r = fixture().slots()[slot];
+  --r.c0;
+  return r;
 }
 
 TEST(TaskGraphTest, GeneratorIsDeterministic) {
@@ -217,6 +268,184 @@ TEST(SchedulerTest, RevokingAllBoardsFailsPendingWork) {
   sched.restore_board(0);
   const AppReport rep2 = sched.submit(graph_for(62)).report.get();
   EXPECT_TRUE(rep2.completed);
+}
+
+TEST(SchedulerTest, FinishedAppsAreDropped) {
+  TaskGraph g;
+  g.app = "one";
+  TaskNode n;
+  n.name = "n0";
+  n.kernel = "nrzi";
+  n.pool = {0};
+  g.nodes.push_back(n);
+
+  AcceleratorScheduler sched(fixture());
+  const AppTicket first = sched.submit(g);
+  ASSERT_TRUE(first.report.get().completed);
+  for (int i = 1; i < 300; ++i) {
+    ASSERT_TRUE(sched.submit(g).report.get().completed) << "app " << i;
+  }
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.apps_completed, 300u);
+  EXPECT_EQ(st.apps_live, 0u);
+  sched.cancel(first.id);  // resolved and dropped: a no-op
+  const SchedStats after = sched.stats();
+  EXPECT_EQ(after.apps_cancelled, 0u);
+  EXPECT_EQ(after.nodes_cancelled, 0u);
+  EXPECT_EQ(after.apps_live, 0u);
+}
+
+// Every (kernel, impl, slot) pbit: the cached circuit simulates exactly like
+// a fresh BitstreamSim over the decoded plane, on the first call and on a
+// repeated call with a byte-identical copy and other inputs — so no FF state
+// of a stateful kernel (accum, fir) leaks from one node into the next.
+TEST(SlotCircuitCacheTest, TracesMatchFreshDecodeOnEveryKey) {
+  const SchedFixture& fx = fixture();
+  const PartialBitstreamGenerator gen(fx.base());
+  const PbitRelocator reloc(gen);
+  SlotCircuitCache cache(fx);
+  Rng rng(5);
+  std::size_t keys = 0;
+  for (const std::string& k : fx.kernels()) {
+    for (std::size_t impl = 0; impl < fx.impls_per_kernel(); ++impl) {
+      for (std::size_t s = 0; s < fx.slots().size(); ++s, ++keys) {
+        const auto pbit = pbit_for(k, static_cast<int>(impl), s);
+        const Region& region = fx.slots()[s];
+        const ConfigMemory plane = reloc.decode(*pbit, region);
+        const auto copy = std::make_shared<const Bitstream>(*pbit);
+        for (const auto& p : {pbit, copy}) {
+          const std::vector<bool> in = random_bits(rng, 24);
+          EXPECT_EQ(cached_trace(cache, p, region, s, in),
+                    fresh_trace(plane, s, in))
+              << k << "#" << impl << " slot " << s;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cache.misses(), keys);
+  EXPECT_EQ(cache.hits(), keys);
+  EXPECT_EQ(cache.size(), keys);
+}
+
+TEST(SlotCircuitCacheTest, FlippedFdriWordIsAMiss) {
+  const SchedFixture& fx = fixture();
+  // No CRC, so the flipped stream still loads and is judged on its content.
+  PartialGenOptions opts;
+  opts.include_crc = false;
+  const auto pbit = pbit_for("accum", 0, 1, opts);
+  Bitstream flipped = *pbit;
+  ConfigReg reg = ConfigReg::CRC;
+  bool done = false;
+  for (std::size_t i = 0; i < flipped.words.size() && !done; ++i) {
+    const auto h = decode_header(flipped.words[i], reg);
+    if (!h) continue;
+    reg = h->reg;
+    if (h->op == PacketOp::Write && h->reg == ConfigReg::FDRI &&
+        h->word_count > 0) {
+      flipped.words[i + 1 + h->word_count / 2] ^= 1u;
+      done = true;
+    }
+    i += h->word_count;
+  }
+  ASSERT_TRUE(done) << "no FDRI payload in the pbit";
+  const auto other = std::make_shared<const Bitstream>(std::move(flipped));
+
+  const Region& region = fx.slots()[1];
+  SlotCircuitCache cache(fx);
+  (void)cache.circuit(pbit, region);
+  // The flipped stream is elaborated on its own: same outcome as the
+  // uncached path, whether that is a circuit or an error.
+  const PartialBitstreamGenerator gen(fx.base());
+  const PbitRelocator reloc(gen);
+  const std::vector<bool> in(24, true);
+  std::string fresh_error;
+  std::vector<bool> fresh;
+  try {
+    fresh = fresh_trace(reloc.decode(*other, region), 1, in);
+  } catch (const JpgError& e) {
+    fresh_error = e.what();
+  }
+  std::string cached_error;
+  std::vector<bool> cached;
+  try {
+    cached = cached_trace(cache, other, region, 1, in);
+  } catch (const JpgError& e) {
+    cached_error = e.what();
+  }
+  EXPECT_EQ(cached_error, fresh_error);
+  EXPECT_EQ(cached, fresh);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(SlotCircuitCacheTest, SameBytesAtAnotherRegionIsAMiss) {
+  const SchedFixture& fx = fixture();
+  const auto pbit = pbit_for("fir", 1, 0);
+  SlotCircuitCache cache(fx);
+  const auto at_slot = cache.circuit(pbit, fx.slots()[0]);
+  const auto at_wide = cache.circuit(pbit, widened(0));
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_NE(at_slot, at_wide);
+}
+
+TEST(SlotCircuitCacheTest, EntriesNeverExceedFixtureBound) {
+  const SchedFixture& fx = fixture();
+  SlotCircuitCache cache(fx);
+  EXPECT_EQ(cache.capacity(), fx.kernels().size() * fx.impls_per_kernel() *
+                                  fx.slots().size());
+  std::shared_ptr<const Bitstream> oldest;
+  for (const bool wide : {false, true}) {
+    for (const std::string& k : fx.kernels()) {
+      for (std::size_t impl = 0; impl < fx.impls_per_kernel(); ++impl) {
+        for (std::size_t s = 0; s < fx.slots().size(); ++s) {
+          const auto pbit = pbit_for(k, static_cast<int>(impl), s);
+          if (!oldest) oldest = pbit;
+          (void)cache.circuit(pbit, wide ? widened(s) : fx.slots()[s]);
+          ASSERT_LE(cache.size(), cache.capacity());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), cache.capacity());
+  EXPECT_EQ(cache.misses(), 2 * cache.capacity());
+  // The least recently used entry went first.
+  (void)cache.circuit(oldest, fx.slots()[0]);
+  EXPECT_EQ(cache.misses(), 2 * cache.capacity() + 1);
+}
+
+// Two threads ask for the same cold key at once: both elaborate it outside
+// the lock, both get a correct circuit, and one entry is kept.
+TEST(SlotCircuitCacheTest, ConcurrentColdKeyKeepsOneEntry) {
+  const SchedFixture& fx = fixture();
+  const auto pbit = pbit_for("accum", 1, 2);
+  const Region& region = fx.slots()[2];
+  const PartialBitstreamGenerator gen(fx.base());
+  const PbitRelocator reloc(gen);
+  Rng rng(9);
+  const std::vector<bool> in = random_bits(rng, 24);
+  const std::vector<bool> expect =
+      fresh_trace(reloc.decode(*pbit, region), 2, in);
+
+  SlotCircuitCache cache(fx);
+  const std::vector<std::shared_ptr<const Bitstream>> pbits = {
+      pbit, std::make_shared<const Bitstream>(*pbit)};
+  std::atomic<int> arrived{0};
+  std::vector<std::vector<bool>> traces(2);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      traces[t] = cached_trace(cache, pbits[t], region, 2, in);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(traces[0], expect);
+  EXPECT_EQ(traces[1], expect);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 2u);
 }
 
 // Chaos tier: concurrent app registration and cancellation mid-graph, board

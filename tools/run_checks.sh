@@ -217,7 +217,7 @@ run_sched_checks() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=address > /dev/null
   cmake --build build-asan -j "$JOBS" --target sched_test jpg_cli
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-     -R 'TaskGraphTest|SchedFixtureTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|sched_smoke')
+     -R 'TaskGraphTest|SchedFixtureTest|SchedulerTest|SchedulerChaosTest|SlotCircuitCacheTest|ServiceStatsTest|sched_smoke')
   if [[ "${NIGHTLY:-0}" == "1" ]]; then
     echo "=== [sched] nightly scheduler oracle shards (>=500 graphs/device) ==="
     (cd build-asan && ctest --output-on-failure -j "$JOBS" -C nightly -L sched)
