@@ -4,14 +4,13 @@
 // result out of the cache), and resident (a pinned lease streamed straight
 // from cache memory in bounded bursts — no copy anywhere between the cache
 // and the board). Also: the burst-size sweep through stream_to_board, and
-// the verified download with tool-side replay overlapped one burst ahead of
-// the wire versus strictly sequential. Copy traffic is taken from the
-// telemetry counters (pgen.cache.copy_bytes + cfg.bytes_copied), so the
-// "zero bytes moved" claim is measured, not asserted. Writes
+// the verified streamed download (each burst replayed tool-side, then
+// sent). Copy traffic is taken from the telemetry counters
+// (pgen.cache.copy_bytes + cfg.bytes_copied), so the "zero bytes moved"
+// claim is measured, not asserted. Writes
 // BENCH_icap_stream.json for the driver; tools/run_checks.sh bench gates
-// copy_bytes_per_resident_swap == 0, resident >= cold words/sec, resident
-// ns/frame < warm-buffered ns/frame, and (on >= 4-core hosts) the overlap
-// speedup.
+// copy_bytes_per_resident_swap == 0, resident >= cold words/sec, and
+// resident ns/frame < warm-buffered ns/frame.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -64,15 +63,6 @@ std::uint64_t copy_counters() {
   const telemetry::MetricsSnapshot snap =
       telemetry::MetricsRegistry::global().snapshot();
   return snap.counter("pgen.cache.copy_bytes") + snap.counter("cfg.bytes_copied");
-#else
-  return 0;
-#endif
-}
-
-std::uint64_t overlap_counter() {
-#if JPG_TELEMETRY_ENABLED
-  return telemetry::MetricsRegistry::global().snapshot().counter(
-      "cfg.stream_overlap_ns");
 #else
   return 0;
 #endif
@@ -170,10 +160,10 @@ void bench_device(const char* part, benchutil::JsonReport& report,
                pwords * 1e9 / b.ns);
   }
 
-  // Overlapped verify: the verified downloader replays burst k+1 tool-side
-  // while burst k is on the wire. Both arms run the identical idempotent
-  // swap (mirror already holds the target), with the full-plane sweep off
-  // so the overlap signal is not diluted by identical readback cost.
+  // Verified swap: the verified downloader replays each burst tool-side,
+  // then sends it. The swap is idempotent (the mirror already holds the
+  // target), with the full-plane sweep off so the figure is the streaming
+  // datapath, not readback of the whole plane.
   SimBoard vboard(dev);
   vboard.send_config(base_bit.words);
   DownloadPolicy policy;
@@ -181,35 +171,18 @@ void bench_device(const char* part, benchutil::JsonReport& report,
   VerifiedDownloader dl(vboard, dev, policy);
   dl.assume_board_state(base);
 
-  StreamOptions opts;
-  opts.overlap_verify = false;
-  const DownloadReport first = dl.download_stream(src, opts);
+  const DownloadReport first = dl.download_stream(src);
   JPG_REQUIRE(first.ok(), "benchmark download did not verify");
-  const Timing seq = time_calls(
+  const Timing verified = time_calls(
       [&] {
-        const DownloadReport rep = dl.download_stream(src, opts);
+        const DownloadReport rep = dl.download_stream(src);
         JPG_REQUIRE(rep.ok(), "benchmark download did not verify");
       },
       min_iters, min_seconds);
-  opts.overlap_verify = true;
-  std::uint64_t ov0 = overlap_counter();
-  const Timing ovl = time_calls(
-      [&] {
-        const DownloadReport rep = dl.download_stream(src, opts);
-        JPG_REQUIRE(rep.ok(), "benchmark download did not verify");
-      },
-      min_iters, min_seconds);
-  const double overlap_ns_per_swap =
-      static_cast<double>(overlap_counter() - ov0) / ovl.iters;
 
-  report.set(part, "verified_seq_ns_per_frame", seq.ns / frames);
-  report.set(part, "verified_overlap_ns_per_frame", ovl.ns / frames);
-  report.set(part, "overlap_speedup", seq.ns / ovl.ns);
-  report.set(part, "stream_overlap_ns_per_swap", overlap_ns_per_swap);
-  t.row({part, "verified swap, sequential", fmt(seq.ns / frames, 0),
-         fmt(pwords * 1e9 / seq.ns / 1e6, 1), "-"});
-  t.row({part, "verified swap, overlapped", fmt(ovl.ns / frames, 0),
-         fmt(pwords * 1e9 / ovl.ns / 1e6, 1), "-"});
+  report.set(part, "verified_ns_per_frame", verified.ns / frames);
+  t.row({part, "verified swap", fmt(verified.ns / frames, 0),
+         fmt(pwords * 1e9 / verified.ns / 1e6, 1), "-"});
 }
 
 void bench_icap_stream() {

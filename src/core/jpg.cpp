@@ -2,7 +2,6 @@
 
 #include "bitstream/bitgen.h"
 #include "bitstream/config_port.h"
-#include "hwif/burst_engine.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
 
@@ -70,20 +69,6 @@ Bitstream Jpg::full_bitstream() const {
 void Jpg::download(const Bitstream& bs) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
   board_->send_config(bs.words);
-}
-
-void Jpg::download(const StreamSource& source, const StreamOptions& opts) {
-  JPG_REQUIRE(connected(), "no XHWIF board connected");
-  stream_to_board(*board_, source, opts.burst_words);
-}
-
-DownloadReport Jpg::download_verified_stream(const StreamSource& source,
-                                             const DownloadPolicy& policy,
-                                             const StreamOptions& opts) {
-  JPG_REQUIRE(connected(), "no XHWIF board connected");
-  VerifiedDownloader dl(*board_, *device_, policy);
-  dl.assume_board_state(*base_);
-  return dl.download_stream(source, opts);
 }
 
 DownloadReport Jpg::download_verified(const PartialResult& update,

@@ -62,12 +62,11 @@ class Jpg {
   // --- Board attachment (XHWIF) ------------------------------------------------
   void connect(Xhwif* board) { board_ = board; }
   [[nodiscard]] bool connected() const { return board_ != nullptr; }
+  /// Unverified download: sends the stream to the board as one buffer.
+  /// Zero-copy streaming of a resident pbit lease goes through
+  /// stream_to_board (fire-and-forget) or VerifiedDownloader::download_stream
+  /// directly.
   void download(const Bitstream& bs);
-
-  /// Fire-and-forget streaming download: pushes the scatter-gather source
-  /// to the board in bounded bursts straight from the caller's segments
-  /// (a resident pbit lease streams the cache's own words — zero copies).
-  void download(const StreamSource& source, const StreamOptions& opts = {});
 
   /// Fault-tolerant variant of download + verify_via_readback: sends the
   /// update through a VerifiedDownloader seeded with the tool's base plane
@@ -79,14 +78,6 @@ class Jpg {
   /// will not converge. The tool's base configuration is not modified.
   [[nodiscard]] DownloadReport download_verified(
       const PartialResult& update, const DownloadPolicy& policy = {});
-
-  /// Streaming variant of download_verified: same mirror seeding and
-  /// two-state outcome, but the stream goes out in bursts with the
-  /// tool-side replay pipelined one burst ahead of the wire (overlapped on
-  /// a pool thread under opts.overlap_verify).
-  [[nodiscard]] DownloadReport download_verified_stream(
-      const StreamSource& source, const DownloadPolicy& policy = {},
-      const StreamOptions& opts = {});
 
   /// Reads the update's frames back from the connected board and compares
   /// them against what the partial bitstream was supposed to install.

@@ -1,8 +1,10 @@
 // The burst engine: drives a StreamSource onto an XHWIF board in bounded
 // word bursts through Xhwif::send_config. This is the fire-and-forget
-// streaming path (the verified equivalent lives in VerifiedDownloader::
-// download_stream); both record the same cfg.* telemetry so the burst-size
-// distribution of any run is observable.
+// streaming path, and the one a caller streaming a resident pbit lease
+// unverified calls directly (the verified equivalent is VerifiedDownloader::
+// download_stream, which takes the same source and burst bound); both
+// record the same cfg.* telemetry so the burst-size distribution of any run
+// is observable.
 #pragma once
 
 #include <cstddef>

@@ -26,24 +26,13 @@
 
 namespace jpg {
 
-/// Words per burst when the caller does not say otherwise. ~2 KiB of wire
-/// traffic: large enough to amortise per-call overhead, small enough that
-/// mid-stream state (FAR tracking, desync-on-error) is exercised at a
-/// realistic granularity.
+/// Words per burst (the upper bound on words per send_config call) when the
+/// caller does not say otherwise. ~2 KiB of wire traffic: large enough to
+/// amortise per-call overhead, small enough that mid-stream state (FAR
+/// tracking, desync-on-error) is exercised at a realistic granularity.
+/// Bursts are *bounded*, not fixed: a burst never crosses a segment
+/// boundary, so segment tails are shorter and stay zero-copy.
 inline constexpr std::size_t kDefaultBurstWords = 512;
-
-/// Knobs of the streaming download paths.
-struct StreamOptions {
-  /// Upper bound on words per send_config call. Bursts are *bounded*, not
-  /// fixed: a burst never crosses a segment boundary, so segment tails are
-  /// shorter than burst_words and stay zero-copy.
-  std::size_t burst_words = kDefaultBurstWords;
-  /// Pipeline tool-side mirror validation one burst ahead of the transfer
-  /// (verify burst N+1 while burst N is on the wire). Validation still
-  /// completes before any word of a burst is sent, so the two-state
-  /// invariant of the verified downloader is unaffected.
-  bool overlap_verify = true;
-};
 
 /// An ordered list of borrowed word segments forming one configuration
 /// stream. Segments may be empty (a diff that contributed nothing); the

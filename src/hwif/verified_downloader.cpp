@@ -1,7 +1,6 @@
 #include "hwif/verified_downloader.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <sstream>
 
@@ -9,7 +8,6 @@
 #include "bitstream/config_port.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -403,13 +401,12 @@ DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
   JPG_SPAN("dl.download_partial");
   // One burst covering the whole stream: it replays completely before a
   // word is sent, so a malformed stream is rejected with nothing sent.
-  StreamOptions opts;
-  opts.burst_words = std::max<std::size_t>(1, partial.words.size());
-  return download_stream(StreamSource::of(partial.words), opts);
+  return download_stream(StreamSource::of(partial.words),
+                         std::max<std::size_t>(1, partial.words.size()));
 }
 
 DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
-                                                   const StreamOptions& opts) {
+                                                   std::size_t burst_words) {
   JPG_SPAN("dl.download_stream");
   JPG_COUNT("dl.downloads", 1);
   const std::uint64_t telem_t0 = telemetry::now_ns();
@@ -417,12 +414,12 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
   JPG_REQUIRE(has_mirror(),
               "no board mirror established; call download_full or "
               "assume_board_state first");
-  JPG_REQUIRE(opts.burst_words > 0, "burst_words must be positive");
+  JPG_REQUIRE(burst_words > 0, "burst_words must be positive");
   DownloadReport rep;
   shadow_port_->reset();
   shadow_port_->reset_stats();
   try {
-    stream_into_shadow(source, opts, rep);
+    stream_into_shadow(source, burst_words, rep);
   } catch (...) {
     settle_shadow(false);
     throw;
@@ -434,98 +431,55 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
 }
 
 void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
-                                            const StreamOptions& opts,
+                                            std::size_t burst_words,
                                             DownloadReport& rep) {
-  ConfigPort& port = *shadow_port_;  // one burst ahead of the wire
-  BurstCursor validate(source);
-  BurstCursor send(source);
-
-  // Burst 0 replays before a single word goes out: a stream malformed at
-  // the head is rejected with nothing sent.
-  {
-    const std::span<const std::uint32_t> head = validate.next(opts.burst_words);
-    if (!head.empty()) {
-      try {
-        port.load(head);
-      } catch (const JpgError& e) {
+  ConfigPort& port = *shadow_port_;
+  BurstCursor cursor(source);
+  // Burst k is replayed into the shadow before it is sent: the two-state
+  // invariant holds burst-wise, nothing unvalidated ever goes out.
+  bool sending = false;
+  bool send_failed = false;
+  bool mid_stream_reject = false;
+  for (auto burst = cursor.next(burst_words); !burst.empty();
+       burst = cursor.next(burst_words)) {
+    try {
+      port.load(burst);
+    } catch (const JpgError& e) {
+      if (!sending) {
+        // Burst 0: a stream malformed at the head is rejected with nothing
+        // sent.
         rep.error = std::string("stream rejected tool-side, nothing sent: ") +
                     e.what();
         return;
       }
+      rep.error =
+          std::string("stream rejected tool-side mid-stream: ") + e.what();
+      mid_stream_reject = true;
+      break;
+    }
+    if (!sending) {
       // ABORT first, as in converge(): a previous stream cut off
       // mid-payload must not swallow this one. The streamed send is one
       // attempt against the policy budget.
       board_->abort_config();
       ++aborts_;
       ++rep.attempts;
+      sending = true;
     }
-  }
-
-  bool send_failed = false;
-  bool mid_stream_reject = false;
-  std::uint64_t overlap_ns = 0;
-  while (true) {
-    const std::span<const std::uint32_t> burst = send.next(opts.burst_words);
-    if (burst.empty()) break;
-    // Burst k's replay already succeeded; launch burst k+1's replay so it
-    // runs while burst k is on the wire. The validate cursor stays exactly
-    // one burst ahead of the send cursor — the two-state invariant holds
-    // burst-wise: nothing unvalidated is ever sent.
-    const std::span<const std::uint32_t> ahead = validate.next(opts.burst_words);
-    std::future<void> ahead_done;
-    // The replay task reads the caller's words and writes the shadow plane:
-    // wait for it on every way out of this iteration, an exception from
-    // send_config included.
-    struct JoinOnExit {
-      std::future<void>& f;
-      ~JoinOnExit() {
-        if (f.valid()) f.wait();
-      }
-    } join_ahead{ahead_done};
-    if (!ahead.empty() && opts.overlap_verify) {
-      ahead_done =
-          ThreadPool::global().submit([&port, ahead] { port.load(ahead); });
-    }
-    const std::uint64_t send_t0 = telemetry::now_ns();
-    bool sent_clean = false;
-    if (!send_failed) {
-      try {
-        JPG_HIST("cfg.burst_words", burst.size());
-        board_->send_config(burst);
-        words_sent_ += burst.size();
-        JPG_COUNT("dl.words_sent", burst.size());
-        sent_clean = true;
-      } catch (const JpgError& e) {
-        ++rep.faults_seen;
-        rep.fault_log.push_back(std::string("send: ") + e.what());
-        // Stop pushing words after a link fault, but let the replay finish:
-        // readback verification needs the complete intended plane.
-        send_failed = true;
-      }
-    }
-    const std::uint64_t send_t1 = telemetry::now_ns();
+    if (send_failed) continue;
     try {
-      if (ahead_done.valid()) {
-        ahead_done.get();
-        // The replay was in flight across the whole send window (submitted
-        // before it, joined after): credit the send duration as validation
-        // time hidden behind the transfer — but only when the burst really
-        // went out. After a send fault the window measures a skipped no-op
-        // (or the throw itself), and crediting those near-zero windows
-        // would skew cfg.stream_overlap_ns toward nothing.
-        if (sent_clean) overlap_ns += send_t1 - send_t0;
-      } else if (!ahead.empty()) {
-        port.load(ahead);
-      }
+      JPG_HIST("cfg.burst_words", burst.size());
+      board_->send_config(burst);
+      words_sent_ += burst.size();
+      JPG_COUNT("dl.words_sent", burst.size());
     } catch (const JpgError& e) {
-      rep.error =
-          std::string("stream rejected tool-side mid-stream: ") + e.what();
-      mid_stream_reject = true;
-      break;
+      ++rep.faults_seen;
+      rep.fault_log.push_back(std::string("send: ") + e.what());
+      // Stop pushing words after a link fault, but finish the replay:
+      // readback verification needs the complete intended plane.
+      send_failed = true;
     }
   }
-  JPG_COUNT("cfg.stream_overlap_ns", overlap_ns);
-  rep.telemetry.set("stream_overlap_ns", overlap_ns);
 
   // The replay port logged every frame it committed — a superset of what
   // the board can have committed (the wire saw a validated prefix).

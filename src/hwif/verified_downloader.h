@@ -148,18 +148,18 @@ class VerifiedDownloader {
   DownloadReport download_partial(const Bitstream& partial);
 
   /// Streaming (ICAP-style) partial download: the scatter-gather source is
-  /// sent in bounded bursts straight from the caller's segments — no
-  /// concatenated staging copy — while the tool-side mirror replay runs one
-  /// burst *ahead* of the wire (on a pool thread when
-  /// `opts.overlap_verify`), so validation cost hides behind transfer time.
-  /// The two-state invariant is preserved burst-wise: burst k goes out only
-  /// after bursts 0..k replayed cleanly; a burst rejected before anything
-  /// was sent reports the usual "nothing sent" error, one rejected
-  /// mid-stream aborts the wire and rolls the frames committed so far back
-  /// to the mirror. After the last burst the touched frames (and, under
-  /// full_sweep, the whole plane) are readback-verified and repaired.
+  /// sent in bursts of at most `burst_words` words straight from the
+  /// caller's segments — no concatenated staging copy. Each burst is
+  /// replayed into the shadow plane, then sent. The two-state invariant is
+  /// preserved burst-wise: burst k goes out only after bursts 0..k replayed
+  /// cleanly; a burst rejected before anything was sent reports the usual
+  /// "nothing sent" error, one rejected mid-stream rolls the frames
+  /// committed so far back to the mirror. After a send fault the replay
+  /// continues without sending. After the last burst the touched frames
+  /// (and, under full_sweep, the whole plane) are readback-verified and
+  /// repaired.
   DownloadReport download_stream(const StreamSource& source,
-                                 const StreamOptions& opts = {});
+                                 std::size_t burst_words = kDefaultBurstWords);
 
   /// Full-plane readback audit: reads back every frame of the device and
   /// compares it word-for-word against `expected`, masking FF capture bits
@@ -208,9 +208,9 @@ class VerifiedDownloader {
                 std::vector<std::size_t> check, int budget,
                 bool ensure_started, int& attempts, DownloadReport& rep);
 
-  /// Replays `source` into the shadow plane one burst ahead of the wire,
-  /// then verifies, repairs or rolls back; fills `rep`.
-  void stream_into_shadow(const StreamSource& source, const StreamOptions& opts,
+  /// Replays each burst of `source` into the shadow plane and then sends
+  /// it; then verifies, repairs or rolls back. Fills `rep`.
+  void stream_into_shadow(const StreamSource& source, std::size_t burst_words,
                           DownloadReport& rep);
 
   /// Rolls `touched` back to the mirror; appends the outcome to rep.error.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "bitstream/bitgen.h"
+#include "hwif/stream_source.h"
 #include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
@@ -353,7 +354,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
       BoardCtx& ctx = *boards_[static_cast<std::size_t>(board_idx)];
       // Zero-copy: the source spans the pinned cache entry's own words.
       const StreamSource src = StreamSource::of(resident->lease.words());
-      resp.report = ctx.downloader->download_stream(src, cfg_.stream);
+      resp.report = ctx.downloader->download_stream(src);
       swap_words = resident->lease.words().size();
       if (resp.report.ok()) {
         JPG_COUNT("svc.swaps", 1);

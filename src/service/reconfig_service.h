@@ -45,7 +45,6 @@
 #include "device/region.h"
 #include "hwif/faulty_board.h"
 #include "hwif/sim_board.h"
-#include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
 #include "support/thread_pool.h"
 
@@ -152,8 +151,7 @@ struct ServiceConfig {
   /// not call back into the service (it may run under no lock but inside
   /// submit()); keep it cheap, it is on the datapath.
   std::function<void(const ServiceResponse&)> on_complete;
-  StreamOptions stream;    ///< burst size / overlap of the swap datapath
-  DownloadPolicy policy;   ///< per-board verified-download policy
+  DownloadPolicy policy;  ///< per-board verified-download policy
 };
 
 struct TenantStats {

@@ -47,18 +47,16 @@ class ThreadPool {
 
   /// Enqueues one task for any worker; the future becomes ready when it
   /// finishes (an exception thrown by the task is delivered through the
-  /// future). Unlike parallel_for the caller does not participate, which is
-  /// what lets it overlap its own work with the task — the streaming
-  /// download validates burst N+1 here while it sends burst N itself.
+  /// future). Unlike parallel_for the caller does not participate, so it can
+  /// overlap its own work with the task.
   ///
   /// Called from one of this pool's own workers the task runs *inline* on
   /// the caller (future already ready on return). Enqueueing would invite a
   /// deadlock: on a small pool every worker can end up blocked in
-  /// future.get() on a task that no free worker exists to run — e.g. a
-  /// streamed download with overlap_verify executing inside a
-  /// generate_batch/service worker. Inline execution trades the overlap for
-  /// progress; callers that need real overlap submit from a non-worker
-  /// thread (or a different pool).
+  /// future.get() on a task that no free worker exists to run — any pool
+  /// task that submits to its own pool and waits on the result. Inline
+  /// execution trades the overlap for progress; callers that need real
+  /// overlap submit from a non-worker thread (or a different pool).
   [[nodiscard]] std::future<void> submit(std::function<void()> task);
 
   /// True when the calling thread is one of this pool's workers.

@@ -1,12 +1,10 @@
 // Concurrent verified streamed downloads: several threads drive distinct
 // FaultyBoards through their own VerifiedDownloaders simultaneously, all
-// leasing pbits from ONE shared PartialBitstreamGenerator and all running
-// with overlap_verify on — so the tool-side replay tasks of every download
-// nest into the shared global ThreadPool at once. Run under the tsan label:
-// this is the contended path the multi-tenant service stands on. After
-// every swap the two-state invariant must hold per board: the plane is the
-// verified target (Success) or the previous verified plane (RolledBack),
-// never anything in between.
+// leasing pbits from ONE shared PartialBitstreamGenerator at once. Run
+// under the tsan label: this is the contended path the multi-tenant
+// service stands on. After every swap the two-state invariant must hold
+// per board: the plane is the verified target (Success) or the previous
+// verified plane (RolledBack), never anything in between.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -94,15 +92,11 @@ TEST(ConcurrentStreamTest, DistinctFaultyBoardsKeepTwoStateInvariant) {
       ConfigMemory target_b(base);
       gen.apply_to_base(target_b, lane.mod_b, lane.region);
 
-      StreamOptions opts;
-      opts.overlap_verify = true;
-      opts.burst_words = 128;
       const ConfigMemory* verified = &base;
       for (int i = 0; i < kSwapsPerThread; ++i) {
         const bool use_a = (i % 2) == 0;
         const DownloadReport rep = lane.dl->download_stream(
-            StreamSource::of(use_a ? lease_a.words() : lease_b.words()),
-            opts);
+            StreamSource::of(use_a ? lease_a.words() : lease_b.words()), 128);
         const ConfigMemory* want = verified;
         if (rep.status == DownloadStatus::Success) {
           want = use_a ? &target_a : &target_b;

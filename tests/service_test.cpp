@@ -53,9 +53,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, ConcurrentSwapsConvergeToExpectedPlanes) {
-  ServiceConfig cfg;
-  cfg.stream.overlap_verify = true;  // overlap submits nest into the pool
-  ReconfigService svc(*dev_, fx_->base, 2, cfg);
+  ReconfigService svc(*dev_, fx_->base, 2);
 
   // One tenant per board: a tenant's queue is FIFO and a board serialises
   // its swaps, so each board's final plane is the ordered composition.

@@ -2,7 +2,8 @@
 // StreamSource/BurstCursor chunking invariants, byte-identical planes across
 // burst sizes and segment cuts (including zero-length segments), ABORT with
 // the port mid-burst, word flips landing exactly on burst seams, mid-stream
-// tool-side rejection with rollback, and the fdri-buffer reuse contract
+// tool-side rejection with rollback, the board receiving exactly the
+// validated prefix of a rejected stream, and the fdri-buffer reuse contract
 // (cfg.buffer_reallocs stays 0 after warm-up).
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_writer.h"
+#include "bitstream/config_port.h"
 #include "core/jpg.h"
 #include "hwif/burst_engine.h"
 #include "hwif/faulty_board.h"
@@ -214,29 +216,23 @@ TEST_F(StreamDownloadTest, RawBurstDownloadMatchesWholeSend) {
   }
 }
 
-TEST_F(StreamDownloadTest, VerifiedStreamSucceedsAcrossBurstSizesAndOverlap) {
-  for (const bool overlap : {false, true}) {
-    for (const std::size_t burst :
-         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{512}}) {
-      SimBoard board(*dev_);
-      board.send_config(base_bit_.words);
-      VerifiedDownloader dl(board, *dev_);
-      dl.assume_board_state(*base_plane_);
-      const std::vector<std::size_t> cuts{burst - 1, burst, burst + 1,
-                                          3 * burst + 1};
-      StreamOptions opts;
-      opts.burst_words = burst;
-      opts.overlap_verify = overlap;
-      const DownloadReport rep =
-          dl.download_stream(cut_source(partial_.words, cuts), opts);
-      EXPECT_TRUE(rep.ok()) << "burst=" << burst << " overlap=" << overlap
-                            << ": " << rep.summary();
-      EXPECT_EQ(rep.attempts, 1);
-      EXPECT_EQ(rep.frames_touched, kUpdateFrames);
-      EXPECT_EQ(rep.faults_seen, 0u);
-      EXPECT_EQ(board_plane(board), *target_plane_);
-      EXPECT_EQ(dl.mirror(), *target_plane_);
-    }
+TEST_F(StreamDownloadTest, VerifiedStreamSucceedsAcrossBurstSizes) {
+  for (const std::size_t burst :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{512}}) {
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    VerifiedDownloader dl(board, *dev_);
+    dl.assume_board_state(*base_plane_);
+    const std::vector<std::size_t> cuts{burst - 1, burst, burst + 1,
+                                        3 * burst + 1};
+    const DownloadReport rep =
+        dl.download_stream(cut_source(partial_.words, cuts), burst);
+    EXPECT_TRUE(rep.ok()) << "burst=" << burst << ": " << rep.summary();
+    EXPECT_EQ(rep.attempts, 1);
+    EXPECT_EQ(rep.frames_touched, kUpdateFrames);
+    EXPECT_EQ(rep.faults_seen, 0u);
+    EXPECT_EQ(board_plane(board), *target_plane_);
+    EXPECT_EQ(dl.mirror(), *target_plane_);
   }
 }
 
@@ -279,15 +275,122 @@ TEST_F(StreamDownloadTest, MidStreamMalformationRollsBack) {
   // Corrupt the stream's tail (the CRC region): with an 8-word burst the
   // head bursts validate and go out before the replay trips on it.
   bad.words[bad.words.size() - 4] ^= 1u;
-  StreamOptions opts;
-  opts.burst_words = 8;
-  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words),
-                                                opts);
+  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words), 8);
   EXPECT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
   EXPECT_NE(rep.error.find("mid-stream"), std::string::npos) << rep.error;
   // Two-state invariant: the board is back on the pre-update plane.
   EXPECT_EQ(board_plane(board), *base_plane_);
   EXPECT_EQ(dl.mirror(), *base_plane_);
+}
+
+/// Records every send_config burst and counts ABORTs, forwarding both.
+class RecordingBoard final : public Xhwif {
+ public:
+  explicit RecordingBoard(Xhwif& inner) : inner_(&inner) {}
+  [[nodiscard]] std::string board_name() const override {
+    return "recording(" + inner_->board_name() + ")";
+  }
+  void send_config(std::span<const std::uint32_t> words) override {
+    sends_.emplace_back(words.begin(), words.end());
+    inner_->send_config(words);
+  }
+  void abort_config() override {
+    ++aborts_;
+    inner_->abort_config();
+  }
+  [[nodiscard]] bool config_done() override { return inner_->config_done(); }
+  [[nodiscard]] std::vector<std::uint32_t> readback(
+      std::size_t first, std::size_t nframes) override {
+    return inner_->readback(first, nframes);
+  }
+  void capture_state() override { inner_->capture_state(); }
+  void step_clock(int cycles) override { inner_->step_clock(cycles); }
+  void set_pin(int pad, bool value) override { inner_->set_pin(pad, value); }
+  [[nodiscard]] bool get_pin(int pad) override { return inner_->get_pin(pad); }
+  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& sends() const {
+    return sends_;
+  }
+  [[nodiscard]] int aborts() const { return aborts_; }
+
+ private:
+  Xhwif* inner_;
+  std::vector<std::vector<std::uint32_t>> sends_;
+  int aborts_ = 0;
+};
+
+// The board receives exactly the validated prefix of a stream: the bursts
+// before the first one a fresh port rejects, word for word, and nothing
+// once the head itself is malformed. Rollback is off so the only traffic
+// is the streamed send.
+TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
+  constexpr std::size_t kBurst = 8;
+  // Replays the bursts through a fresh port over the base plane; returns
+  // the bursts before the first rejected one.
+  const auto validated_prefix = [&](const StreamSource& src,
+                                    bool& rejected) {
+    ConfigMemory plane(*base_plane_);
+    ConfigPort port(plane);
+    BurstCursor cursor(src);
+    std::vector<std::vector<std::uint32_t>> prefix;
+    rejected = false;
+    for (auto burst = cursor.next(kBurst); !burst.empty();
+         burst = cursor.next(kBurst)) {
+      try {
+        port.load(burst);
+      } catch (const JpgError&) {
+        rejected = true;
+        break;
+      }
+      prefix.emplace_back(burst.begin(), burst.end());
+    }
+    return prefix;
+  };
+  DownloadPolicy policy;
+  policy.rollback = false;
+
+  {
+    Bitstream bad = partial_;
+    bad.words[bad.words.size() - 4] ^= 1u;  // the CRC word: tail-corrupted
+    const StreamSource src = StreamSource::of(bad.words);
+    bool rejected = false;
+    const auto want = validated_prefix(src, rejected);
+    ASSERT_TRUE(rejected);
+    ASSERT_FALSE(want.empty());  // some bursts validate and go out
+
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    RecordingBoard rec(board);
+    VerifiedDownloader dl(rec, *dev_, policy);
+    dl.assume_board_state(*base_plane_);
+    const DownloadReport rep = dl.download_stream(src, kBurst);
+    EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+    EXPECT_NE(rep.error.find("mid-stream"), std::string::npos) << rep.error;
+    EXPECT_EQ(rec.aborts(), 1);
+    EXPECT_EQ(rec.sends(), want);
+    std::size_t want_words = 0;
+    for (const auto& burst : want) want_words += burst.size();
+    EXPECT_EQ(rep.telemetry.counter("words_sent"), want_words);
+  }
+  {
+    Bitstream bad = partial_;
+    bad.words[7] ^= 0x40u;  // the IDCODE value, inside burst 0
+    const StreamSource src = StreamSource::of(bad.words);
+    bool rejected = false;
+    ASSERT_TRUE(validated_prefix(src, rejected).empty());
+    ASSERT_TRUE(rejected);
+
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    RecordingBoard rec(board);
+    VerifiedDownloader dl(rec, *dev_, policy);
+    dl.assume_board_state(*base_plane_);
+    const DownloadReport rep = dl.download_stream(src, kBurst);
+    EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+    EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
+    EXPECT_TRUE(rec.sends().empty());
+    EXPECT_EQ(rec.aborts(), 0);
+    EXPECT_EQ(rep.telemetry.counter("words_sent"), 0u);
+  }
 }
 
 TEST_F(StreamDownloadTest, AbortUnsticksAPortLeftMidBurst) {
@@ -298,10 +401,8 @@ TEST_F(StreamDownloadTest, AbortUnsticksAPortLeftMidBurst) {
       std::span<const std::uint32_t>(partial_.words).first(40));
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
-  StreamOptions opts;
-  opts.burst_words = 16;
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download_stream(StreamSource::of(partial_.words), 16);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
@@ -355,10 +456,8 @@ TEST_F(StreamDownloadTest, WordFlipOnBurstSeamIsRepaired) {
     policy.max_attempts = 3;
     VerifiedDownloader dl(seam, *dev_, policy);
     dl.assume_board_state(*base_plane_);
-    StreamOptions opts;
-    opts.burst_words = 16;
     const DownloadReport rep =
-        dl.download_stream(StreamSource::of(partial_.words), opts);
+        dl.download_stream(StreamSource::of(partial_.words), 16);
     EXPECT_TRUE(rep.ok()) << "nth=" << nth << ": " << rep.summary();
     EXPECT_EQ(seam.flips(), 1) << "nth=" << nth;
     EXPECT_EQ(board_plane(board), *target_plane_) << "nth=" << nth;
@@ -376,21 +475,17 @@ TEST_F(StreamDownloadTest, FaultyLinkStreamingConvergesWithRepairBudget) {
   policy.max_attempts = 3;
   VerifiedDownloader dl(faulty, *dev_, policy);
   dl.assume_board_state(*base_plane_);
-  StreamOptions opts;
-  opts.burst_words = 32;
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download_stream(StreamSource::of(partial_.words), 32);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(faulty.faults_injected(), 1u);
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
 
-// Regression: once a send fault latched `send_failed`, the loop kept
-// crediting the (near-zero) window of every skipped send as hidden
-// validation time, deflating cfg.stream_overlap_ns. After the fix only
-// bursts that actually went out cleanly contribute overlap credit — with
-// the very first send faulted, the whole stream must report exactly zero.
-TEST_F(StreamDownloadTest, NoOverlapCreditAfterSendFault) {
+// The very first burst's send throws: the remaining bursts are not sent,
+// but their replay still runs, so readback verifies against the complete
+// intended plane and the repair lands it.
+TEST_F(StreamDownloadTest, StreamedSendFaultIsRepaired) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
   FaultProfile profile;
@@ -399,16 +494,15 @@ TEST_F(StreamDownloadTest, NoOverlapCreditAfterSendFault) {
   FaultyBoard faulty(board, profile, 19);
   VerifiedDownloader dl(faulty, *dev_, DownloadPolicy{});
   dl.assume_board_state(*base_plane_);
-  StreamOptions opts;
-  opts.burst_words = 16;  // many bursts, all skipped after the fault
-  opts.overlap_verify = true;
+  // Many bursts, all skipped after the fault.
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), opts);
+      dl.download_stream(StreamSource::of(partial_.words), 16);
   // Nothing reached the board in the streamed phase; the repair stream
   // rewrites every touched frame over the now-clean link.
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_GE(rep.faults_seen, 1u);
-  EXPECT_EQ(rep.telemetry.counter("stream_overlap_ns"), 0u);
+  // The replay ran past the fault: every frame of the update was touched.
+  EXPECT_EQ(rep.frames_touched, kUpdateFrames);
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
 
@@ -416,7 +510,6 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   Jpg tool(base_bit_);
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
-  tool.connect(&board);
 
   // Build a module plane for a region and lease its cached pbit; the
   // streamed words are the cache's own (zero-copy), wrapped as one segment.
@@ -434,17 +527,16 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   }
   const PbitLease lease = tool.generator().generate_leased(module, region);
   ASSERT_TRUE(lease.valid());
-  const DownloadReport rep =
-      tool.download_verified_stream(StreamSource::of(lease.words()));
+  VerifiedDownloader dl(board, *dev_);
+  dl.assume_board_state(tool.base_config());
+  const DownloadReport rep = dl.download_stream(StreamSource::of(lease.words()));
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(tool.generator().cache_stats().pinned, 1u);
 
   // The fire-and-forget path lands the same plane.
   SimBoard board2(*dev_);
   board2.send_config(base_bit_.words);
-  Jpg tool2(base_bit_);
-  tool2.connect(&board2);
-  tool2.download(StreamSource::of(lease.words()));
+  stream_to_board(board2, StreamSource::of(lease.words()));
   EXPECT_EQ(board_plane(board), board_plane(board2));
 }
 
@@ -522,18 +614,15 @@ TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
     }
     FaultyBoard faulty(board, profile, 7000u + static_cast<std::uint64_t>(step));
     link.select(faulty);
-    StreamOptions opts;
     DownloadReport rep;
     switch (kind) {
       case kHeadReject:
-        opts.burst_words = bad.words.size();
-        rep = dl.download_stream(StreamSource::of(bad.words), opts);
+        rep = dl.download_stream(StreamSource::of(bad.words), bad.words.size());
         ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
         ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
       case kMidStream:
-        opts.burst_words = 8;
-        rep = dl.download_stream(StreamSource::of(bad.words), opts);
+        rep = dl.download_stream(StreamSource::of(bad.words), 8);
         ASSERT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
         ASSERT_NE(rep.error.find("mid-stream"), std::string::npos);
         break;

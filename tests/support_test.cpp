@@ -430,8 +430,7 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
 
 // Regression: before the inline-on-worker fix, a task submitting to its own
 // pool and waiting on the future deadlocked whenever no other worker was
-// free — guaranteed on this 1-worker pool (the streamed download's
-// overlap_verify submit running inside a service/batch worker).
+// free — guaranteed on this 1-worker pool.
 TEST(ThreadPool, NestedSubmitFromWorkerDoesNotDeadlock) {
   ThreadPool pool(1);
   std::thread::id inner_tid;

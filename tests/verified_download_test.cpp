@@ -292,9 +292,8 @@ TEST_F(VerifiedDownloadTest, TwoHundredSeededFaultScenariosConvergeOrRollBack) {
 }
 
 // The same 200-scenario campaign through the streaming datapath: small
-// bursts (so faults land at burst granularity), segmented sources, and
-// verify/transfer overlap enabled. The invariant is identical — streaming
-// must not open a third state.
+// bursts (so faults land at burst granularity) and segmented sources. The
+// invariant is identical — streaming must not open a third state.
 TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack) {
   int successes = 0;
   int rollbacks = 0;
@@ -347,10 +346,7 @@ TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack
     src.add({});
     src.add(words.subspan(cut1, cut2 - cut1));
     src.add(words.subspan(cut2));
-    StreamOptions opts;
-    opts.burst_words = 1 + r.uniform(48);
-    opts.overlap_verify = true;
-    const DownloadReport rep = dl.download_stream(src, opts);
+    const DownloadReport rep = dl.download_stream(src, 1 + r.uniform(48));
 
     ASSERT_NE(rep.status, DownloadStatus::Failed)
         << "scenario " << s << ": " << rep.summary();

@@ -722,7 +722,6 @@ int cmd_serve(int argc, char** argv) {
   }
   const Device& dev = Device::get(part);
   const LoadFixture fx = make_load_fixture(dev, seed, slots, variants);
-  cfg.stream.overlap_verify = true;
   ReconfigService svc(dev, fx.base, boards, cfg);
   PoissonLoadOptions opt;
   opt.requests = requests;
