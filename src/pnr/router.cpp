@@ -128,11 +128,24 @@ const RoutingGraph& RoutingGraph::get(const Device& device) {
 
 namespace {
 
+/// Bumps an epoch stamp. On wrap-around the stamped array is cleared, so no
+/// entry left from an earlier epoch can alias the new value.
+void advance_epoch(std::vector<std::uint32_t>& stamps, std::uint32_t& epoch) {
+  if (++epoch == 0) {
+    std::fill(stamps.begin(), stamps.end(), 0);
+    epoch = 1;
+  }
+}
+
 /// Per-worker A* scratch: the stamp/cost/predecessor arrays, the reusable
 /// binary heap, and the routing-tree membership stamps. One instance per
-/// concurrent search; leased from a pool so rounds of any width reuse the
-/// same allocations.
+/// concurrent search, kept for the life of its workspace. Nothing is reset
+/// between searches: a new cur_stamp invalidates every cost/prev_edge
+/// entry and a new tree_mark every tree membership.
 struct RouterScratch {
+  explicit RouterScratch(std::size_t n)
+      : cost(n), prev_edge(n), stamp(n, 0), tree_stamp(n, 0) {}
+
   std::vector<double> cost;
   std::vector<std::int32_t> prev_edge;  ///< index into edge_store
   std::vector<std::uint32_t> stamp;
@@ -147,20 +160,15 @@ struct RouterScratch {
   std::vector<std::size_t> tree;
   std::vector<std::size_t> sinks;
 
-  void ensure(std::size_t n) {
-    if (stamp.size() < n) {
-      cost.resize(n);
-      prev_edge.resize(n);
-      stamp.assign(n, 0);
-      tree_stamp.assign(n, 0);
-      cur_stamp = 0;
-      tree_mark = 0;
-    }
-  }
+  void next_search() { advance_epoch(stamp, cur_stamp); }
+  void next_tree() { advance_epoch(tree_stamp, tree_mark); }
 };
 
-/// Mutex-guarded lease pool of RouterScratch instances (cheap relative to a
-/// single A* search; keeps per-worker state off the PathFinder object).
+/// Mutex-guarded lease pool of RouterScratch instances, one per search
+/// running at once. It lives as long as its RouteWorkspace, so each
+/// instance's 20 B/node of zeroed arrays is paid once per worker per
+/// workspace, not per call: together with the other device-sized resets,
+/// per-call zeroing was about a third of a module route's time.
 class ScratchPool {
  public:
   explicit ScratchPool(std::size_t nodes) : nodes_(nodes) {}
@@ -168,8 +176,7 @@ class ScratchPool {
   RouterScratch* acquire() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (free_.empty()) {
-      all_.push_back(std::make_unique<RouterScratch>());
-      all_.back()->ensure(nodes_);
+      all_.push_back(std::make_unique<RouterScratch>(nodes_));
       return all_.back().get();
     }
     RouterScratch* s = free_.back();
@@ -197,6 +204,68 @@ class ScratchPool {
   std::vector<RouterScratch*> free_;
 };
 
+}  // namespace
+
+/// The device-sized state of a route call, kept clean between calls so a
+/// call pays only for the nodes it touches:
+/// - `perm`: node permissions, epoch-stamped. A call opens a new
+///   perm_epoch and stamps only the nodes whose permission differs from
+///   its default (deny under restrict_region, allow otherwise).
+/// - `occupancy`: zeroed on return from the final routes' nodes.
+/// - `history`: zeroed on return from `history_touched`, which records
+///   each node's first overuse.
+/// - `claimed`: reset from its claim list at the end of every iteration.
+/// - `scratch`: stamp-invalidated per search (RouterScratch).
+struct RouteWorkspace {
+  explicit RouteWorkspace(std::size_t n)
+      : perm(n, 0), occupancy(n, 0), history(n, 0.0), claimed(n, 0),
+        scratch(n) {}
+
+  std::vector<std::uint32_t> perm;
+  std::uint32_t perm_epoch = 0;
+  std::vector<int> occupancy;
+  std::vector<double> history;
+  std::vector<std::size_t> history_touched;
+  std::vector<std::uint8_t> claimed;
+  ScratchPool scratch;
+};
+
+RoutingGraph::~RoutingGraph() = default;
+
+/// Exclusive use of one of a graph's clean workspaces for one route call.
+/// release() hands it back and may only follow the call's clean-up; a
+/// lease destroyed unreleased (an exception unwound the call) frees its
+/// workspace instead, so no later call can see dirty state.
+class WorkspaceLease {
+ public:
+  explicit WorkspaceLease(const RoutingGraph& g) : g_(g) {
+    {
+      const std::lock_guard<std::mutex> lock(g.workspace_mutex_);
+      if (!g.free_workspaces_.empty()) {
+        ws_ = std::move(g.free_workspaces_.back());
+        g.free_workspaces_.pop_back();
+      }
+    }
+    if (ws_ == nullptr) {
+      ws_ = std::make_unique<RouteWorkspace>(g.num_nodes());
+      JPG_COUNT("pnr.route.workspaces", 1);
+    }
+  }
+
+  [[nodiscard]] RouteWorkspace& operator*() const { return *ws_; }
+
+  void release() {
+    const std::lock_guard<std::mutex> lock(g_.workspace_mutex_);
+    g_.free_workspaces_.push_back(std::move(ws_));
+  }
+
+ private:
+  const RoutingGraph& g_;
+  std::unique_ptr<RouteWorkspace> ws_;
+};
+
+namespace {
+
 /// Net bounding box over CLB tile coordinates, used to window the A*
 /// search. Nets touching position-free nodes (longs, pads, GCLK) get the
 /// whole device.
@@ -206,14 +275,29 @@ struct NetBBox {
 
 class PathFinder {
  public:
-  PathFinder(const RoutingGraph& g, const std::vector<NetToRoute>& nets,
-             const RouteConstraints& cons, const RouterOptions& opt)
-      : g_(g), nets_(nets), cons_(cons), opt_(opt) {}
+  PathFinder(const RoutingGraph& g, RouteWorkspace& ws,
+             const std::vector<NetToRoute>& nets, const RouteConstraints& cons,
+             const RouterOptions& opt)
+      : g_(g), ws_(ws), nets_(nets), cons_(cons), opt_(opt),
+        occupancy_(ws.occupancy), history_(ws.history) {}
 
   std::vector<RoutedNet> run(RouteStats* stats);
+  /// Returns the workspace to its clean state; valid only after run()
+  /// returned, when occupancy is nonzero exactly on the final routes.
+  void reset_workspace();
 
  private:
   void build_permissions();
+  [[nodiscard]] bool allowed(std::size_t node) const {
+    return (ws_.perm[node] == perm_epoch_) != default_allow_;
+  }
+  void set_allowed(std::size_t node, bool allow) {
+    ws_.perm[node] = allow == default_allow_ ? 0 : perm_epoch_;
+  }
+  void add_history(std::size_t node, double amount) {
+    if (history_[node] == 0.0) ws_.history_touched.push_back(node);
+    history_[node] += amount;
+  }
   void compute_bboxes();
   /// Routes one net against the frozen occupancy/history snapshot using the
   /// given scratch; fills result_[net_idx] but does NOT touch occupancy_
@@ -234,19 +318,22 @@ class PathFinder {
   std::vector<RoutedNet> run_reference(RouteStats* stats);
 
   const RoutingGraph& g_;
+  RouteWorkspace& ws_;
   const std::vector<NetToRoute>& nets_;
   const RouteConstraints& cons_;
   const RouterOptions& opt_;
 
-  std::vector<std::uint8_t> allowed_;
+  /// This call's permission epoch and default (see RouteWorkspace::perm).
+  std::uint32_t perm_epoch_ = 0;
+  bool default_allow_ = true;
   /// Per-CLB-tile permission for *programming a mux there*. Nodes and pip
   /// tiles must be gated separately: a long-line driver's config bits live
   /// in the driving tile's column even though the driven node (the shared
   /// long) is legal — without this gate a static net could program a mux
   /// inside a reconfigurable region and be wiped by the next module swap.
   std::vector<std::uint8_t> tile_allowed_;
-  std::vector<int> occupancy_;
-  std::vector<double> history_;
+  std::vector<int>& occupancy_;
+  std::vector<double>& history_;
   double pres_fac_ = 1.0;
 
   std::vector<NetBBox> bbox_;  ///< parallel to nets_
@@ -264,23 +351,25 @@ class PathFinder {
 void PathFinder::build_permissions() {
   const Device& dev = g_.device();
   const RoutingFabric& fab = dev.fabric();
-  const std::size_t n = fab.num_nodes();
-  allowed_.assign(n, 1);
+  // Only nodes the constraints name are written: O(region) for a module
+  // pass, O(excluded regions) for the static pass.
+  advance_epoch(ws_.perm, ws_.perm_epoch);
+  perm_epoch_ = ws_.perm_epoch;
+  default_allow_ = !cons_.restrict_region.has_value();
 
   if (cons_.restrict_region.has_value()) {
     const Region reg = *cons_.restrict_region;
-    std::fill(allowed_.begin(), allowed_.end(), 0);
     for (int r = reg.r0; r <= reg.r1; ++r) {
       for (int c = reg.c0; c <= reg.c1; ++c) {
         for (int w = 0; w < kTileWires; ++w) {
-          allowed_[fab.tile_wire_node(r, c, w)] = 1;
+          set_allowed(fab.tile_wire_node(r, c, w), true);
         }
       }
     }
     if (reg.full_height(dev)) {
       for (int c = reg.c0; c <= reg.c1; ++c) {
         for (int k = 0; k < kLongsPerCol; ++k) {
-          allowed_[fab.longv_node(c, k)] = 1;
+          set_allowed(fab.longv_node(c, k), true);
         }
       }
     }
@@ -289,13 +378,13 @@ void PathFinder::build_permissions() {
     for (int r = reg.r0; r <= reg.r1; ++r) {
       for (int c = reg.c0; c <= reg.c1; ++c) {
         for (int w = 0; w < kTileWires; ++w) {
-          allowed_[fab.tile_wire_node(r, c, w)] = 0;
+          set_allowed(fab.tile_wire_node(r, c, w), false);
         }
       }
     }
     for (int c = reg.c0; c <= reg.c1; ++c) {
       for (int k = 0; k < kLongsPerCol; ++k) {
-        allowed_[fab.longv_node(c, k)] = 0;
+        set_allowed(fab.longv_node(c, k), false);
       }
     }
   }
@@ -319,12 +408,12 @@ void PathFinder::build_permissions() {
     }
   }
 
-  for (const std::size_t node : cons_.blocked) allowed_[node] = 0;
-  for (const std::size_t node : cons_.extra_allowed) allowed_[node] = 1;
+  for (const std::size_t node : cons_.blocked) set_allowed(node, false);
+  for (const std::size_t node : cons_.extra_allowed) set_allowed(node, true);
   // A net's own source and sinks are always allowed.
   for (const NetToRoute& net : nets_) {
-    allowed_[net.source] = 1;
-    for (const std::size_t s : net.sinks) allowed_[s] = 1;
+    set_allowed(net.source, true);
+    for (const std::size_t s : net.sinks) set_allowed(s, true);
   }
 }
 
@@ -414,7 +503,7 @@ void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
 
   s.tree.clear();
   s.tree.push_back(net.source);
-  ++s.tree_mark;
+  s.next_tree();
   s.tree_stamp[net.source] = s.tree_mark;
 
   for (const std::size_t sink : s.sinks) {
@@ -438,7 +527,7 @@ void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
       return dist * (kAstarFac / static_cast<double>(kHexSpan));
     };
     auto search = [&](bool windowed) -> bool {
-      ++s.cur_stamp;
+      s.next_search();
       s.edge_store.clear();
       s.heap.clear();
       auto relax = [&](std::size_t node, double cost, std::int32_t via) {
@@ -461,7 +550,7 @@ void PathFinder::route_net(std::size_t net_idx, RouterScratch& s) {
         if (node == sink) return true;
         for (const RoutingGraph::Edge& e : g_.out_edges(node)) {
           const std::size_t to = e.to;
-          if (!allowed_[to]) continue;
+          if (!allowed(to)) continue;
           if (windowed) {
             // Position-free nodes (longs, pads, GCLK) are never pruned.
             const int tr = g_.node_r(to);
@@ -555,9 +644,6 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   JPG_SPAN("pnr.route");
   const std::uint64_t telem_t0 = telemetry::now_ns();
   build_permissions();
-  const std::size_t n = g_.num_nodes();
-  occupancy_.assign(n, 0);
-  history_.assign(n, 0.0);
   result_.assign(nets_.size(), {});
 
   if (opt_.reference_impl) return run_reference(stats);
@@ -572,7 +658,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
         opt_.num_threads <= 0 ? 0 : static_cast<std::size_t>(opt_.num_threads));
     if (pool_lease->size() > 1) pool = pool_lease.get();
   }
-  ScratchPool scratch(n);
+  ScratchPool& scratch = ws_.scratch;
 
   pres_fac_ = opt_.pres_fac_first;
   const int max_spec_rounds = std::max(1, opt_.max_spec_rounds);
@@ -580,7 +666,7 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   std::vector<std::size_t> overused_nodes;
   /// Nodes claimed by merges of the current iteration (stamped, reset from
   /// the claim list at iteration end so the cost stays O(claimed)).
-  std::vector<std::uint8_t> claimed(n, 0);
+  std::vector<std::uint8_t>& claimed = ws_.claimed;
   std::vector<std::size_t> claimed_nodes;
   std::size_t round_count = 0, retry_count = 0, reroutes = 0;
   int iter = 0;
@@ -667,8 +753,8 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
     // Check for congestion.
     JPG_HIST("pnr.route.overuse", overused_nodes.size());
     for (const std::size_t node : overused_nodes) {
-      history_[node] +=
-          opt_.hist_fac * static_cast<double>(occupancy_[node] - 1);
+      add_history(node,
+                  opt_.hist_fac * static_cast<double>(occupancy_[node] - 1));
     }
     if (overused_nodes.empty()) break;
     pres_fac_ *= opt_.pres_fac_mult;
@@ -694,6 +780,14 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   JPG_COUNT("pnr.route.spec_retries", retry_count);
   JPG_COUNT("pnr.route.nets_rerouted", reroutes);
   return routed;
+}
+
+void PathFinder::reset_workspace() {
+  for (const NetRoute& route : result_) {
+    for (const std::size_t node : route.nodes) occupancy_[node] = 0;
+  }
+  for (const std::size_t node : ws_.history_touched) history_[node] = 0.0;
+  ws_.history_touched.clear();
 }
 
 // --- Seed-algorithm reference (bench baseline) -------------------------------
@@ -737,7 +831,7 @@ void PathFinder::reference_route_net(std::size_t net_idx, RouterScratch& s) {
   using QItem = std::pair<double, std::size_t>;
   for (const std::size_t sink : sinks) {
     if (std::find(tree.begin(), tree.end(), sink) != tree.end()) continue;
-    ++s.cur_stamp;
+    s.next_search();
     s.edge_store.clear();
     std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
     auto relax = [&](std::size_t node, double cost, std::int32_t via) {
@@ -761,7 +855,7 @@ void PathFinder::reference_route_net(std::size_t net_idx, RouterScratch& s) {
       }
       for (const RoutingGraph::Edge& e : g_.out_edges(node)) {
         const std::size_t to = e.to;
-        if (!allowed_[to]) continue;
+        if (!allowed(to)) continue;
         if (e.dest_local >= 0 &&
             !tile_allowed_[static_cast<std::size_t>(e.r) * g_.device().cols() +
                            e.c]) {
@@ -797,8 +891,7 @@ void PathFinder::reference_route_net(std::size_t net_idx, RouterScratch& s) {
 
 std::vector<RoutedNet> PathFinder::run_reference(RouteStats* stats) {
   const std::size_t n = g_.num_nodes();
-  RouterScratch scratch;
-  scratch.ensure(n);
+  ScratchPool::Lease lease(ws_.scratch);
 
   pres_fac_ = opt_.pres_fac_first;
   std::size_t reroutes = 0;
@@ -814,15 +907,15 @@ std::vector<RoutedNet> PathFinder::run_reference(RouteStats* stats) {
       }
       if (!needs) continue;
       rip_up(i);
-      reference_route_net(i, scratch);
+      reference_route_net(i, *lease.s);
       ++reroutes;
     }
     bool overused = false;
     for (std::size_t node = 0; node < n; ++node) {
       if (occupancy_[node] > 1) {
         overused = true;
-        history_[node] +=
-            opt_.hist_fac * static_cast<double>(occupancy_[node] - 1);
+        add_history(node,
+                    opt_.hist_fac * static_cast<double>(occupancy_[node] - 1));
       }
     }
     if (!overused) break;
@@ -843,8 +936,12 @@ std::vector<RoutedNet> route_nets(const RoutingGraph& graph,
                                   const RouteConstraints& constraints,
                                   const RouterOptions& options,
                                   RouteStats* stats) {
-  PathFinder pf(graph, nets, constraints, options);
-  return pf.run(stats);
+  WorkspaceLease ws(graph);
+  PathFinder pf(graph, *ws, nets, constraints, options);
+  std::vector<RoutedNet> routed = pf.run(stats);
+  pf.reset_workspace();
+  ws.release();
+  return routed;
 }
 
 }  // namespace jpg

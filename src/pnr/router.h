@@ -22,8 +22,15 @@
 // and region-column vertical longs. The two passes therefore consume
 // provably disjoint configuration bits, which is what makes JPG's frame
 // rewriting non-disruptive.
+//
+// A route call costs O(nodes it touches), not O(device): the device-sized
+// arrays (permissions, occupancy, history, claim marks and the per-worker
+// A* scratch) live in a RouteWorkspace leased from the graph and handed
+// back clean, so the next call starts without zeroing them (DESIGN.md §5c).
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,6 +39,10 @@
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
+
+/// Device-sized router state, one per concurrent route_nets caller of a
+/// graph (defined in router.cpp).
+struct RouteWorkspace;
 
 /// Forward routing graph (CSR), built once per device and cached.
 class RoutingGraph {
@@ -47,6 +58,7 @@ class RoutingGraph {
   static constexpr std::int16_t kPadInRight = -2;
 
   explicit RoutingGraph(const Device& device);
+  ~RoutingGraph();
 
   [[nodiscard]] const Device& device() const { return *device_; }
   [[nodiscard]] std::size_t num_nodes() const { return offsets_.size() - 1; }
@@ -74,12 +86,19 @@ class RoutingGraph {
   static const RoutingGraph& get(const Device& device);
 
  private:
+  friend class WorkspaceLease;  // router.cpp
+
   const Device* device_;
   std::vector<std::size_t> offsets_;
   std::vector<Edge> edges_;
   std::vector<std::int16_t> node_r_;
   std::vector<std::int16_t> node_c_;
   std::vector<float> base_cost_;
+  /// Clean workspaces between route_nets calls: the graph's only mutable
+  /// state. A call leases one (allocating when the list is empty) and
+  /// returns it clean; a call that throws drops it.
+  mutable std::mutex workspace_mutex_;
+  mutable std::vector<std::unique_ptr<RouteWorkspace>> free_workspaces_;
 };
 
 struct NetToRoute {
@@ -144,7 +163,8 @@ struct RouteStats {
 };
 
 /// Routes all nets; throws DeviceError when a sink is unreachable or
-/// congestion cannot be resolved within max_iterations.
+/// congestion cannot be resolved within max_iterations. Safe to call
+/// concurrently on one graph: each call leases its own workspace.
 [[nodiscard]] std::vector<RoutedNet> route_nets(
     const RoutingGraph& graph, const std::vector<NetToRoute>& nets,
     const RouteConstraints& constraints = {},

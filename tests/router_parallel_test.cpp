@@ -2,8 +2,12 @@
 // byte-identical for every RouterOptions::num_threads, because each
 // PathFinder round routes its wave against a frozen occupancy/history
 // snapshot and merges — with conflict detection and retry — in net order
-// (DESIGN.md §5c).
+// (DESIGN.md §5c). The RouterWorkspace tests check that the device-sized
+// state a graph lends to its route calls comes back clean: a reused
+// workspace must route exactly like a freshly constructed graph.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "netlib/generators.h"
 #include "pnr/flow.h"
@@ -67,7 +71,9 @@ std::vector<NetToRoute> spread_nets(const Device& dev) {
 }
 
 /// Congested nets: sources spread over the west half all targeting input
-/// muxes of one narrow column band, forcing several PathFinder iterations.
+/// muxes of one narrow column band. On XCV50 the speculative retries
+/// resolve them in one iteration; with max_spec_rounds = 1 they take
+/// several, building up PathFinder history.
 std::vector<NetToRoute> congested_nets(const Device& dev) {
   const RoutingFabric& fab = dev.fabric();
   std::vector<NetToRoute> nets;
@@ -166,13 +172,8 @@ TEST(RouterParallel, SpeculativeDigestsIdenticalAcrossThreadCountsOnXCV800) {
   }
 }
 
-TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
-  const Device& dev = Device::get("XCV50");
-  const RoutingGraph& g = RoutingGraph::get(dev);
-  const Region region{0, 8, dev.rows() - 1, 15};
-
-  // Static nets detouring around an excluded region exercise the region
-  // permission path under the snapshot discipline.
+/// Static nets crossing the device west-bound at column 20 -> 2.
+std::vector<NetToRoute> crossing_nets(const Device& dev) {
   const RoutingFabric& fab = dev.fabric();
   std::vector<NetToRoute> nets;
   for (int r = 1; r + 1 < dev.rows(); r += 2) {
@@ -182,6 +183,17 @@ TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
     n.sinks = {fab.tile_wire_node(r, 2, imux_local(0, ImuxPin::F1))};
     nets.push_back(std::move(n));
   }
+  return nets;
+}
+
+TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
+  const Device& dev = Device::get("XCV50");
+  const RoutingGraph& g = RoutingGraph::get(dev);
+  const Region region{0, 8, dev.rows() - 1, 15};
+
+  // Static nets detouring around an excluded region exercise the region
+  // permission path under the snapshot discipline.
+  const std::vector<NetToRoute> nets = crossing_nets(dev);
   RouteConstraints rc;
   rc.exclude_regions.push_back(region);
 
@@ -198,6 +210,213 @@ TEST(RouterParallel, RegionConstrainedByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(route_nets(g, nets, rc, opt), baseline) << "threads " << threads;
   }
 }
+
+/// Module nets inside `region`: each source drives one sink on its own row
+/// at the far edge and one on the next row, so every route stays inside.
+std::vector<NetToRoute> module_nets(const Device& dev, const Region& region) {
+  const RoutingFabric& fab = dev.fabric();
+  std::vector<NetToRoute> nets;
+  for (int r = region.r0; r < region.r1; ++r) {
+    NetToRoute n;
+    n.id = static_cast<NetId>(100 + nets.size());
+    n.source = fab.tile_wire_node(r, region.c0 + r % 2,
+                                  pin_local(r % 2, SlicePin::X));
+    n.sinks = {
+        fab.tile_wire_node(r, region.c1, imux_local(0, ImuxPin::F1)),
+        fab.tile_wire_node(r + 1, region.c1 - 1, imux_local(1, ImuxPin::G2))};
+    nets.push_back(std::move(n));
+  }
+  return nets;
+}
+
+/// A sink input mux outside `region`: unreachable for a net restricted to
+/// the region.
+std::size_t sink_outside(const Device& dev, const Region& region) {
+  return dev.fabric().tile_wire_node(region.r1 + 3, region.c1 + 6,
+                                     imux_local(0, ImuxPin::F1));
+}
+
+struct RouteCall {
+  std::vector<NetToRoute> nets;
+  RouteConstraints constraints;
+};
+
+/// Routes `call` on a graph of its own, whose workspace pool starts empty.
+std::vector<RoutedNet> route_fresh(const Device& dev, const RouteCall& call,
+                                   const RouterOptions& opt) {
+  const RoutingGraph fresh(dev);
+  return route_nets(fresh, call.nets, call.constraints, opt);
+}
+
+TEST(RouterWorkspace, DirtySequenceMatchesFreshGraph) {
+  // Every constraint kind, congestion history and both permission
+  // defaults run through the shared graph's workspace in turn; each call
+  // must route exactly as it would on a graph that never routed before.
+  const Device& dev = Device::get("XCV50");
+  const RoutingGraph& shared = RoutingGraph::get(dev);
+  const RoutingFabric& fab = dev.fabric();
+  const Region full{0, 8, dev.rows() - 1, 15};
+  const Region small{2, 3, 9, 8};
+
+  std::vector<RouteCall> calls;
+  {
+    RouteCall c{crossing_nets(dev), {}};
+    c.constraints.exclude_regions.push_back(full);
+    for (int r = 0; r < dev.rows(); ++r) {
+      c.constraints.extra_allowed.push_back(
+          fab.tile_wire_node(r, 11, pin_local(0, SlicePin::X)));
+    }
+    calls.push_back(std::move(c));
+  }
+  calls.push_back(RouteCall{congested_nets(dev), {}});
+  {
+    RouteCall c{module_nets(dev, small), {}};
+    c.constraints.restrict_region = small;
+    c.constraints.blocked = {fab.tile_wire_node(4, 5, imux_local(0, ImuxPin::F1)),
+                             fab.tile_wire_node(6, 6, imux_local(1, ImuxPin::G2))};
+    calls.push_back(std::move(c));
+  }
+  {
+    RouteCall c{module_nets(dev, full), {}};
+    c.constraints.restrict_region = full;
+    c.constraints.extra_allowed = {fab.longv_node(17, 0)};
+    calls.push_back(std::move(c));
+  }
+  // Unconstrained crossing nets would see any deny left by the calls above.
+  calls.push_back(RouteCall{crossing_nets(dev), {}});
+  {
+    RouteCall c{module_nets(dev, small), {}};
+    c.constraints.restrict_region = small;
+    calls.push_back(std::move(c));
+  }
+
+  // One speculative round turns the congested call's conflicts into
+  // overuse, so it negotiates over several iterations and leaves history.
+  RouterOptions opt;
+  opt.num_threads = 1;
+  for (const int spec_rounds : {3, 1, 3}) {
+    opt.max_spec_rounds = spec_rounds;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const auto routed =
+          route_nets(shared, calls[i].nets, calls[i].constraints, opt);
+      ASSERT_FALSE(routed.empty());
+      EXPECT_EQ(routed, route_fresh(dev, calls[i], opt))
+          << "call " << i << " max_spec_rounds " << spec_rounds;
+    }
+  }
+}
+
+TEST(RouterWorkspace, CallAfterThrowMatchesFreshGraph) {
+  const Device& dev = Device::get("XCV50");
+  const RoutingGraph& shared = RoutingGraph::get(dev);
+  const Region region{2, 3, 9, 8};
+
+  const RouteCall congested{congested_nets(dev), {}};
+  RouteCall module{module_nets(dev, region), {}};
+  module.constraints.restrict_region = region;
+  RouteCall unreachable = module;
+  unreachable.nets.back().sinks.push_back(sink_outside(dev, region));
+
+  RouterOptions opt;
+  opt.num_threads = 1;
+  opt.max_spec_rounds = 1;  // several iterations on the congested nets
+  const auto fresh_congested = route_fresh(dev, congested, opt);
+  const auto fresh_module = route_fresh(dev, module, opt);
+
+  // Congestion limit: the first iteration leaves overuse and history.
+  RouterOptions one_iteration = opt;
+  one_iteration.max_iterations = 1;
+  EXPECT_THROW((void)route_nets(shared, congested.nets, {}, one_iteration),
+               DeviceError);
+  EXPECT_EQ(route_nets(shared, congested.nets, {}, opt), fresh_congested);
+
+  // Unreachable sink: earlier nets of the wave were already searched.
+  EXPECT_THROW((void)route_nets(shared, unreachable.nets,
+                                unreachable.constraints, opt),
+               DeviceError);
+  EXPECT_EQ(route_nets(shared, module.nets, module.constraints, opt),
+            fresh_module);
+  EXPECT_EQ(route_nets(shared, congested.nets, {}, opt), fresh_congested);
+}
+
+TEST(RouterWorkspace, ConcurrentRoutesMatchSequential) {
+  // Three callers route on one graph at once — two modules and a
+  // congested wave on a pool of its own — so each must lease its own
+  // workspace and reproduce its sequential result.
+  const Device& dev = Device::get("XCV50");
+  const RoutingGraph graph(dev);
+  const Region west{0, 1, 9, 6};
+  const Region east{4, 14, dev.rows() - 1, 20};
+
+  struct Job {
+    RouteCall call;
+    RouterOptions opt;
+    std::vector<RoutedNet> expected;
+    int mismatches = 0;
+  };
+  std::vector<Job> jobs(3);
+  jobs[0].call = RouteCall{module_nets(dev, west), {}};
+  jobs[0].call.constraints.restrict_region = west;
+  jobs[0].opt.num_threads = 1;
+  jobs[1].call = RouteCall{congested_nets(dev), {}};
+  jobs[1].opt.num_threads = 2;
+  jobs[1].opt.max_spec_rounds = 1;
+  jobs[2].call = RouteCall{module_nets(dev, east), {}};
+  jobs[2].call.constraints.restrict_region = east;
+  for (Job& job : jobs) {
+    job.expected =
+        route_nets(graph, job.call.nets, job.call.constraints, job.opt);
+    ASSERT_FALSE(job.expected.empty());
+  }
+
+  auto repeat = [&graph](Job& job) {
+    for (int i = 0; i < 20; ++i) {
+      try {
+        if (route_nets(graph, job.call.nets, job.call.constraints, job.opt) !=
+            job.expected) {
+          ++job.mismatches;
+        }
+      } catch (const std::exception&) {
+        ++job.mismatches;
+      }
+    }
+  };
+  std::thread first(repeat, std::ref(jobs[0]));
+  std::thread second(repeat, std::ref(jobs[1]));
+  repeat(jobs[2]);
+  first.join();
+  second.join();
+  for (const Job& job : jobs) EXPECT_EQ(job.mismatches, 0);
+}
+
+#if JPG_TELEMETRY_ENABLED
+std::uint64_t workspaces_allocated() {
+  return telemetry::MetricsRegistry::global().snapshot().counter(
+      "pnr.route.workspaces");
+}
+
+TEST(RouterWorkspace, SequentialModuleRoutesAllocateOneWorkspace) {
+  const Device& dev = Device::get("XCV50");
+  const RoutingGraph graph(dev);
+  const Region region{2, 3, 9, 8};
+  RouteConstraints rc;
+  rc.restrict_region = region;
+  const std::vector<NetToRoute> nets = module_nets(dev, region);
+  RouterOptions opt;
+  opt.num_threads = 1;
+
+  const std::uint64_t before = workspaces_allocated();
+  for (int i = 0; i < 50; ++i) (void)route_nets(graph, nets, rc, opt);
+  EXPECT_EQ(workspaces_allocated() - before, 1u);
+
+  // A call that throws drops its workspace, so the next one allocates.
+  std::vector<NetToRoute> unreachable = nets;
+  unreachable.back().sinks.push_back(sink_outside(dev, region));
+  EXPECT_THROW((void)route_nets(graph, unreachable, rc, opt), DeviceError);
+  (void)route_nets(graph, nets, rc, opt);
+  EXPECT_EQ(workspaces_allocated() - before, 2u);
+}
+#endif  // JPG_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace jpg
