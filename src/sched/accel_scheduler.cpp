@@ -75,7 +75,8 @@ AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
                                            SchedConfig cfg)
     : fixture_(&fixture), cfg_(std::move(cfg)), circuits_(fixture) {
   JPG_REQUIRE(cfg_.num_boards >= 1, "scheduler needs at least one board");
-  JPG_REQUIRE(cfg_.workers >= 1, "scheduler needs at least one worker");
+  JPG_REQUIRE(cfg_.workers >= 1,
+              "scheduler needs room for at least one node in flight");
   JPG_REQUIRE(cfg_.sim_cycles >= 1, "sim_cycles must be positive");
 
   ServiceConfig svc = cfg_.service;
@@ -89,20 +90,11 @@ AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
   }
   const auto user_hook = svc.on_complete;
   svc.on_complete = [this, user_hook](const ServiceResponse& resp) {
-    {
-      const std::lock_guard<std::mutex> guard(lock_);
-      ++stats_.completion_events;
-    }
-    JPG_COUNT("sched.svc_completions", 1);
     if (user_hook) user_hook(resp);
+    on_service_complete(resp);
   };
   svc_ = std::make_unique<ReconfigService>(fixture.device(), fixture.base(),
                                            cfg_.num_boards, std::move(svc));
-
-  // Private pool: node tasks block on service futures, so the scheduler must
-  // not share a pool with the service (ThreadPool::sized caches by width —
-  // same width would alias). See SchedConfig::workers.
-  pool_ = std::make_shared<ThreadPool>(cfg_.workers);
 
   boards_.resize(cfg_.num_boards);
   for (BoardState& b : boards_) {
@@ -221,7 +213,7 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
       }
       // Rung 2 — relocation: a donor lease of a pool variant exists
       // somewhere. The index is advisory; if the service can no longer find
-      // the donor, the cold retry in execute_node covers it.
+      // the donor, the cold retry covers it.
       if (board < 0 && cfg_.allow_relocation) {
         for (const int cand : node.pool) {
           const auto it = lease_regions_.find(
@@ -276,6 +268,7 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
       r.placement = placement;
       const std::uint64_t now = now_ns();
       r.queue_wait_ns = app->ready_ns[i] ? now - app->ready_ns[i] : 0;
+      r.variant = SchedFixture::variant_label(node.kernel, impl);
       JPG_HIST("sched.node.queue_wait_ns", r.queue_wait_ns);
 
       out.app = app;
@@ -284,7 +277,9 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
       out.slot = slot;
       out.placement = placement;
       out.impl = impl;
-      out.variant = SchedFixture::variant_label(node.kernel, impl);
+      out.variant = r.variant;
+      // Predecessor traces are final once a node is Ready.
+      out.input = node_input(app->graph, i, app->traces, cfg_.sim_cycles);
       return true;
     }
   }
@@ -295,107 +290,101 @@ void AcceleratorScheduler::dispatcher_loop() {
   std::unique_lock<std::mutex> lk(lock_);
   while (!stop_dispatcher_) {
     Dispatch d;
-    if (pick_dispatch_locked(d)) {
+    if (!retries_.empty()) {
+      d = std::move(retries_.front());
+      retries_.pop_front();
+    } else if (inflight_ < cfg_.workers && pick_dispatch_locked(d)) {
       ++inflight_;
       ++stats_.nodes_dispatched;
       JPG_COUNT("sched.nodes.dispatched", 1);
-      lk.unlock();
-      // Futures from submit are intentionally dropped: completion flows
-      // through complete_node_locked, and the pool drains in shutdown().
-      (void)pool_->submit([this, d] { execute_node(d); });
-      lk.lock();
+    } else {
+      cv_.wait(lk);
       continue;
     }
-    cv_.wait(lk);
+    ServiceRequest req = request_for(d);
+    running_.emplace(req.cookie, std::move(d));
+    // Unlocked: a synchronous rejection runs the completion hook on this
+    // thread. The future is dropped; the hook is the completion path.
+    lk.unlock();
+    (void)svc_->submit(std::move(req));
+    lk.lock();
   }
 }
 
-void AcceleratorScheduler::execute_node(Dispatch d) {
-  const TaskNode& node = d.app->graph.nodes[d.node];
-  const Region region = fixture_->slots()[static_cast<std::size_t>(d.slot)];
+ServiceRequest AcceleratorScheduler::request_for(const Dispatch& d) const {
+  ServiceRequest req;
+  req.tenant = "app" + std::to_string(d.app->id);
+  req.kind = RequestKind::Swap;
+  req.board = d.board;
+  req.region = fixture_->slots()[static_cast<std::size_t>(d.slot)];
+  req.variant = d.variant;
+  req.cookie = (d.app->id << 32) | static_cast<std::uint64_t>(d.node);
+  if (d.attempt == 0 && d.placement == Placement::Relocated) {
+    req.module_config = nullptr;  // force the donor-relocation path
+  } else {
+    // The planned rung, or a cold retry with the fixture's own plane,
+    // which is always serveable.
+    req.module_config =
+        &fixture_->plane(d.app->graph.nodes[d.node].kernel, d.impl,
+                         static_cast<std::size_t>(d.slot));
+  }
+  return req;
+}
 
-  NodeResult result;
-  std::vector<bool> input;
+void AcceleratorScheduler::on_service_complete(const ServiceResponse& resp) {
+  JPG_COUNT("sched.svc_completions", 1);
+  Dispatch d;
   {
     const std::lock_guard<std::mutex> guard(lock_);
-    result = d.app->results[d.node];
-    // Predecessor traces are final once a node is Ready; copy under lock so
-    // the read is ordered after the writers' completions.
-    input = node_input(d.app->graph, d.node, d.app->traces, cfg_.sim_cycles);
-  }
-  result.variant = d.variant;
-
-  // Attempt ladder: the planned placement first, then cold retries (each
-  // with the fixture's own plane — always serveable).
-  ServiceResponse resp;
-  bool sent_cold = d.placement == Placement::Cold;
-  for (int attempt = 0; attempt <= cfg_.max_retries; ++attempt) {
-    ServiceRequest req;
-    req.tenant = "app" + std::to_string(d.app->id);
-    req.kind = RequestKind::Swap;
-    req.board = d.board;
-    req.region = region;
-    req.variant = result.variant;
-    req.cookie = (d.app->id << 32) | static_cast<std::uint64_t>(d.node);
-    if (attempt == 0 && d.placement == Placement::Relocated) {
-      req.module_config = nullptr;  // force the donor-relocation path
-    } else {
-      req.module_config =
-          &fixture_->plane(node.kernel, d.impl,
-                           static_cast<std::size_t>(d.slot));
-    }
-    resp = svc_->submit(req).get();
-    if (resp.ok()) {
-      if (attempt > 0 || (sent_cold && d.placement != Placement::Cold)) {
-        // Ladder fell through to a cold serve; account it as such.
-        result.placement = Placement::Cold;
-      } else {
-        result.placement = d.placement;
-      }
-      break;
-    }
-    if (attempt < cfg_.max_retries) {
-      sent_cold = true;
-      const std::lock_guard<std::mutex> guard(lock_);
+    ++stats_.completion_events;
+    const auto it = running_.find(resp.cookie);
+    if (it == running_.end()) return;  // not one of this scheduler's nodes
+    d = std::move(it->second);
+    running_.erase(it);
+    if (!resp.ok() && d.attempt < cfg_.max_retries) {
+      ++d.attempt;
       ++stats_.swap_retries;
       JPG_COUNT("sched.swap_retries", 1);
+      retries_.push_back(std::move(d));
+      cv_.notify_all();
+      return;
     }
   }
 
+  // Completion bus payload: the circuit of the pbit the service actually
+  // applied (relocation-served requests carry the donor's translated
+  // stream, not the fixture plane), elaborated once per (region, pbit
+  // bytes), then simulated afresh.
+  std::vector<bool> trace;
+  std::string error;
   if (resp.ok()) {
-    // Completion bus payload: the circuit of the pbit the service actually
-    // applied (applied_pbits is the ground truth — relocation-served
-    // requests carry the donor's translated stream, not the fixture plane),
-    // elaborated once per (region, pbit bytes), then simulated afresh.
     try {
-      const std::vector<AppliedSlot> applied =
-          svc_->applied_pbits(static_cast<std::size_t>(d.board));
-      const AppliedSlot* mine = nullptr;
-      for (const AppliedSlot& a : applied) {
-        if (a.region == region) mine = &a;  // ascending seq: last wins
-      }
-      JPG_REQUIRE(mine != nullptr,
-                  "service reported success but no applied pbit at slot");
+      JPG_REQUIRE(resp.applied != nullptr,
+                  "service reported success but applied no pbit");
       const auto slot = static_cast<std::size_t>(d.slot);
       const std::shared_ptr<const ExtractedCircuit> circuit =
-          circuits_.circuit(mine->pbit, region);
-      result.trace = socket_trace(*circuit, fixture_->in_pad(slot),
-                                  fixture_->out_pad(slot), input);
-      result.ok = true;
+          circuits_.circuit(resp.applied, fixture_->slots()[slot]);
+      trace = socket_trace(*circuit, fixture_->in_pad(slot),
+                           fixture_->out_pad(slot), d.input);
     } catch (const JpgError& e) {
-      result.ok = false;
-      result.error = e.what();
+      error = e.what();
     }
-    result.queue_wait_ns += resp.queue_wait_ns;
-    result.service_ns = resp.service_ns;
   } else {
-    result.ok = false;
-    result.error = std::string(service_error_name(resp.error)) +
-                   (resp.message.empty() ? "" : ": " + resp.message);
+    error = std::string(service_error_name(resp.error)) +
+            (resp.message.empty() ? "" : ": " + resp.message);
   }
-  d.placement = result.placement;
 
   std::unique_lock<std::mutex> lk(lock_);
+  NodeResult result = d.app->results[d.node];
+  // A serve after a retry fell through the ladder: account it as cold.
+  result.placement = d.attempt == 0 ? d.placement : Placement::Cold;
+  result.ok = error.empty();
+  result.error = std::move(error);
+  result.trace = std::move(trace);
+  if (resp.ok()) {
+    result.queue_wait_ns += resp.queue_wait_ns;
+    result.service_ns = resp.service_ns;
+  }
   complete_node_locked(lk, d, std::move(result));
 }
 

@@ -13,13 +13,16 @@
 //                  relaxed — sound on the uniform-socket fixture).
 //   3. Cold      — flow output is generated from the fixture's module plane.
 //
-// Dependencies flow through a completion bus: the service's on_complete hook
-// plus the scheduler's own completion path mark successors ready and hand
-// each node the XOR of its predecessors' output traces (simulated over the
-// circuit of the pbit actually applied, memoised in SlotCircuitCache) as its
-// input stream, so any schedule that respects the DAG must reproduce the
-// sequential reference traces exactly (reference_traces) — the invariant the
-// scheduler oracle family proves per random graph.
+// Nodes run on the service's completion bus; the scheduler has no threads
+// of its own besides the dispatcher. The dispatcher submits a node's swap
+// and keeps no future. The service's on_complete hook, chained behind any
+// caller hook, either hands a failed attempt back to the dispatcher as a
+// cold retry or simulates the node over the circuit of the pbit actually
+// applied (ServiceResponse::applied, memoised in SlotCircuitCache), marks
+// its successors ready and gives each the XOR of its predecessors' output
+// traces as its input stream. Any schedule that respects the DAG must
+// reproduce the sequential reference traces exactly (reference_traces) —
+// the invariant the scheduler oracle family proves per random graph.
 //
 // Everything is instrumented as `sched.*` telemetry (docs/OBSERVABILITY.md)
 // next to the service's `svc.*` catalogue.
@@ -27,6 +30,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -40,7 +44,6 @@
 #include "sched/slot_circuit_cache.h"
 #include "sched/task_graph.h"
 #include "service/reconfig_service.h"
-#include "support/thread_pool.h"
 
 namespace jpg::sched {
 
@@ -55,9 +58,9 @@ enum class Placement {
 
 struct SchedConfig {
   std::size_t num_boards = 1;
-  /// Scheduler-owned execution pool width. The scheduler must NOT share the
-  /// service's pool: node tasks block on service futures, so sharing would
-  /// deadlock once every worker waits on a swap only that pool could run.
+  /// Cap on nodes in flight at the service (retries of an in-flight node
+  /// do not count again). A ready node waits for a place here before it
+  /// takes a slot.
   std::size_t workers = 2;
   int sim_cycles = 24;     ///< per-node simulation length (bits of trace)
   bool locality = true;    ///< rung 1: prefer slots already holding a variant
@@ -206,9 +209,11 @@ class AcceleratorScheduler {
     std::size_t node = 0;
     int board = -1;
     int slot = -1;
-    Placement placement = Placement::Cold;
+    Placement placement = Placement::Cold;  ///< the planned rung
     std::string variant;
     int impl = 0;
+    int attempt = 0;  ///< 0 = the planned rung, then cold retries
+    std::vector<bool> input;  ///< predecessors' XOR, fixed at dispatch
   };
 
   void dispatcher_loop();
@@ -216,7 +221,11 @@ class AcceleratorScheduler {
   /// fills `out` and marks the node Running. Returns false when nothing is
   /// dispatchable right now.
   bool pick_dispatch_locked(Dispatch& out);
-  void execute_node(Dispatch d);
+  /// The service request for one attempt of a dispatched node.
+  [[nodiscard]] ServiceRequest request_for(const Dispatch& d) const;
+  /// Runs inside the service's on_complete hook: queues a cold retry, or
+  /// simulates the node over the applied pbit and completes it.
+  void on_service_complete(const ServiceResponse& resp);
   /// Completion bus: marks the node Done/Failed, frees the slot, readies
   /// successors, finalizes the app when its last node resolves.
   void complete_node_locked(std::unique_lock<std::mutex>& lock,
@@ -231,9 +240,6 @@ class AcceleratorScheduler {
   const SchedFixture* fixture_;
   SchedConfig cfg_;
   std::unique_ptr<ReconfigService> svc_;
-  /// Private pool — see SchedConfig::workers. ThreadPool::sized() caches by
-  /// width and must not be used here (aliasing with the service's pool).
-  std::shared_ptr<ThreadPool> pool_;
   /// Circuits of applied pbits, shared by every node of this scheduler.
   SlotCircuitCache circuits_;
 
@@ -248,7 +254,11 @@ class AcceleratorScheduler {
   std::map<std::string, std::set<std::string>> lease_regions_;
   std::uint64_t next_app_ = 1;
   std::uint64_t event_clock_ = 0;
-  std::size_t inflight_ = 0;
+  /// Nodes submitted to the service and not yet completed, by cookie.
+  std::map<std::uint64_t, Dispatch> running_;
+  /// Failed attempts waiting for the dispatcher to resubmit them cold.
+  std::deque<Dispatch> retries_;
+  std::size_t inflight_ = 0;  ///< dispatched nodes not yet completed
   bool accepting_ = true;
   bool stop_dispatcher_ = false;
   SchedStats stats_;

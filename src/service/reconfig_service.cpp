@@ -50,9 +50,6 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
     ctx->downloader->assume_board_state(base);
     boards_.push_back(std::move(ctx));
   }
-  pool_ = ThreadPool::sized(cfg_.pool_width);
-  max_inflight_ =
-      cfg_.max_inflight == 0 ? pool_->size() : cfg_.max_inflight;
   JPG_GAUGE_SET("svc.boards", static_cast<std::int64_t>(num_boards));
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -263,14 +260,14 @@ int ReconfigService::pick_board_locked(const ServiceRequest& req) const {
 }
 
 bool ReconfigService::dispatch_one_round_locked() {
-  if (paused_ || total_pending_ == 0 || inflight_ >= max_inflight_) {
+  if (paused_ || total_pending_ == 0 || inflight_ >= pool_.size()) {
     return false;
   }
   bool progress = false;
   const std::size_t nt = rr_order_.size();
   ++stats_.drr_rounds;
   JPG_COUNT("svc.drr.rounds", 1);
-  for (std::size_t v = 0; v < nt && inflight_ < max_inflight_; ++v) {
+  for (std::size_t v = 0; v < nt && inflight_ < pool_.size(); ++v) {
     const std::string& name = rr_order_[(rr_cursor_ + v) % nt];
     Tenant& tenant = tenants_[name];
     if (tenant.queue.empty()) {
@@ -278,7 +275,7 @@ bool ReconfigService::dispatch_one_round_locked() {
       continue;
     }
     tenant.deficit += cfg_.drr_quantum_words;
-    while (!tenant.queue.empty() && inflight_ < max_inflight_ &&
+    while (!tenant.queue.empty() && inflight_ < pool_.size() &&
            tenant.deficit >= tenant.queue.front().cost_words) {
       Pending& head = tenant.queue.front();
       int board_idx = -1;
@@ -318,7 +315,7 @@ void ReconfigService::dispatch_locked(Tenant& tenant, int board_idx) {
   ++stats_.dispatched;
   JPG_COUNT("svc.dispatched", 1);
   const std::uint64_t seq = dispatch_seq_++;
-  (void)pool_->submit(
+  (void)pool_.submit(
       [this, p, board_idx, seq] { execute(p, board_idx, seq); });
 }
 
@@ -401,14 +398,11 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
         // knows which slots are live. Same-region swaps replace.
         const std::shared_ptr<const PartialGenResult>& res =
             resident->lease.shared();
+        resp.applied = std::shared_ptr<const Bitstream>(res, &res->bitstream);
         ctx.applied[p->req.region.to_string()] = AppliedPbit{
-            p->req.region, p->req.variant,
-            std::shared_ptr<const Bitstream>(res, &res->bitstream),
-            ++apply_seq_};
+            p->req.region, p->req.variant, resp.applied, ++apply_seq_};
       }
     }
-    --inflight_;
-    JPG_GAUGE_SET("svc.inflight", static_cast<std::int64_t>(inflight_));
   }
   // Drop this execution's lease reference before reaping, so a
   // quota-evicted entry whose last user just finished is released now.
@@ -417,8 +411,15 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
     const std::lock_guard<std::mutex> lock(resident_lock_);
     reap_residents_locked();
   }
-  cv_.notify_all();
+  cv_.notify_all();  // the board is free again
   complete(p->promise, std::move(resp));
+  // The execution stays in flight until its hook has returned, so
+  // shutdown() cannot return while the hook still runs. Notifying under
+  // the lock makes this the last touch of `this`.
+  const std::lock_guard<std::mutex> lock(lock_);
+  --inflight_;
+  JPG_GAUGE_SET("svc.inflight", static_cast<std::int64_t>(inflight_));
+  cv_.notify_all();
 }
 
 // --- Resident registry -------------------------------------------------------

@@ -101,6 +101,9 @@ struct ServiceResponse {
   std::uint64_t service_ns = 0;     ///< dispatch -> completion
   std::uint64_t dispatch_seq = 0;   ///< global dispatch order (fairness audit)
   DownloadReport report;       ///< swaps only
+  /// The pbit the board's ledger now holds at the request's region (the
+  /// same pointer applied_pbits() reports); null unless a swap succeeded.
+  std::shared_ptr<const Bitstream> applied;
 
   [[nodiscard]] bool ok() const { return error == ServiceError::None; }
   [[nodiscard]] std::uint64_t latency_ns() const {
@@ -115,10 +118,6 @@ struct ServiceConfig {
   /// Resident leases a tenant may hold (0 = unlimited). Exceeding it
   /// releases the tenant's LRU lease (svc.quota.evictions).
   std::size_t tenant_quota = 8;
-  /// Execution pool width (ThreadPool::sized); 0 = the process-global pool.
-  std::size_t pool_width = 0;
-  /// Concurrent executions; 0 = the pool's worker count.
-  std::size_t max_inflight = 0;
   /// DRR quantum in stream words added to a tenant's deficit per round.
   std::uint64_t drr_quantum_words = 32 * 1024;
   /// Pbit cache capacity of the service's generator.
@@ -145,11 +144,14 @@ struct ServiceConfig {
   bool inject_faults = false;
   FaultProfile fault_profile;
   std::uint64_t fault_seed = 1;
-  /// Fired once per request on every completion path — asynchronous
-  /// completions (pool workers) and synchronous rejections (the submit
-  /// caller's thread) alike — just before the future becomes ready. Must
-  /// not call back into the service (it may run under no lock but inside
-  /// submit()); keep it cheap, it is on the datapath.
+  /// Fired once per request on every completion path, just before the
+  /// future becomes ready: on a pool worker for executed requests, inside
+  /// submit() (the caller's thread) for synchronous rejections, and inside
+  /// shutdown(false) for queued requests it rejects. It runs under no
+  /// service lock but must not call back into the service, and must never
+  /// block on a service future: it may hold one of the service's workers.
+  /// An executed request stays in flight (ServiceStats::inflight) until
+  /// its hook returns, so shutdown() and the destructor wait for it.
   std::function<void(const ServiceResponse&)> on_complete;
   DownloadPolicy policy;  ///< per-board verified-download policy
 };
@@ -177,7 +179,7 @@ struct ServiceStats {
   std::uint64_t drr_rounds = 0;
   std::size_t queue_depth = 0;       ///< pending right now
   std::size_t queue_peak = 0;        ///< max pending ever observed
-  std::size_t inflight = 0;
+  std::size_t inflight = 0;          ///< executing, completion hook included
   std::size_t resident_entries = 0;  ///< live entries in the registry
   std::uint64_t relocations_served = 0;  ///< requests served via a donor pbit
   std::uint64_t defrag_moves = 0;        ///< slots moved by defragment()
@@ -352,8 +354,8 @@ class ReconfigService {
   ServiceConfig cfg_;
   PartialBitstreamGenerator gen_;
   std::vector<std::unique_ptr<BoardCtx>> boards_;
-  std::shared_ptr<ThreadPool> pool_;
-  std::size_t max_inflight_ = 1;
+  /// Executions run here, at most pool_.size() at a time.
+  ThreadPool& pool_ = ThreadPool::global();
 
   mutable std::mutex lock_;  ///< queue + tenants + boards + stats
   std::condition_variable cv_;

@@ -13,8 +13,7 @@ namespace jpg {
 namespace {
 /// The pool whose worker_loop is running on this thread (null on any
 /// non-worker thread, including a parallel_for caller participating from
-/// outside the pool). submit() consults it to run nested submissions
-/// inline instead of risking a self-deadlock.
+/// outside the pool). submit() consults it to refuse nested submissions.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
@@ -151,18 +150,11 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
+  JPG_REQUIRE(!on_worker_thread(),
+              "ThreadPool::submit called from one of the pool's own workers");
   auto packaged =
       std::make_shared<std::packaged_task<void()>>(std::move(task));
   std::future<void> future = packaged->get_future();
-  if (on_worker_thread()) {
-    // A worker submitting to its own pool must not wait for a peer: with
-    // every peer busy (or none existing — a 1-wide pool) a later
-    // future.get() on this task would never return. Run it here; the
-    // packaged_task still routes exceptions through the future.
-    JPG_COUNT("pool.inline_submits", 1);
-    (*packaged)();
-    return future;
-  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     tasks_.emplace([packaged] { (*packaged)(); });

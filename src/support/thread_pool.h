@@ -50,13 +50,9 @@ class ThreadPool {
   /// future). Unlike parallel_for the caller does not participate, so it can
   /// overlap its own work with the task.
   ///
-  /// Called from one of this pool's own workers the task runs *inline* on
-  /// the caller (future already ready on return). Enqueueing would invite a
-  /// deadlock: on a small pool every worker can end up blocked in
-  /// future.get() on a task that no free worker exists to run — any pool
-  /// task that submits to its own pool and waits on the result. Inline
-  /// execution trades the overlap for progress; callers that need real
-  /// overlap submit from a non-worker thread (or a different pool).
+  /// Throws JpgError when called from one of this pool's own workers: a
+  /// pool task that waits on a task of its own pool can deadlock once every
+  /// worker waits. Submit from a non-worker thread (or another pool).
   [[nodiscard]] std::future<void> submit(std::function<void()> task);
 
   /// True when the calling thread is one of this pool's workers.

@@ -26,7 +26,6 @@ bool run_workload(const sched::SchedFixture& fixture,
                   const std::string& tier, SchedOracleResult& res) {
   sched::SchedConfig cfg;
   cfg.num_boards = opt.num_boards;
-  cfg.workers = opt.workers;
   cfg.sim_cycles = opt.sim_cycles;
   cfg.locality = opt.locality;
   cfg.allow_relocation = opt.allow_relocation;

@@ -34,7 +34,6 @@ namespace jpg::testing {
 struct SchedOracleOptions {
   int sim_cycles = 24;
   std::size_t num_boards = 1;
-  std::size_t workers = 2;
   bool locality = true;
   bool allow_relocation = true;
   /// Re-run the workload with fault-injected board links (bounded budget)

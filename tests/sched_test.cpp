@@ -295,6 +295,40 @@ TEST(SchedulerTest, FinishedAppsAreDropped) {
   EXPECT_EQ(after.apps_live, 0u);
 }
 
+// A zero-depth service queue rejects every submit synchronously, so the
+// completion hook runs inside submit() on the dispatcher's own thread. Each
+// dispatched node climbs its whole retry ladder there and fails; no app may
+// hang.
+TEST(SchedulerTest, SynchronousRejectionsFailEveryApp) {
+  SchedConfig cfg;
+  cfg.service.queue_depth = 0;
+  AcceleratorScheduler sched(fixture(), cfg);
+  std::vector<AppTicket> tickets;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    tickets.push_back(
+        sched.submit(graph_for(90 + i, "app" + std::to_string(i))));
+  }
+  for (AppTicket& t : tickets) {
+    const AppReport rep = t.report.get();
+    EXPECT_FALSE(rep.completed);
+    EXPECT_FALSE(rep.cancelled);
+    for (const NodeResult& nr : rep.nodes) {
+      EXPECT_FALSE(nr.ok) << "node " << nr.node;
+      EXPECT_FALSE(nr.error.empty()) << "node " << nr.node;
+    }
+  }
+  sched.shutdown();
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.apps_failed, tickets.size());
+  EXPECT_EQ(st.nodes_completed, 0u);
+  EXPECT_GT(st.nodes_dispatched, 0u);
+  EXPECT_EQ(st.swap_retries,
+            static_cast<std::uint64_t>(cfg.max_retries) * st.nodes_dispatched);
+  EXPECT_EQ(st.apps_live, 0u);
+  const ServiceStats svc = sched.service().stats();
+  EXPECT_EQ(svc.rejected_queue_full, svc.submitted);
+}
+
 // Every (kernel, impl, slot) pbit: the cached circuit simulates exactly like
 // a fresh BitstreamSim over the decoded plane, on the first call and on a
 // repeated call with a byte-identical copy and other inputs — so no FF state

@@ -428,45 +428,41 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
-// Regression: before the inline-on-worker fix, a task submitting to its own
-// pool and waiting on the future deadlocked whenever no other worker was
-// free — guaranteed on this 1-worker pool.
+// A task submitting to its own pool and waiting on the future deadlocks
+// once every worker waits — at once on this 1-worker pool — so submit()
+// refuses a call from one of the pool's own workers instead of enqueueing.
 TEST(ThreadPool, NestedSubmitFromWorkerDoesNotDeadlock) {
   ThreadPool pool(1);
-  std::thread::id inner_tid;
   std::future<void> outer = pool.submit([&] {
-    std::future<void> inner =
-        pool.submit([&] { inner_tid = std::this_thread::get_id(); });
-    inner.get();  // deadlocked here before the fix
+    EXPECT_TRUE(pool.on_worker_thread());
+    std::future<void> inner = pool.submit([] {});
+    inner.get();  // would deadlock if the nested task were enqueued
   });
   ASSERT_EQ(outer.wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
-  outer.get();
-  // The nested task ran inline on the submitting worker, not on the caller.
-  EXPECT_NE(inner_tid, std::this_thread::get_id());
+  EXPECT_THROW(outer.get(), JpgError);
   EXPECT_FALSE(pool.on_worker_thread());
 }
 
+// The refusal is raised inline on the submitting worker, before anything is
+// enqueued, so the nested task never runs. A foreign pool's worker is not
+// "this pool's" context: it may submit, and the task's exception reaches
+// its future.
 TEST(ThreadPool, NestedSubmitRunsInlineAndPropagatesExceptions) {
   ThreadPool pool(1);
-  std::thread::id outer_tid, inner_tid;
+  ThreadPool other(1);
+  bool nested_ran = false;
+  bool foreign_ran = false;
   pool.submit([&] {
-        outer_tid = std::this_thread::get_id();
-        EXPECT_TRUE(pool.on_worker_thread());
-        std::future<void> inner =
-            pool.submit([&] { inner_tid = std::this_thread::get_id(); });
-        // Inline execution: ready before get(), on the same worker thread.
-        EXPECT_EQ(inner.wait_for(std::chrono::seconds(0)),
-                  std::future_status::ready);
-        std::future<void> boom = pool.submit([] { throw JpgError("boom"); });
+        EXPECT_THROW((void)pool.submit([&] { nested_ran = true; }), JpgError);
+        EXPECT_FALSE(other.on_worker_thread());
+        other.submit([&] { foreign_ran = true; }).get();
+        std::future<void> boom = other.submit([] { throw JpgError("boom"); });
         EXPECT_THROW(boom.get(), JpgError);
       })
       .get();
-  EXPECT_EQ(outer_tid, inner_tid);
-  // A foreign pool's workers are not "this pool's" context: submitting
-  // there still enqueues (and must not be inlined onto the wrong pool).
-  ThreadPool other(1);
-  pool.submit([&] { EXPECT_FALSE(other.on_worker_thread()); }).get();
+  EXPECT_FALSE(nested_ran);
+  EXPECT_TRUE(foreign_ran);
 }
 
 // Regression: sized() used to cache one pool per distinct width forever, so
