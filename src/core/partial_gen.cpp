@@ -311,26 +311,22 @@ std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
     }
   }
 
-  // Fan out over the requested pool. Everything per-update — content hash,
-  // cache probe, overlay composition, stream emission, cache insertion —
-  // runs inside the worker; the only cross-thread state is the mutex-guarded
-  // pbit cache, and results land in input order, so the batch is
-  // byte-identical to sequential generate() calls at any thread count.
-  const std::shared_ptr<ThreadPool> pool = ThreadPool::sized(num_threads);
+  // Fan out over the global pool, at most num_threads wide. Everything
+  // per-update — content hash, cache probe, overlay composition, stream
+  // emission, cache insertion — runs inside the worker; the only
+  // cross-thread state is the mutex-guarded pbit cache, and results land in
+  // input order, so the batch is byte-identical to sequential generate()
+  // calls at any thread count.
   std::vector<PartialGenResult> out(updates.size());
   ThreadPool::ParallelForStats pf_stats;
-  pool->parallel_for(
+  ThreadPool::global().parallel_for(
       updates.size(),
       [&](std::size_t i) {
         out[i] = generate(*updates[i].module_config, updates[i].region,
                           updates[i].opts);
       },
-      &pf_stats);
-  for (PartialGenResult& r : out) {
-    r.pool_threads = pool->size();
-    r.workers_used = pf_stats.workers_used;
-  }
-  JPG_GAUGE_SET("pgen.batch_pool_threads", pool->size());
+      num_threads, &pf_stats);
+  for (PartialGenResult& r : out) r.workers_used = pf_stats.workers_used;
   JPG_GAUGE_SET("pgen.batch_workers_used", pf_stats.workers_used);
   return out;
 }

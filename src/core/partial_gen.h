@@ -52,12 +52,10 @@ struct PartialGenResult {
   std::vector<std::size_t> frames;  ///< linear frame indices written
   std::size_t far_blocks = 0;       ///< contiguous FAR/FDRI runs emitted
   /// Execution-shape audit, filled by generate_batch (a plain generate()
-  /// leaves both at their single-threaded defaults): `pool_threads` is the
-  /// size of the pool the batch fanned out over, `workers_used` the number
-  /// of distinct threads that actually executed updates. Benches record
-  /// both so a batch can never claim parallelism while silently running on
-  /// one worker. Telemetry only — never part of the output bytes.
-  std::size_t pool_threads = 1;
+  /// leaves it at its single-threaded default): the number of distinct
+  /// threads that actually executed the batch's updates. Benches record it
+  /// so a batch can never claim parallelism while silently running on one
+  /// thread. Telemetry only — never part of the output bytes.
   std::size_t workers_used = 1;
   /// Wall time plus this call's own tallies (frames, far_blocks,
   /// cache_hit); filled by generate(), reset on every cache hit.
@@ -168,17 +166,16 @@ class PartialBitstreamGenerator {
                                           const Region& region,
                                           const PartialGenOptions& opts = {}) const;
 
-  /// Fans independent region updates out over a shared worker pool:
-  /// `num_threads == 0` uses ThreadPool::global() (hardware-sized), N > 0
-  /// uses ThreadPool::sized(N) — so callers on a small host can still
-  /// request a real fan-out. Each worker runs the whole per-update
-  /// pipeline off-thread: content hash, cache probe, overlay composition,
-  /// stream emission and cache insertion. The regions must own
-  /// pairwise-disjoint majors (their frame sets are then disjoint, so the
-  /// generations are embarrassingly parallel); overlapping batches are
-  /// rejected. Output order matches input order and each element is
+  /// Fans independent region updates out over ThreadPool::global():
+  /// `num_threads == 0` uses the caller plus every worker, 1 runs the batch
+  /// on the caller, N > 1 uses at most N threads, caller included. Each
+  /// thread runs the whole per-update pipeline: content hash, cache probe,
+  /// overlay composition, stream emission and cache insertion. The regions
+  /// must own pairwise-disjoint majors (their frame sets are then disjoint,
+  /// so the generations are embarrassingly parallel); overlapping batches
+  /// are rejected. Output order matches input order and each element is
   /// byte-identical to a sequential generate() call at any thread count.
-  /// Every result carries pool_threads/workers_used for auditing.
+  /// Every result carries workers_used for auditing.
   [[nodiscard]] std::vector<PartialGenResult> generate_batch(
       std::span<const RegionUpdate> updates, std::size_t num_threads = 0) const;
 

@@ -239,21 +239,12 @@ std::vector<std::size_t> VerifiedDownloader::verify_against(
   return bad;
 }
 
-void VerifiedDownloader::backoff(int attempt) {
-  if (policy_.backoff_cycles <= 0) return;
-  const int shift = std::clamp(attempt - 2, 0, 16);
-  board_->step_clock(policy_.backoff_cycles << shift);
-}
-
 bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
                                   std::vector<std::size_t> check, int budget,
                                   bool ensure_started, int& attempts,
                                   DownloadReport& rep) {
   for (int attempt = 1; attempt <= budget; ++attempt) {
-    // Backoff follows the download's running attempt count, so a repair
-    // after a streamed send backs off like any other retry.
     ++attempts;
-    if (attempts > 1) backoff(attempts);
     try {
       // ABORT first: a previous stream cut off mid-payload left the port
       // waiting for FDRI words that would otherwise swallow this stream.

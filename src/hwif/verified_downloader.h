@@ -48,9 +48,6 @@ struct DownloadPolicy {
   int max_attempts = 4;
   /// Send attempts for the rollback stream after the update is given up on.
   int rollback_max_attempts = 4;
-  /// User-clock cycles stepped between attempts, doubling each retry
-  /// (link-level backoff; 0 disables clocking entirely).
-  int backoff_cycles = 0;
   /// After the touched frames verify, read back the whole plane too: a
   /// corrupted-but-valid FAR can land frames outside the touched set, and
   /// only a sweep catches those strays.
@@ -222,8 +219,6 @@ class VerifiedDownloader {
   /// Applies the shadow rule to the frames the shadow port committed:
   /// shadow -> mirror on success, mirror -> shadow otherwise.
   void settle_shadow(bool success);
-
-  void backoff(int attempt);
 
   /// Fills rep.telemetry from the per-download tallies accumulated by
   /// converge() (words sent, readback words, repair rounds, aborts).

@@ -128,6 +128,13 @@ const RoutingGraph& RoutingGraph::get(const Device& device) {
 
 namespace {
 
+/// PathFinder negotiation factors: the present-congestion factor of the
+/// first iteration, its growth per iteration, and the history weight added
+/// per unit of overuse.
+constexpr double kPresFacFirst = 0.8;
+constexpr double kPresFacMult = 1.6;
+constexpr double kHistFac = 0.5;
+
 /// Bumps an epoch stamp. On wrap-around the stamped array is cleared, so no
 /// entry left from an earlier epoch can alias the new value.
 void advance_epoch(std::vector<std::uint32_t>& stamps, std::uint32_t& epoch) {
@@ -649,18 +656,14 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
   if (opt_.reference_impl) return run_reference(stats);
 
   compute_bboxes();
-  // Execution width: 1 routes in the caller's thread; 0/auto and N>1 lease
-  // a shared pool. The result is identical either way (batch snapshots).
-  ThreadPool* pool = nullptr;
-  std::shared_ptr<ThreadPool> pool_lease;  // keeps the sized pool alive
-  if (opt_.num_threads != 1) {
-    pool_lease = ThreadPool::sized(
-        opt_.num_threads <= 0 ? 0 : static_cast<std::size_t>(opt_.num_threads));
-    if (pool_lease->size() > 1) pool = pool_lease.get();
-  }
+  // Execution width on the global pool: 0 is the whole pool, 1 the caller's
+  // thread, N > 1 at most N threads. The result is identical at every width
+  // (batch snapshots).
+  const std::size_t max_threads =
+      opt_.num_threads <= 0 ? 0 : static_cast<std::size_t>(opt_.num_threads);
   ScratchPool& scratch = ws_.scratch;
 
-  pres_fac_ = opt_.pres_fac_first;
+  pres_fac_ = kPresFacFirst;
   const int max_spec_rounds = std::max(1, opt_.max_spec_rounds);
   std::vector<std::size_t> work, pending, retry;
   std::vector<std::size_t> overused_nodes;
@@ -705,15 +708,13 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
       JPG_TELEM(JPG_HIST("pnr.route.round_width", pending.size());)
       // occupancy_/history_ are read-only until every search of the round
       // has finished.
-      if (pool == nullptr || pending.size() == 1) {
-        ScratchPool::Lease lease(scratch);
-        for (const std::size_t i : pending) route_net(i, *lease.s);
-      } else {
-        pool->parallel_for(pending.size(), [&](std::size_t k) {
-          ScratchPool::Lease lease(scratch);
-          route_net(pending[k], *lease.s);
-        });
-      }
+      ThreadPool::global().parallel_for(
+          pending.size(),
+          [&](std::size_t k) {
+            ScratchPool::Lease lease(scratch);
+            route_net(pending[k], *lease.s);
+          },
+          max_threads);
       // Deterministic merge barrier: claims land in net order. Rip-up
       // leaves every node at occupancy 0 or 1 (all riders of an overused
       // node are rerouted together), so a node is overused this iteration
@@ -754,10 +755,10 @@ std::vector<RoutedNet> PathFinder::run(RouteStats* stats) {
     JPG_HIST("pnr.route.overuse", overused_nodes.size());
     for (const std::size_t node : overused_nodes) {
       add_history(node,
-                  opt_.hist_fac * static_cast<double>(occupancy_[node] - 1));
+                  kHistFac * static_cast<double>(occupancy_[node] - 1));
     }
     if (overused_nodes.empty()) break;
-    pres_fac_ *= opt_.pres_fac_mult;
+    pres_fac_ *= kPresFacMult;
     if (iter == opt_.max_iterations) {
       throw DeviceError("router failed to resolve congestion after " +
                         std::to_string(iter) + " iterations");
@@ -893,7 +894,7 @@ std::vector<RoutedNet> PathFinder::run_reference(RouteStats* stats) {
   const std::size_t n = g_.num_nodes();
   ScratchPool::Lease lease(ws_.scratch);
 
-  pres_fac_ = opt_.pres_fac_first;
+  pres_fac_ = kPresFacFirst;
   std::size_t reroutes = 0;
   int iter = 0;
   for (iter = 1; iter <= opt_.max_iterations; ++iter) {
@@ -915,11 +916,11 @@ std::vector<RoutedNet> PathFinder::run_reference(RouteStats* stats) {
       if (occupancy_[node] > 1) {
         overused = true;
         add_history(node,
-                    opt_.hist_fac * static_cast<double>(occupancy_[node] - 1));
+                    kHistFac * static_cast<double>(occupancy_[node] - 1));
       }
     }
     if (!overused) break;
-    pres_fac_ *= opt_.pres_fac_mult;
+    pres_fac_ *= kPresFacMult;
     if (iter == opt_.max_iterations) {
       throw DeviceError("router failed to resolve congestion after " +
                         std::to_string(iter) + " iterations");

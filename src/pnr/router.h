@@ -123,16 +123,13 @@ struct RouteConstraints {
 
 struct RouterOptions {
   int max_iterations = 60;
-  double pres_fac_first = 0.8;
-  double pres_fac_mult = 1.6;
-  double hist_fac = 0.5;
-  /// Worker threads for the per-iteration net fan-out: 0 sizes to the
-  /// hardware (ThreadPool::global()), 1 routes in the caller's thread, N>1
-  /// uses a shared pool of exactly N workers (ThreadPool::sized). The
-  /// routed output is byte-identical for every value — all speculative
-  /// searches of a round run against the same frozen snapshot and merge at
-  /// a deterministic net-order barrier, so the thread count only changes
-  /// wall-clock, never the result.
+  /// Threads for the per-iteration net fan-out, all on ThreadPool::global():
+  /// 0 uses the caller plus every worker, 1 routes in the caller's thread,
+  /// N > 1 uses at most N threads, caller included. The routed output is
+  /// byte-identical for every value — all speculative searches of a round
+  /// run against the same frozen snapshot and merge at a deterministic
+  /// net-order barrier, so the thread count only changes wall-clock, never
+  /// the result.
   int num_threads = 0;
   /// Speculative conflict-retry rounds per iteration. Round 1 routes the
   /// whole rip-up wave; each later round reroutes only the nets whose

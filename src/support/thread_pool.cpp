@@ -101,14 +101,16 @@ struct ParallelForContext {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body,
+                              std::size_t max_threads,
                               ParallelForStats* stats) {
   if (n == 0) {
     if (stats != nullptr) stats->workers_used = 0;
     return;
   }
-  // On a single worker (or tiny n) run inline: no synchronization cost and
-  // identical iteration order, which keeps seeded algorithms deterministic.
-  if (workers_.size() <= 1 || n == 1) {
+  // On a single worker, a width cap of 1 or tiny n run inline: no
+  // synchronization cost and identical iteration order, which keeps seeded
+  // algorithms deterministic.
+  if (workers_.size() <= 1 || max_threads == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     if (stats != nullptr) stats->workers_used = 1;
     return;
@@ -118,7 +120,10 @@ void ThreadPool::parallel_for(std::size_t n,
   ctx->n = n;
   ctx->body = &body;  // the caller outlives every *iteration* (see wait)
 
-  const std::size_t chunks = std::min(n, workers_.size());
+  // Helper tasks beside the caller: one per worker, at most
+  // max_threads - 1 under a cap.
+  std::size_t chunks = std::min(n, workers_.size());
+  if (max_threads != 0) chunks = std::min(chunks, max_threads - 1);
   JPG_COUNT("pool.parallel_fors", 1);
   JPG_HIST("pool.parallel_for_n", n);
   {
@@ -171,94 +176,6 @@ bool ThreadPool::on_worker_thread() const noexcept {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-namespace {
-
-/// LRU cache behind ThreadPool::sized: front of `entries` is the most
-/// recently leased pool. Leases are shared_ptrs, so an entry is idle —
-/// evictable — exactly when its use_count() is 1 (only the cache holds it).
-struct SizedPoolCache {
-  struct Entry {
-    std::size_t width = 0;
-    std::shared_ptr<ThreadPool> pool;
-  };
-  std::mutex mutex;
-  std::vector<Entry> entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-};
-
-SizedPoolCache& sized_cache() {
-  // Function-local static (not leaked): destruction at exit joins every
-  // cached pool's workers, like the pre-cap per-width map did.
-  static SizedPoolCache cache;
-  return cache;
-}
-
-}  // namespace
-
-std::shared_ptr<ThreadPool> ThreadPool::sized(std::size_t n) {
-  if (n == 0) {
-    // Non-owning lease on the process-wide pool.
-    return {&global(), [](ThreadPool*) {}};
-  }
-  SizedPoolCache& cache = sized_cache();
-  std::shared_ptr<ThreadPool> evicted;  // destroyed (joined) outside the lock
-  std::shared_ptr<ThreadPool> lease;
-  {
-    const std::lock_guard<std::mutex> lock(cache.mutex);
-    auto it = std::find_if(cache.entries.begin(), cache.entries.end(),
-                           [n](const auto& e) { return e.width == n; });
-    if (it != cache.entries.end()) {
-      ++cache.hits;
-      JPG_COUNT("pool.sized.hits", 1);
-      lease = it->pool;
-      std::rotate(cache.entries.begin(), it, it + 1);  // move to front
-    } else {
-      ++cache.misses;
-      JPG_COUNT("pool.sized.misses", 1);
-      lease = std::make_shared<ThreadPool>(n);
-      cache.entries.insert(cache.entries.begin(), {n, lease});
-      // Over the cap, drop the least-recently-leased idle pool. When every
-      // cached pool is leased out the cache runs over the cap temporarily —
-      // bounded by the number of concurrent distinct-width users — and
-      // shrinks back as leases drop and later calls evict.
-      if (cache.entries.size() > kMaxSizedPools) {
-        for (auto rit = cache.entries.rbegin(); rit != cache.entries.rend();
-             ++rit) {
-          if (rit->pool.use_count() == 1) {
-            ++cache.evictions;
-            JPG_COUNT("pool.sized.evictions", 1);
-            evicted = std::move(rit->pool);
-            cache.entries.erase(std::next(rit).base());
-            break;
-          }
-        }
-      }
-    }
-  }
-  return lease;
-}
-
-ThreadPool::SizedCacheStats ThreadPool::sized_cache_stats() {
-  SizedPoolCache& cache = sized_cache();
-  const std::lock_guard<std::mutex> lock(cache.mutex);
-  SizedCacheStats stats;
-  stats.pools = cache.entries.size();
-  for (const auto& e : cache.entries) {
-    stats.total_workers += e.pool->size();
-    if (e.pool.use_count() > 1) ++stats.leased;
-  }
-  stats.hits = cache.hits;
-  stats.misses = cache.misses;
-  stats.evictions = cache.evictions;
-  return stats;
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  ThreadPool::global().parallel_for(n, body);
 }
 
 }  // namespace jpg

@@ -1,17 +1,20 @@
 // A small work-stealing-free thread pool with a parallel_for helper.
 //
-// jpg-cpp uses task parallelism in three places: the PathFinder router's
-// per-net path searches within an iteration, fan-out of independent module
-// flows (each region variant is an independent P&R run), and the bench
-// harness. The pool is sized to the hardware by default; on a single-core
-// host parallel_for degrades to a plain loop with no thread overhead.
+// jpg-cpp runs one pool per process, ThreadPool::global(), sized to the
+// hardware. Its users: the PathFinder router's per-net path searches within
+// an iteration, PartialBitstreamGenerator::generate_batch's fan-out over
+// disjoint regions, and the ReconfigService's executions (which also carry
+// the scheduler's nodes). A caller that wants a narrower fan-out caps
+// parallel_for's width instead of building a pool of its own; no width
+// value creates a thread beyond the global pool's workers. On a
+// one-worker pool parallel_for degrades to a plain loop with no thread
+// overhead.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -41,8 +44,12 @@ class ThreadPool {
 
   /// Runs `body(i)` for i in [0, n). Blocks until all iterations finish.
   /// Exceptions from `body` are rethrown (first one wins) on the caller.
-  /// `stats`, when non-null, receives the observed execution shape.
+  /// `max_threads` caps the width, caller included: 0 is the caller plus
+  /// every worker, 1 runs inline on the caller in index order, k > 1 the
+  /// caller plus at most k - 1 helper tasks. `stats`, when non-null,
+  /// receives the observed execution shape.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
+                    std::size_t max_threads = 0,
                     ParallelForStats* stats = nullptr);
 
   /// Enqueues one task for any worker; the future becomes ready when it
@@ -61,33 +68,6 @@ class ThreadPool {
   /// Shared process-wide pool (lazily constructed).
   static ThreadPool& global();
 
-  /// Shared pool with exactly `n` workers, leased from a small LRU cache.
-  /// `n == 0` returns global() (the lease is non-owning). Callers that take
-  /// a thread-count knob (RouterOptions::num_threads) use this so repeated
-  /// runs at the same width reuse the same workers instead of spawning a
-  /// pool per call. The cache keeps at most kMaxSizedPools pools: when a
-  /// new width would exceed the cap, the least-recently-leased *idle* pool
-  /// (no outstanding lease) is destroyed — its workers join — so a
-  /// long-running daemon that sizes pools per request cannot leak threads
-  /// without bound. Hold the returned lease for as long as the pool is in
-  /// use; a pool with a live lease is never evicted.
-  [[nodiscard]] static std::shared_ptr<ThreadPool> sized(std::size_t n);
-
-  /// Distinct sized pools cached at once (global() is separate).
-  static constexpr std::size_t kMaxSizedPools = 4;
-
-  /// Observability for the sized-pool cache (the leak-regression sweep test
-  /// asserts total_workers stays bounded over any width sequence).
-  struct SizedCacheStats {
-    std::size_t pools = 0;          ///< cached pools right now
-    std::size_t total_workers = 0;  ///< sum of their widths
-    std::size_t leased = 0;         ///< pools with an outstanding lease
-    std::size_t hits = 0;           ///< leases served from the cache
-    std::size_t misses = 0;         ///< leases that constructed a pool
-    std::size_t evictions = 0;      ///< idle pools destroyed at the cap
-  };
-  [[nodiscard]] static SizedCacheStats sized_cache_stats();
-
  private:
   void worker_loop();
 
@@ -97,8 +77,5 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
-
-/// Convenience wrapper over ThreadPool::global().
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace jpg

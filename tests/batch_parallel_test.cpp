@@ -1,10 +1,13 @@
 // Determinism and audit tests for the parallel generate_batch fan-out: the
-// batch output must be byte-identical at any requested pool width (every
-// update composes against the immutable base plane and lands in its input
-// slot), and the result must honestly report the pool width it actually ran
-// on (PartialGenResult::pool_threads / workers_used) so a silent fall-back
-// to an inline loop can never masquerade as batch parallelism.
+// batch output must be byte-identical at any requested width (every update
+// composes against the immutable base plane and lands in its input slot),
+// and the result must honestly report the fan-out it actually ran with
+// (PartialGenResult::workers_used, at most the requested width on
+// ThreadPool::global()) so a silent fall-back to an inline loop can never
+// masquerade as batch parallelism.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/partial_gen.h"
 #include "support/rng.h"
@@ -46,10 +49,7 @@ TEST(BatchParallel, ByteIdenticalAcrossPoolWidthsOnXCV800) {
   const PartialBitstreamGenerator gen(base, /*cache_capacity=*/0);
   const auto baseline = gen.generate_batch(updates, 1);
   ASSERT_EQ(baseline.size(), updates.size());
-  for (const PartialGenResult& r : baseline) {
-    EXPECT_EQ(r.pool_threads, 1u);
-    EXPECT_EQ(r.workers_used, 1u);
-  }
+  for (const PartialGenResult& r : baseline) EXPECT_EQ(r.workers_used, 1u);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
     const auto res = gen.generate_batch(updates, threads);
@@ -61,11 +61,11 @@ TEST(BatchParallel, ByteIdenticalAcrossPoolWidthsOnXCV800) {
           << "update " << i << " threads " << threads;
       EXPECT_EQ(res[i].far_blocks, baseline[i].far_blocks)
           << "update " << i << " threads " << threads;
-      // Audit: the result reports the pool it was asked for, and an
-      // observed fan-out of at least one runner, at most pool + caller.
-      EXPECT_EQ(res[i].pool_threads, threads);
+      // Audit: an observed fan-out of at least one runner, at most the
+      // requested width and at most the global pool plus the caller.
       EXPECT_GE(res[i].workers_used, 1u);
-      EXPECT_LE(res[i].workers_used, threads + 1);
+      EXPECT_LE(res[i].workers_used,
+                std::min(threads, ThreadPool::global().size() + 1));
     }
   }
 }
@@ -99,7 +99,9 @@ TEST(BatchParallel, CachedBatchStaysByteIdenticalAcrossPoolWidths) {
     for (std::size_t i = 0; i < res.size(); ++i) {
       EXPECT_EQ(res[i].bitstream.words, baseline[i].bitstream.words)
           << "update " << i << " threads " << threads;
-      EXPECT_EQ(res[i].pool_threads, threads);
+      EXPECT_GE(res[i].workers_used, 1u);
+      EXPECT_LE(res[i].workers_used,
+                std::min(threads, ThreadPool::global().size() + 1));
     }
   }
 }
@@ -114,7 +116,6 @@ TEST(BatchParallel, DefaultWidthUsesGlobalPool) {
   };
   const PartialBitstreamGenerator gen(base, /*cache_capacity=*/0);
   for (const PartialGenResult& r : gen.generate_batch(updates)) {
-    EXPECT_EQ(r.pool_threads, ThreadPool::global().size());
     EXPECT_GE(r.workers_used, 1u);
     EXPECT_LE(r.workers_used, ThreadPool::global().size() + 1);
   }

@@ -2,10 +2,11 @@
 // ThreadPool, and error types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -465,48 +466,73 @@ TEST(ThreadPool, NestedSubmitRunsInlineAndPropagatesExceptions) {
   EXPECT_TRUE(foreign_ran);
 }
 
-// Regression: sized() used to cache one pool per distinct width forever, so
-// a daemon sizing pools per request leaked threads without bound. The LRU
-// cap keeps the cached worker population bounded over any width sequence.
+// A width cap narrows the fan-out on the one global pool: whatever the cap,
+// every index runs once, only the caller and global() workers run
+// iterations, and no more than min(w, size() + 1) distinct threads take
+// part.
 TEST(ThreadPool, SizedCacheStaysBoundedOverWidthSweep) {
-  const auto before = ThreadPool::sized_cache_stats();
+  ThreadPool& pool = ThreadPool::global();
+  const std::thread::id caller = std::this_thread::get_id();
   constexpr std::size_t kMaxWidth = 24;
+  constexpr std::size_t kN = 64;
   for (std::size_t w = 1; w <= kMaxWidth; ++w) {
-    const std::shared_ptr<ThreadPool> lease = ThreadPool::sized(w);
-    ASSERT_EQ(lease->size(), w);
-    // Use the pool so eviction is exercised against live-then-idle pools.
-    std::atomic<int> n{0};
-    lease->parallel_for(8, [&](std::size_t) { n.fetch_add(1); });
-    EXPECT_EQ(n.load(), 8);
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<int> foreign{0};
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    pool.parallel_for(
+        kN,
+        [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          const std::thread::id self = std::this_thread::get_id();
+          if (self != caller && !pool.on_worker_thread()) foreign.fetch_add(1);
+          const std::lock_guard<std::mutex> lock(mutex);
+          ids.insert(self);
+        },
+        w);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " width " << w;
+    }
+    EXPECT_EQ(foreign.load(), 0) << "width " << w;
+    EXPECT_GE(ids.size(), 1u) << "width " << w;
+    EXPECT_LE(ids.size(), std::min(w, pool.size() + 1)) << "width " << w;
   }
-  const auto after = ThreadPool::sized_cache_stats();
-  EXPECT_LE(after.pools, ThreadPool::kMaxSizedPools);
-  // The cached population is at most the cap's worth of the widest pools.
-  EXPECT_LE(after.total_workers, ThreadPool::kMaxSizedPools * kMaxWidth);
-  EXPECT_GE(after.evictions, before.evictions + kMaxWidth -
-                                 ThreadPool::kMaxSizedPools);
 }
 
+// Width 1 is an inline loop on the caller in index order (what the router
+// and generate_batch rely on for num_threads = 1), and an exception thrown
+// under any cap still reaches the caller.
 TEST(ThreadPool, SizedCacheReusesPoolsAndPinsLeased) {
-  // Same width twice -> the same pool object (a cache hit, not a respawn).
-  const auto s0 = ThreadPool::sized_cache_stats();
-  const std::shared_ptr<ThreadPool> a = ThreadPool::sized(3);
-  const std::shared_ptr<ThreadPool> b = ThreadPool::sized(3);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_GE(ThreadPool::sized_cache_stats().hits, s0.hits + 1);
+  ThreadPool& pool = ThreadPool::global();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::vector<std::size_t> order;
+  bool off_caller = false;
+  ThreadPool::ParallelForStats stats;
+  pool.parallel_for(
+      16,
+      [&](std::size_t i) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(i);
+        if (std::this_thread::get_id() != caller) off_caller = true;
+      },
+      1, &stats);
+  std::vector<std::size_t> expected(16);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(stats.workers_used, 1u);
 
-  // A leased pool survives any amount of width churn past the cap.
-  for (std::size_t w = 30; w < 30 + 3 * ThreadPool::kMaxSizedPools; ++w) {
-    (void)ThreadPool::sized(w);
+  for (const std::size_t cap : {1u, 2u, 3u}) {
+    EXPECT_THROW(pool.parallel_for(
+                     10,
+                     [](std::size_t i) {
+                       if (i == 5) throw JpgError("boom");
+                     },
+                     cap),
+                 JpgError)
+        << "cap " << cap;
   }
-  std::atomic<int> n{0};
-  a->parallel_for(5, [&](std::size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 5);
-  EXPECT_EQ(a->size(), 3u);
-
-  // Width 0 leases the process-global pool without owning it.
-  const std::shared_ptr<ThreadPool> g = ThreadPool::sized(0);
-  EXPECT_EQ(g.get(), &ThreadPool::global());
 }
 
 TEST(Errors, ParseErrorCarriesLocation) {
