@@ -37,13 +37,7 @@ class FrameOverlay {
     return frames_.emplace(idx, base_->frame(idx)).first->second;
   }
 
-  [[nodiscard]] bool overlaid(std::size_t idx) const {
-    return frames_.contains(idx);
-  }
   [[nodiscard]] std::size_t overlay_count() const { return frames_.size(); }
-
-  /// Indices of materialised frames, ascending.
-  [[nodiscard]] std::vector<std::size_t> overlaid_indices() const;
 
  private:
   const ConfigMemory* base_;

@@ -262,17 +262,6 @@ PartialGenResult PbitRelocator::relocate(const Bitstream& pbit,
   return res;
 }
 
-PartialGenResult PbitRelocator::relocate_plane(const ConfigMemory& plane,
-                                               const Region& src,
-                                               const Region& dst,
-                                               const RelocOptions& opts) const {
-  JPG_SPAN("reloc.relocate");
-  const ConfigMemory module = translate(plane, src, dst, opts);
-  PartialGenResult res = gen_->generate(module, dst, opts.gen);
-  JPG_COUNT("reloc.relocations", 1);
-  return res;
-}
-
 PbitLease PbitRelocator::relocate_leased(const Bitstream& pbit,
                                          const Region& src, const Region& dst,
                                          const RelocOptions& opts) const {

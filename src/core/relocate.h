@@ -104,12 +104,6 @@ class PbitRelocator {
                                           const Region& src, const Region& dst,
                                           const RelocOptions& opts = {}) const;
 
-  /// Plane-sourced form: relocates content already composed at `src` (e.g.
-  /// a VerifiedDownloader mirror during defragmentation).
-  [[nodiscard]] PartialGenResult relocate_plane(
-      const ConfigMemory& plane, const Region& src, const Region& dst,
-      const RelocOptions& opts = {}) const;
-
   /// Leased form of relocate() for the zero-copy streaming datapath.
   [[nodiscard]] PbitLease relocate_leased(const Bitstream& pbit,
                                           const Region& src, const Region& dst,

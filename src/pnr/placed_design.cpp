@@ -132,16 +132,6 @@ std::vector<std::size_t> PlacedDesign::sink_nodes(NetId net) const {
   return out;
 }
 
-bool PlacedDesign::needs_routing(NetId net) const {
-  const Net& n = netlist_.net(net);
-  if (n.driver == kNullCell || n.sinks.empty()) return false;
-  const CellKind dk = netlist_.cell(n.driver).kind;
-  if (dk == CellKind::Gnd || dk == CellKind::Vcc) {
-    JPG_ASSERT_MSG(false, "constant nets must be folded by the packer");
-  }
-  return !sink_nodes(net).empty();
-}
-
 std::size_t PlacedDesign::apply(CBits& cb) const {
   JPG_REQUIRE(slice_sites.size() == slices.size(), "design is not placed");
   std::size_t calls = 0;

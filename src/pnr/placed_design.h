@@ -124,10 +124,6 @@ class PlacedDesign {
   [[nodiscard]] std::optional<std::size_t> sink_node_for(
       NetId net, const NetSink& sink) const;
 
-  /// True if the net needs fabric routing at all (some nets are entirely
-  /// internal to a slice: LUT feeding only its paired FF).
-  [[nodiscard]] bool needs_routing(NetId net) const;
-
   /// Programs the whole design into configuration memory: slice fields,
   /// LUTs, routing pips, IOB settings. The canonical "make CBits calls".
   /// Returns the number of CBits calls issued (the paper's tool workload).

@@ -98,11 +98,9 @@ AcceleratorScheduler::AcceleratorScheduler(const SchedFixture& fixture,
 
   boards_.resize(cfg_.num_boards);
   for (BoardState& b : boards_) {
-    b.slots.resize(fixture_->slots().size());
+    b.busy.assign(fixture_->slots().size(), false);
   }
   JPG_GAUGE_SET("sched.boards", static_cast<std::int64_t>(cfg_.num_boards));
-
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 AcceleratorScheduler::~AcceleratorScheduler() { shutdown(true); }
@@ -157,7 +155,7 @@ AppTicket AcceleratorScheduler::submit(TaskGraph graph) {
     drop_finished_locked();
   }
   JPG_COUNT("sched.apps.submitted", 1);
-  cv_.notify_all();
+  pump();
   return ticket;
 }
 
@@ -169,14 +167,30 @@ bool AcceleratorScheduler::all_boards_revoked_locked() const {
 }
 
 bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
-  // Free (board, slot) pairs on unrevoked boards.
-  std::vector<std::pair<int, int>> free_slots;
+  // Free (board, slot) pairs on unrevoked boards, each with the variant the
+  // service's ledger holds there ("" = base content). The ledger is read
+  // once per board that has a free slot.
+  struct FreeSlot {
+    int board;
+    int slot;
+    std::string variant;
+  };
+  std::vector<FreeSlot> free_slots;
   for (std::size_t b = 0; b < boards_.size(); ++b) {
-    if (boards_[b].revoked) continue;
-    for (std::size_t s = 0; s < boards_[b].slots.size(); ++s) {
-      if (!boards_[b].slots[s].busy) {
-        free_slots.emplace_back(static_cast<int>(b), static_cast<int>(s));
+    const BoardState& board = boards_[b];
+    if (board.revoked ||
+        std::find(board.busy.begin(), board.busy.end(), false) ==
+            board.busy.end()) {
+      continue;
+    }
+    const std::vector<AppliedSlot> applied = svc_->applied_pbits(b);
+    for (std::size_t s = 0; s < board.busy.size(); ++s) {
+      if (board.busy[s]) continue;
+      FreeSlot fs{static_cast<int>(b), static_cast<int>(s), {}};
+      for (const AppliedSlot& a : applied) {
+        if (a.region == fixture_->slots()[s]) fs.variant = a.variant;
       }
+      free_slots.push_back(std::move(fs));
     }
   }
   if (free_slots.empty()) return false;
@@ -193,16 +207,12 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
 
       // Rung 1 — reuse: a free slot already holds a pool variant.
       if (cfg_.locality) {
-        for (const auto& [b, s] : free_slots) {
-          const std::string& resident =
-              boards_[static_cast<std::size_t>(b)]
-                  .slots[static_cast<std::size_t>(s)]
-                  .variant;
-          if (resident.empty()) continue;
+        for (const FreeSlot& fs : free_slots) {
+          if (fs.variant.empty()) continue;
           for (const int cand : node.pool) {
-            if (SchedFixture::variant_label(node.kernel, cand) == resident) {
-              board = b;
-              slot = s;
+            if (SchedFixture::variant_label(node.kernel, cand) == fs.variant) {
+              board = fs.board;
+              slot = fs.slot;
               impl = cand;
               placement = Placement::Reuse;
               break;
@@ -211,40 +221,30 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
           if (board >= 0) break;
         }
       }
-      // Rung 2 — relocation: a donor lease of a pool variant exists
-      // somewhere. The index is advisory; if the service can no longer find
-      // the donor, the cold retry covers it.
+      // Rung 2 — relocation: the service holds a resident donor of a pool
+      // variant.
       if (board < 0 && cfg_.allow_relocation) {
         for (const int cand : node.pool) {
-          const auto it = lease_regions_.find(
-              SchedFixture::variant_label(node.kernel, cand));
-          if (it != lease_regions_.end() && !it->second.empty()) {
+          if (svc_->has_resident(
+                  SchedFixture::variant_label(node.kernel, cand))) {
             impl = cand;
             placement = Placement::Relocated;
+            board = free_slots.front().board;
+            slot = free_slots.front().slot;
             break;
           }
-        }
-        if (placement == Placement::Relocated) {
-          board = free_slots.front().first;
-          slot = free_slots.front().second;
         }
       }
       // Rung 3 — cold generate. Prefer a slot still holding base v0 so a
       // resident variant elsewhere stays reusable.
       if (board < 0) {
-        for (const auto& [b, s] : free_slots) {
-          if (boards_[static_cast<std::size_t>(b)]
-                  .slots[static_cast<std::size_t>(s)]
-                  .variant.empty()) {
-            board = b;
-            slot = s;
-            break;
-          }
-        }
-        if (board < 0) {
-          board = free_slots.front().first;
-          slot = free_slots.front().second;
-        }
+        const auto base = std::find_if(
+            free_slots.begin(), free_slots.end(),
+            [](const FreeSlot& fs) { return fs.variant.empty(); });
+        const FreeSlot& fs =
+            base != free_slots.end() ? *base : free_slots.front();
+        board = fs.board;
+        slot = fs.slot;
         placement = Placement::Cold;
       }
 
@@ -259,8 +259,7 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
 
       app->state[i] = NodeState::Running;
       boards_[static_cast<std::size_t>(board)]
-          .slots[static_cast<std::size_t>(slot)]
-          .busy = true;
+          .busy[static_cast<std::size_t>(slot)] = true;
       NodeResult& r = app->results[i];
       r.start_event = ++event_clock_;
       r.board = board;
@@ -286,9 +285,11 @@ bool AcceleratorScheduler::pick_dispatch_locked(Dispatch& out) {
   return false;
 }
 
-void AcceleratorScheduler::dispatcher_loop() {
+void AcceleratorScheduler::pump() {
   std::unique_lock<std::mutex> lk(lock_);
-  while (!stop_dispatcher_) {
+  if (pumping_) return;
+  pumping_ = true;
+  for (;;) {
     Dispatch d;
     if (!retries_.empty()) {
       d = std::move(retries_.front());
@@ -298,8 +299,7 @@ void AcceleratorScheduler::dispatcher_loop() {
       ++stats_.nodes_dispatched;
       JPG_COUNT("sched.nodes.dispatched", 1);
     } else {
-      cv_.wait(lk);
-      continue;
+      break;
     }
     ServiceRequest req = request_for(d);
     running_.emplace(req.cookie, std::move(d));
@@ -309,6 +309,7 @@ void AcceleratorScheduler::dispatcher_loop() {
     (void)svc_->submit(std::move(req));
     lk.lock();
   }
+  pumping_ = false;
 }
 
 ServiceRequest AcceleratorScheduler::request_for(const Dispatch& d) const {
@@ -334,6 +335,7 @@ ServiceRequest AcceleratorScheduler::request_for(const Dispatch& d) const {
 void AcceleratorScheduler::on_service_complete(const ServiceResponse& resp) {
   JPG_COUNT("sched.svc_completions", 1);
   Dispatch d;
+  bool retry = false;
   {
     const std::lock_guard<std::mutex> guard(lock_);
     ++stats_.completion_events;
@@ -341,14 +343,17 @@ void AcceleratorScheduler::on_service_complete(const ServiceResponse& resp) {
     if (it == running_.end()) return;  // not one of this scheduler's nodes
     d = std::move(it->second);
     running_.erase(it);
-    if (!resp.ok() && d.attempt < cfg_.max_retries) {
+    retry = !resp.ok() && d.attempt < cfg_.max_retries;
+    if (retry) {
       ++d.attempt;
       ++stats_.swap_retries;
       JPG_COUNT("sched.swap_retries", 1);
       retries_.push_back(std::move(d));
-      cv_.notify_all();
-      return;
     }
+  }
+  if (retry) {
+    pump();
+    return;
   }
 
   // Completion bus payload: the circuit of the pbit the service actually
@@ -374,35 +379,29 @@ void AcceleratorScheduler::on_service_complete(const ServiceResponse& resp) {
             (resp.message.empty() ? "" : ": " + resp.message);
   }
 
-  std::unique_lock<std::mutex> lk(lock_);
-  NodeResult result = d.app->results[d.node];
-  // A serve after a retry fell through the ladder: account it as cold.
-  result.placement = d.attempt == 0 ? d.placement : Placement::Cold;
-  result.ok = error.empty();
-  result.error = std::move(error);
-  result.trace = std::move(trace);
-  if (resp.ok()) {
-    result.queue_wait_ns += resp.queue_wait_ns;
-    result.service_ns = resp.service_ns;
+  {
+    const std::lock_guard<std::mutex> guard(lock_);
+    NodeResult result = d.app->results[d.node];
+    // A serve after a retry fell through the ladder: account it as cold.
+    result.placement = d.attempt == 0 ? d.placement : Placement::Cold;
+    result.ok = error.empty();
+    result.error = std::move(error);
+    result.trace = std::move(trace);
+    if (resp.ok()) {
+      result.queue_wait_ns += resp.queue_wait_ns;
+      result.service_ns = resp.service_ns;
+    }
+    complete_node_locked(d, std::move(result));
   }
-  complete_node_locked(lk, d, std::move(result));
+  pump();
 }
 
-void AcceleratorScheduler::complete_node_locked(
-    std::unique_lock<std::mutex>& lock, const Dispatch& d, NodeResult result) {
-  (void)lock;
+void AcceleratorScheduler::complete_node_locked(const Dispatch& d,
+                                                NodeResult result) {
   AppCtx& app = *d.app;
   result.end_event = ++event_clock_;
-
-  BoardState& board = boards_[static_cast<std::size_t>(d.board)];
-  SlotState& slot = board.slots[static_cast<std::size_t>(d.slot)];
-  slot.busy = false;
-  if (result.ok) {
-    slot.variant = result.variant;
-    lease_regions_[result.variant].insert(
-        fixture_->slots()[static_cast<std::size_t>(d.slot)].to_string());
-  }
-
+  boards_[static_cast<std::size_t>(d.board)]
+      .busy[static_cast<std::size_t>(d.slot)] = false;
   --inflight_;
   const std::size_t i = d.node;
   if (result.ok) {
@@ -449,16 +448,9 @@ void AcceleratorScheduler::complete_node_locked(
     }
   } else {
     // Failure or cancellation: nothing further from this app can run.
-    for (std::size_t j = 0; j < app.graph.nodes.size(); ++j) {
-      if (app.state[j] == NodeState::Waiting ||
-          app.state[j] == NodeState::Ready) {
-        app.state[j] = NodeState::Cancelled;
-        app.results[j].error =
-            app.cancelled ? "cancelled" : "predecessor failed";
-        ++stats_.nodes_cancelled;
-        --app.unfinished;
-      }
-    }
+    resolve_unstarted_locked(
+        app, NodeState::Cancelled,
+        app.cancelled ? "cancelled" : "predecessor failed");
   }
 
   if (app.unfinished == 0 && !app.finalized) finalize_app_locked(app);
@@ -495,6 +487,23 @@ void AcceleratorScheduler::finalize_app_locked(AppCtx& app) {
   app.promise.set_value(std::move(report));
 }
 
+void AcceleratorScheduler::resolve_unstarted_locked(AppCtx& app,
+                                                    NodeState to,
+                                                    const std::string& why) {
+  for (std::size_t i = 0; i < app.graph.nodes.size(); ++i) {
+    if (app.state[i] != NodeState::Waiting &&
+        app.state[i] != NodeState::Ready) {
+      continue;
+    }
+    app.state[i] = to;
+    app.results[i].error = why;
+    ++(to == NodeState::Cancelled ? stats_.nodes_cancelled
+                                  : stats_.nodes_failed);
+    --app.unfinished;
+  }
+  if (app.unfinished == 0 && !app.finalized) finalize_app_locked(app);
+}
+
 void AcceleratorScheduler::drop_finished_locked() {
   std::erase_if(apps_, [](const std::shared_ptr<AppCtx>& app) {
     return app->finalized;
@@ -507,16 +516,7 @@ void AcceleratorScheduler::cancel(std::uint64_t app_id) {
     for (const auto& app : apps_) {
       if (app->id != app_id) continue;
       app->cancelled = true;
-      for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
-        if (app->state[i] == NodeState::Waiting ||
-            app->state[i] == NodeState::Ready) {
-          app->state[i] = NodeState::Cancelled;
-          app->results[i].error = "cancelled";
-          ++stats_.nodes_cancelled;
-          --app->unfinished;
-        }
-      }
-      if (app->unfinished == 0) finalize_app_locked(*app);
+      resolve_unstarted_locked(*app, NodeState::Cancelled, "cancelled");
       break;
     }
     drop_finished_locked();
@@ -546,44 +546,14 @@ void AcceleratorScheduler::restore_board(std::size_t i) {
     JPG_REQUIRE(i < boards_.size(), "board index out of range");
     boards_[i].revoked = false;
   }
-  cv_.notify_all();
+  pump();
 }
 
 void AcceleratorScheduler::fail_unstarted_locked(const std::string& why) {
   for (const auto& app : apps_) {
-    for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
-      if (app->state[i] == NodeState::Waiting ||
-          app->state[i] == NodeState::Ready) {
-        app->state[i] = NodeState::Failed;
-        app->results[i].error = why;
-        ++stats_.nodes_failed;
-        --app->unfinished;
-      }
-    }
-    if (app->unfinished == 0) finalize_app_locked(*app);
+    resolve_unstarted_locked(*app, NodeState::Failed, why);
   }
   drop_finished_locked();
-}
-
-DefragReport AcceleratorScheduler::defragment(std::size_t board) {
-  DefragReport report = svc_->defragment(board);
-  // Defrag moves resident variants between slots; resync the registry from
-  // the service's ground truth so rung 1 keeps matching reality.
-  const std::vector<AppliedSlot> applied = svc_->applied_pbits(board);
-  {
-    const std::lock_guard<std::mutex> guard(lock_);
-    JPG_REQUIRE(board < boards_.size(), "board index out of range");
-    for (std::size_t s = 0; s < boards_[board].slots.size(); ++s) {
-      if (boards_[board].slots[s].busy) continue;
-      std::string variant;
-      for (const AppliedSlot& a : applied) {
-        if (a.region == fixture_->slots()[s]) variant = a.variant;
-      }
-      boards_[board].slots[s].variant = variant;
-    }
-  }
-  cv_.notify_all();
-  return report;
 }
 
 void AcceleratorScheduler::shutdown(bool drain) {
@@ -593,25 +563,12 @@ void AcceleratorScheduler::shutdown(bool drain) {
     if (!drain) {
       for (const auto& app : apps_) {
         app->cancelled = true;
-        for (std::size_t i = 0; i < app->graph.nodes.size(); ++i) {
-          if (app->state[i] == NodeState::Waiting ||
-              app->state[i] == NodeState::Ready) {
-            app->state[i] = NodeState::Cancelled;
-            app->results[i].error = "cancelled";
-            ++stats_.nodes_cancelled;
-            --app->unfinished;
-          }
-        }
-        if (app->unfinished == 0) finalize_app_locked(*app);
+        resolve_unstarted_locked(*app, NodeState::Cancelled, "cancelled");
       }
       drop_finished_locked();
-      cv_.notify_all();
     }
     cv_.wait(lk, [&] { return inflight_ == 0 && apps_.empty(); });
-    stop_dispatcher_ = true;
   }
-  cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (svc_) svc_->shutdown(drain);
 }
 

@@ -5,24 +5,28 @@
 // fleet sharing the SchedFixture base design and dispatches ready nodes with
 // locality-aware placement, climbing a three-rung ladder per node:
 //
-//   1. Reuse     — a free slot already holds a pool variant: swap avoidance,
-//                  the service serves the lease from its resident registry.
-//   2. Relocated — a resident donor pbit of a pool variant exists anywhere:
-//                  submit with module_config = nullptr and let the service
-//                  relocate the donor (PR 9 allow_relocation, containment
-//                  relaxed — sound on the uniform-socket fixture).
+//   1. Reuse     — a free slot already holds a pool variant (the service's
+//                  applied_pbits ledger says so): swap avoidance, the
+//                  service serves the lease from its resident registry.
+//   2. Relocated — the service holds a resident donor pbit of a pool
+//                  variant (has_resident): submit with module_config =
+//                  nullptr and let the service relocate the donor
+//                  (allow_relocation, containment relaxed — sound on the
+//                  uniform-socket fixture).
 //   3. Cold      — flow output is generated from the fixture's module plane.
 //
-// Nodes run on the service's completion bus; the scheduler has no threads
-// of its own besides the dispatcher. The dispatcher submits a node's swap
-// and keeps no future. The service's on_complete hook, chained behind any
-// caller hook, either hands a failed attempt back to the dispatcher as a
-// cold retry or simulates the node over the circuit of the pbit actually
-// applied (ServiceResponse::applied, memoised in SlotCircuitCache), marks
-// its successors ready and gives each the XOR of its predecessors' output
-// traces as its input stream. Any schedule that respects the DAG must
-// reproduce the sequential reference traces exactly (reference_traces) —
-// the invariant the scheduler oracle family proves per random graph.
+// The scheduler is a policy layer: slot contents and donors are read from
+// the service, and it has no threads. Dispatch runs on the events that make
+// a node dispatchable — submit(), restore_board() and every service
+// completion — through one pump that submits a node's swap and keeps no
+// future. The service's on_complete hook, chained behind any caller hook,
+// either queues a failed attempt as a cold retry or simulates the node over
+// the circuit of the pbit actually applied (ServiceResponse::applied,
+// memoised in SlotCircuitCache), marks its successors ready and gives each
+// the XOR of its predecessors' output traces as its input stream; then it
+// pumps. Any schedule that respects the DAG must reproduce the sequential
+// reference traces exactly (reference_traces) — the invariant the scheduler
+// oracle family proves per random graph.
 //
 // Everything is instrumented as `sched.*` telemetry (docs/OBSERVABILITY.md)
 // next to the service's `svc.*` catalogue.
@@ -35,9 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sched/sched_fixture.h"
@@ -166,9 +168,10 @@ class AcceleratorScheduler {
   /// Returns a revoked board to dispatch.
   void restore_board(std::size_t i);
 
-  /// Forwards to the service, then resyncs the slot registry from
-  /// applied_pbits (defrag moves resident variants between slots).
-  DefragReport defragment(std::size_t board);
+  /// Forwards to the service; rung 1 reads the moved slots from its ledger.
+  DefragReport defragment(std::size_t board) {
+    return svc_->defragment(board);
+  }
 
   /// Stops admitting apps. drain=true waits for every registered app to
   /// resolve; drain=false cancels unstarted work first. Idempotent.
@@ -194,13 +197,8 @@ class AcceleratorScheduler {
     std::promise<AppReport> promise;
   };
 
-  struct SlotState {
-    bool busy = false;
-    std::string variant;  ///< registry label resident here ("" = base v0)
-  };
-
   struct BoardState {
-    std::vector<SlotState> slots;
+    std::vector<bool> busy;  ///< per slot: a node of ours is placed there
     bool revoked = false;
   };
 
@@ -216,7 +214,12 @@ class AcceleratorScheduler {
     std::vector<bool> input;  ///< predecessors' XOR, fixed at dispatch
   };
 
-  void dispatcher_loop();
+  /// Submits queued retries, then picked nodes, until nothing more can be
+  /// dispatched. Only one thread pumps at a time: a nested call (a
+  /// synchronous rejection re-enters the hook inside svc_->submit) or a
+  /// concurrent one returns at once, and the running loop sees its work on
+  /// the next pick.
+  void pump();
   /// One scan for a dispatchable (ready node, free slot) pair under lock_;
   /// fills `out` and marks the node Running. Returns false when nothing is
   /// dispatchable right now.
@@ -224,13 +227,16 @@ class AcceleratorScheduler {
   /// The service request for one attempt of a dispatched node.
   [[nodiscard]] ServiceRequest request_for(const Dispatch& d) const;
   /// Runs inside the service's on_complete hook: queues a cold retry, or
-  /// simulates the node over the applied pbit and completes it.
+  /// simulates the node over the applied pbit and completes it; then pumps.
   void on_service_complete(const ServiceResponse& resp);
   /// Completion bus: marks the node Done/Failed, frees the slot, readies
   /// successors, finalizes the app when its last node resolves.
-  void complete_node_locked(std::unique_lock<std::mutex>& lock,
-                            const Dispatch& d, NodeResult result);
+  void complete_node_locked(const Dispatch& d, NodeResult result);
   void finalize_app_locked(AppCtx& app);
+  /// Resolves every Waiting/Ready node of `app` as `to` (Cancelled or
+  /// Failed) with error `why`; finalizes the app once nothing is left.
+  void resolve_unstarted_locked(AppCtx& app, NodeState to,
+                                const std::string& why);
   /// Drops resolved apps from apps_. Never call it inside a loop over apps_.
   void drop_finished_locked();
   /// Fails every not-yet-running node of every app (no boards left).
@@ -244,26 +250,20 @@ class AcceleratorScheduler {
   SlotCircuitCache circuits_;
 
   mutable std::mutex lock_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  ///< shutdown() waits here for the last app
   /// Apps whose future has not resolved, in submission order.
   std::vector<std::shared_ptr<AppCtx>> apps_;
   std::vector<BoardState> boards_;
-  /// variant label -> region keys a lease was created at. Advisory donor
-  /// index for rung 2: stale entries are harmless (the service rejects a
-  /// donorless relocation and the cold retry covers it).
-  std::map<std::string, std::set<std::string>> lease_regions_;
   std::uint64_t next_app_ = 1;
   std::uint64_t event_clock_ = 0;
   /// Nodes submitted to the service and not yet completed, by cookie.
   std::map<std::uint64_t, Dispatch> running_;
-  /// Failed attempts waiting for the dispatcher to resubmit them cold.
+  /// Failed attempts waiting for the pump to resubmit them cold.
   std::deque<Dispatch> retries_;
   std::size_t inflight_ = 0;  ///< dispatched nodes not yet completed
   bool accepting_ = true;
-  bool stop_dispatcher_ = false;
+  bool pumping_ = false;  ///< some thread is inside pump()'s loop
   SchedStats stats_;
-
-  std::thread dispatcher_;
 };
 
 }  // namespace jpg::sched

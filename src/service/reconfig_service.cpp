@@ -80,6 +80,14 @@ std::vector<AppliedSlot> ReconfigService::applied_pbits(std::size_t i) const {
   return out;
 }
 
+bool ReconfigService::has_resident(std::string_view variant) const {
+  const std::lock_guard<std::mutex> lock(resident_lock_);
+  return std::any_of(residents_.begin(), residents_.end(), [&](const auto& kv) {
+    return kv.second->state == Resident::State::Ready &&
+           kv.second->variant == variant;
+  });
+}
+
 std::uint64_t ReconfigService::estimate_cost_words(const Region& region) const {
   const FrameMap& fm = device_->frames();
   return static_cast<std::uint64_t>(region.clb_majors(*device_).size()) *

@@ -148,10 +148,12 @@ struct ServiceConfig {
   /// future becomes ready: on a pool worker for executed requests, inside
   /// submit() (the caller's thread) for synchronous rejections, and inside
   /// shutdown(false) for queued requests it rejects. It runs under no
-  /// service lock but must not call back into the service, and must never
-  /// block on a service future: it may hold one of the service's workers.
-  /// An executed request stays in flight (ServiceStats::inflight) until
-  /// its hook returns, so shutdown() and the destructor wait for it.
+  /// service lock, so it may call submit() (a rejection of that request
+  /// re-enters the hook on the same thread) and the const queries. It must
+  /// not call shutdown(), attest() or defragment(), and must never block on
+  /// a service future: it may hold one of the service's workers. An
+  /// executed request stays in flight (ServiceStats::inflight) until its
+  /// hook returns, so shutdown() and the destructor wait for it.
   std::function<void(const ServiceResponse&)> on_complete;
   DownloadPolicy policy;  ///< per-board verified-download policy
 };
@@ -195,8 +197,8 @@ struct ServiceStats {
 };
 
 /// One pbit currently applied to a board, as reported by applied_pbits():
-/// the scheduler's resident-reuse registry and its per-node simulations are
-/// built from these snapshots (decode the pbit over the base at `region`).
+/// the scheduler reads which variant each free slot holds from these
+/// snapshots (decode the pbit over the base at `region` for its content).
 struct AppliedSlot {
   Region region;
   std::string variant;
@@ -247,6 +249,11 @@ class ReconfigService {
   /// Snapshot of the pbits currently applied to board `i`, in apply order.
   /// Shares the streams rather than copying them.
   [[nodiscard]] std::vector<AppliedSlot> applied_pbits(std::size_t i) const;
+
+  /// True while a Ready resident lease carries `variant`: a relocation
+  /// request for it has a donor to serve from (if one sits at a
+  /// shape-compatible region other than the request's own).
+  [[nodiscard]] bool has_resident(std::string_view variant) const;
 
   /// Readback attestation of one board: reconstructs the expected plane
   /// from the base design plus every pbit applied to that board (in apply

@@ -65,9 +65,6 @@ class Rng {
 
   bool chance(double p) { return unit() < p; }
 
-  /// Forks an independent stream (for per-thread determinism).
-  Rng fork() { return Rng(next() ^ 0xd1b54a32d192ed03ull); }
-
   /// Derives the `stream`-th independent child generator *without* consuming
   /// parent state: split(i) returns the same child no matter how many other
   /// streams were split off before or after, which is what parallel sweep

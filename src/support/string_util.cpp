@@ -59,14 +59,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::optional<std::uint64_t> parse_uint(std::string_view s) {
   s = trim(s);
   if (s.empty()) return std::nullopt;

@@ -23,9 +23,6 @@ namespace jpg {
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Uppercases ASCII in place and returns a copy.
-[[nodiscard]] std::string to_upper(std::string_view s);
-
 /// Parses a decimal or 0x-prefixed unsigned integer; nullopt on any junk.
 [[nodiscard]] std::optional<std::uint64_t> parse_uint(std::string_view s);
 

@@ -296,9 +296,9 @@ TEST(SchedulerTest, FinishedAppsAreDropped) {
 }
 
 // A zero-depth service queue rejects every submit synchronously, so the
-// completion hook runs inside submit() on the dispatcher's own thread. Each
-// dispatched node climbs its whole retry ladder there and fails; no app may
-// hang.
+// completion hook runs inside the service's submit(), on the thread that is
+// pumping dispatch, and re-enters the pump there. Each dispatched node
+// climbs its whole retry ladder on that thread and fails; no app may hang.
 TEST(SchedulerTest, SynchronousRejectionsFailEveryApp) {
   SchedConfig cfg;
   cfg.service.queue_depth = 0;
@@ -327,6 +327,74 @@ TEST(SchedulerTest, SynchronousRejectionsFailEveryApp) {
   EXPECT_EQ(st.apps_live, 0u);
   const ServiceStats svc = sched.service().stats();
   EXPECT_EQ(svc.rejected_queue_full, svc.submitted);
+}
+
+// The app's only node is in flight when the last board is revoked. Its
+// completion finalizes the app and then, with nothing in flight and no
+// board left, fails every unstarted node of every app still registered:
+// that pass must not resolve the just-finalized app a second time.
+TEST(SchedulerTest, LastNodeDrainingOnRevokedFleetFinalizesOnce) {
+  TaskGraph g;
+  g.app = "one";
+  TaskNode n;
+  n.name = "n0";
+  n.kernel = "nrzi";
+  n.pool = {0};
+  g.nodes.push_back(n);
+
+  SchedConfig cfg;
+  cfg.service.start_paused = true;  // hold the node at the service
+  AcceleratorScheduler sched(fixture(), cfg);
+  const AppTicket t = sched.submit(g);
+  sched.revoke_board(0);
+  sched.service().resume();
+  const AppReport rep = t.report.get();
+  EXPECT_TRUE(rep.completed);
+  const SchedStats st = sched.stats();
+  EXPECT_EQ(st.apps_completed, 1u);
+  EXPECT_EQ(st.apps_failed, 0u);
+  EXPECT_EQ(st.apps_live, 0u);
+}
+
+// Rung 2 asks the service whether a donor is resident. With a quota of one
+// lease per tenant, app A's second node detaches its first node's variant
+// V, and the service reaps it. Board 0 still holds V in its ledger, so
+// revoking it leaves no slot to reuse V at: a later V-only node must be
+// planned cold at once, not as a donorless relocation that costs a retry.
+TEST(SchedulerTest, ReapedDonorIsPlannedCold) {
+  auto node = [](const std::string& name, int impl) {
+    TaskNode n;
+    n.name = name;
+    n.kernel = "nrzi";
+    n.pool = {impl};
+    n.stimulus_seed = 7;
+    return n;
+  };
+  TaskGraph chain;
+  chain.app = "a";
+  chain.nodes.push_back(node("v", 0));
+  chain.nodes.push_back(node("w", 1));
+  chain.nodes[1].preds = {0};
+  TaskGraph v_only;
+  v_only.app = "b";
+  v_only.nodes.push_back(node("v", 0));
+
+  SchedConfig cfg;
+  cfg.num_boards = 2;
+  cfg.service.tenant_quota = 1;
+  AcceleratorScheduler sched(fixture(), cfg);
+  const AppReport a = sched.submit(chain).report.get();
+  ASSERT_TRUE(a.completed);
+  EXPECT_EQ(a.nodes[0].board, 0);
+  EXPECT_EQ(a.nodes[1].board, 0);
+
+  sched.revoke_board(0);
+  const AppReport b = sched.submit(v_only).report.get();
+  ASSERT_TRUE(b.completed);
+  EXPECT_EQ(b.nodes[0].board, 1);
+  EXPECT_EQ(b.nodes[0].placement, Placement::Cold);
+  EXPECT_EQ(b.nodes[0].trace, reference_traces(fixture(), v_only, 24)[0]);
+  EXPECT_EQ(sched.stats().swap_retries, 0u);
 }
 
 // Every (kernel, impl, slot) pbit: the cached circuit simulates exactly like

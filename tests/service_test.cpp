@@ -292,6 +292,36 @@ TEST_F(ServiceTest, ResponseCarriesTheAppliedPbit) {
   EXPECT_EQ(rejected.applied, nullptr);
 }
 
+// The hook may submit: a hook that chains one follow-up request off the
+// first completion sees both resolve, and every submit is accounted for at
+// quiescence.
+TEST_F(ServiceTest, CompletionHookMaySubmit) {
+  ReconfigService* svc_ptr = nullptr;
+  std::promise<std::future<ServiceResponse>> follow_up;
+  std::future<std::future<ServiceResponse>> chained = follow_up.get_future();
+  ServiceConfig cfg;
+  cfg.on_complete = [&](const ServiceResponse& resp) {
+    if (resp.cookie != 1) return;
+    ServiceRequest next = fx_->request(1, 1, "t");
+    next.cookie = 2;
+    follow_up.set_value(svc_ptr->submit(std::move(next)));
+  };
+  ReconfigService svc(*dev_, fx_->base, 1, cfg);
+  svc_ptr = &svc;
+  ServiceRequest first = fx_->request(0, 0, "t");
+  first.cookie = 1;
+  const ServiceResponse r1 = svc.submit(std::move(first)).get();
+  ASSERT_TRUE(r1.ok()) << r1.message;
+  const ServiceResponse r2 = chained.get().get();
+  ASSERT_TRUE(r2.ok()) << r2.message;
+  EXPECT_EQ(r2.cookie, 2u);
+  svc.shutdown();
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.submitted, st.accounted());
+}
+
 // The hook reads its own captures after a delay, and the service is
 // destroyed without waiting on the future: destruction must wait for the
 // running hook, or the hook reads freed memory.

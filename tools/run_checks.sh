@@ -7,7 +7,8 @@
 #   tsan       JPG_SANITIZE=thread, tsan-labelled     (threaded router)
 #   telemoff   JPG_TELEMETRY=OFF, fast tier           (counters compile out)
 #   service    TSan run of the service, concurrent-stream and scheduler
-#              tests (each repeated until a failure, up to 10 runs), then a
+#              tests, stats coherence and the slot circuit cache included
+#              (each repeated until a failure, up to 10 runs), then a
 #              release JPG_BENCH_SMOKE=1 run of bench_service gated on the
 #              BENCH_service.json sanity fields: p99 swap latency finite,
 #              swaps/sec > 0, zero admission-control violations and zero
@@ -167,7 +168,7 @@ run_service_checks() {
   cmake --build build-tsan -j "$JOBS" \
     --target service_test concurrent_stream_test sched_test
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" --repeat until-fail:10 \
-     -R 'ServiceTest|ConcurrentStreamTest|SchedulerTest|SchedulerChaosTest')
+     -R 'ServiceTest|ConcurrentStreamTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|SlotCircuitCacheTest')
   echo "=== [service] bench_service smoke + gate ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   cmake --build build -j "$JOBS" --target bench_service
