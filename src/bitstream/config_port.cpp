@@ -39,7 +39,31 @@ void ConfigPort::reset() {
 void ConfigPort::reset_stats() {
   words_consumed_ = 0;
   frames_committed_ = 0;
+  clear_committed_frames();
+}
+
+void ConfigPort::clear_committed_frames() {
   committed_frame_log_.clear();
+  committed_run_log_.clear();
+  log_origin_ = words_consumed_;
+}
+
+FrameTable ConfigPort::frame_table() const {
+  FrameTable table;
+  table.runs.reserve(committed_run_log_.size());
+  for (const FrameRun& run : committed_run_log_) {
+    JPG_REQUIRE(run.word_offset >= log_origin_,
+                "an FDRI payload began before the committed-frame log was "
+                "cleared");
+    table.runs.push_back({run.first_frame,
+                          static_cast<std::size_t>(run.word_offset - log_origin_),
+                          run.frame_count});
+  }
+  table.touched = committed_frame_log_;
+  std::sort(table.touched.begin(), table.touched.end());
+  table.touched.erase(std::unique(table.touched.begin(), table.touched.end()),
+                      table.touched.end());
+  return table;
 }
 
 void ConfigPort::abort() {
@@ -184,6 +208,7 @@ void ConfigPort::begin_fdri_payload() {
   }
   fdri_buffer_.clear();
   fdri_buffer_.reserve(remaining_payload_);
+  fdri_payload_start_ = words_consumed_;
 }
 
 void ConfigPort::handle_reg_write(ConfigReg reg, std::uint32_t value) {
@@ -269,13 +294,20 @@ void ConfigPort::handle_fdri_payload_complete() {
   if (nframes == 0) return;
   // The final frame of every FDRI packet is the pipeline-flush pad frame.
   const std::size_t commit = nframes - 1;
+  if (commit == 0) return;
   JPG_COUNT("port.frames_committed", commit);
+  // The run grows frame by frame, so it matches the frame log even when
+  // the write runs past the last frame part-way.
+  committed_run_log_.push_back(
+      {cur_frame_, static_cast<std::size_t>(fdri_payload_start_), 0});
+  FrameRun& run = committed_run_log_.back();
   for (std::size_t i = 0; i < commit; ++i) {
     if (cur_frame_ >= fm.num_frames()) {
       throw BitstreamError("FDRI write ran past the last frame");
     }
     mem_->write_frame_words(cur_frame_, fdri_buffer_.data() + i * fw);
     committed_frame_log_.push_back(cur_frame_);
+    ++run.frame_count;
     ++frames_committed_;
     cur_frame_ = fm.next_frame(cur_frame_);
   }

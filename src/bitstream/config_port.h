@@ -20,6 +20,7 @@
 
 #include "bitstream/config_memory.h"
 #include "bitstream/crc16.h"
+#include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
 #include "support/telemetry/telemetry.h"
 
@@ -70,10 +71,17 @@ class ConfigPort {
   [[nodiscard]] const std::vector<std::size_t>& committed_frames() const {
     return committed_frame_log_;
   }
-  /// Empties the committed-frame log only (a long-lived consumer folds it
-  /// and clears it so it does not grow with every stream).
-  void clear_committed_frames() { committed_frame_log_.clear(); }
+  /// Empties the committed-frame log and its run log only (a long-lived
+  /// consumer folds it and clears it so it does not grow with every
+  /// stream). The next frame table counts word offsets from here.
+  void clear_committed_frames();
   void reset_stats();
+
+  /// The committed-frame log as a FrameTable over the words loaded since
+  /// the last reset_stats() or clear_committed_frames(): one run per
+  /// committed FDRI payload, its word offset counted from that point.
+  /// Requires every logged payload to have started after it.
+  [[nodiscard]] FrameTable frame_table() const;
 
   // --- Readback ---------------------------------------------------------------
   /// Reads `count` frames starting at linear frame index `first`.
@@ -126,6 +134,13 @@ class ConfigPort {
   std::uint64_t words_consumed_ = 0;
   std::size_t frames_committed_ = 0;
   std::vector<std::size_t> committed_frame_log_;
+  /// The committed-frame log grouped by FDRI payload; word_offset holds
+  /// the payload's absolute words_consumed_ position until frame_table().
+  std::vector<FrameRun> committed_run_log_;
+  /// words_consumed_ when the logs were last cleared.
+  std::uint64_t log_origin_ = 0;
+  /// words_consumed_ at the first word of the current FDRI payload.
+  std::uint64_t fdri_payload_start_ = 0;
 };
 
 }  // namespace jpg

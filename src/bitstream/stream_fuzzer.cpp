@@ -7,6 +7,7 @@
 #include "bitstream/bitstream_reader.h"
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "hwif/stream_source.h"
 #include "support/rng.h"
 
@@ -95,7 +96,8 @@ std::string FuzzReport::summary() const {
      << reader_accepts << " accepted, " << desync_violations
      << " desync violations, " << recovery_failures << " recovery failures, "
      << stream_equiv_failures << " stream-equivalence failures, "
-     << bulk_equiv_failures << " bulk-equivalence failures\n";
+     << bulk_equiv_failures << " bulk-equivalence failures, "
+     << table_equiv_failures << " table-equivalence failures\n";
   if (!first_bulk_divergence.empty()) {
     os << "first bulk divergence: " << first_bulk_divergence << "\n";
   }
@@ -217,11 +219,52 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
           "iteration " + std::to_string(rep.iterations) + ": " + why;
     }
   };
+  // Table twin: a stream that loaded cleanly is applied again from the
+  // port's FrameTable onto a copy of the plane the load started from. The
+  // result must be the replayed plane, and the table's runs must name the
+  // frames the port committed, in commit order.
+  ConfigMemory table_plane(dev);
+  const auto check_table = [&fm, &rep, &table_plane](
+                               const ConfigPort& replayed,
+                               const ConfigMemory& replayed_plane,
+                               std::span<const std::uint32_t> words) {
+    const FrameTable table = replayed.frame_table();
+    apply_frame_table(table, words, table_plane);
+    std::vector<std::size_t> frames;
+    for (const FrameRun& run : table.runs) {
+      std::size_t f = run.first_frame;
+      for (std::size_t i = 0; i < run.frame_count; ++i, f = fm.next_frame(f)) {
+        frames.push_back(f);
+      }
+    }
+    if (table_plane != replayed_plane ||
+        frames != replayed.committed_frames()) {
+      ++rep.table_equiv_failures;
+    }
+  };
+  {
+    // Every unmutated corpus stream, replayed from reset over the base.
+    ConfigMemory cmem(dev);
+    ConfigPort cport(cmem);
+    for (const Bitstream& bs : corpus) {
+      cmem = base_plane;
+      table_plane = base_plane;
+      try {
+        (void)replay_frame_table(cport, bs.words);
+      } catch (const BitstreamError&) {
+        continue;
+      }
+      check_table(cport, cmem, bs.words);
+    }
+  }
+
   // Returns true when the bulk load threw.
   const auto load_both = [&](std::span<const std::uint32_t> words) {
     port.clear_committed_frames();
     wport.clear_committed_frames();
+    table_plane = mem;
     const std::string bulk = outcome([&] { port.load(words); });
+    if (bulk == "accepted") check_table(port, mem, words);
     const std::string single = outcome([&] {
       for (const std::uint32_t w : words) wport.load_word(w);
     });

@@ -72,13 +72,20 @@ struct FuzzReport {
   int bulk_equiv_failures = 0;
   /// The first bulk divergence, described (empty when there was none).
   std::string first_bulk_divergence;
+  /// A stream that loaded without protest, written again from its
+  /// FrameTable onto a copy of the plane it started from, gave a different
+  /// plane, or the table's frames differ from the port's committed-frame
+  /// log — contract violation: applying a validated stream's table must
+  /// equal replaying it.
+  int table_equiv_failures = 0;
   std::array<int, kNumMutationKinds> mutation_counts{};
 
   /// True when every contract held. (Accept/reject counts are
   /// informational: many mutations are semantically harmless.)
   [[nodiscard]] bool clean() const {
     return desync_violations == 0 && recovery_failures == 0 &&
-           stream_equiv_failures == 0 && bulk_equiv_failures == 0;
+           stream_equiv_failures == 0 && bulk_equiv_failures == 0 &&
+           table_equiv_failures == 0;
   }
   [[nodiscard]] std::string summary() const;
 };

@@ -1,11 +1,11 @@
 #include "hwif/verified_downloader.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
 
@@ -17,15 +17,6 @@ bool is_capture_frame(const FrameMap& fm, std::size_t frame) {
   const FrameAddress a = fm.address_of_index(frame);
   return a.block_type == 0 && (a.minor == 16 || a.minor == 17) &&
          fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb;
-}
-
-/// Sorted, deduplicated linear indices of the frames `port` committed.
-std::vector<std::size_t> touched_frames(const ConfigPort& port) {
-  std::vector<std::size_t> frames(port.committed_frames().begin(),
-                                  port.committed_frames().end());
-  std::sort(frames.begin(), frames.end());
-  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
-  return frames;
 }
 
 }  // namespace
@@ -106,8 +97,6 @@ VerifiedDownloader::VerifiedDownloader(Xhwif& board, const Device& device,
   JPG_REQUIRE(policy.rollback_max_attempts > 0,
               "rollback_max_attempts must be positive");
   const FrameMap& fm = device.frames();
-  all_frames_.resize(fm.num_frames());
-  std::iota(all_frames_.begin(), all_frames_.end(), 0);
   capture_frame_.resize(fm.num_frames());
   for (std::size_t f = 0; f < fm.num_frames(); ++f) {
     capture_frame_[f] = is_capture_frame(fm, f) ? 1 : 0;
@@ -138,8 +127,13 @@ void VerifiedDownloader::reseed_shadow() {
   }
 }
 
-void VerifiedDownloader::settle_shadow(bool success) {
-  for (const std::size_t f : shadow_port_->committed_frames()) {
+void VerifiedDownloader::settle_shadow(const FrameTable* table,
+                                       bool success) {
+  // The frames where shadow and mirror can differ: the table's, or those
+  // the replay committed.
+  const std::vector<std::size_t>& frames =
+      table != nullptr ? table->touched : shadow_port_->committed_frames();
+  for (const std::size_t f : frames) {
     if (success) {
       mirror_->copy_frame_from(*shadow_, f);
     } else {
@@ -196,6 +190,21 @@ std::size_t VerifiedDownloader::first_mismatch(
     if (((got[w] ^ want[w]) & capture_mask_[w]) != 0) return w;
   }
   return got.size();
+}
+
+const std::vector<std::size_t>& VerifiedDownloader::unchecked_frames(
+    const std::vector<std::size_t>& checked) {
+  std::vector<std::size_t>& out = sweep_scratch_;
+  out.clear();
+  auto next = checked.begin();
+  for (std::size_t f = 0; f < device_->frames().num_frames(); ++f) {
+    if (next != checked.end() && *next == f) {
+      ++next;
+    } else {
+      out.push_back(f);
+    }
+  }
+  return out;
 }
 
 std::vector<std::size_t> VerifiedDownloader::verify_against(
@@ -260,7 +269,7 @@ bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
     }
     std::vector<std::size_t> bad = verify_against(target, check, rep);
     if (bad.empty() && policy_.full_sweep) {
-      bad = verify_against(target, all_frames_, rep);
+      bad = verify_against(target, unchecked_frames(check), rep);
     }
     if (bad.empty()) {
       if (ensure_started && !board_->config_done()) {
@@ -367,7 +376,7 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
     if (!port.started()) {
       throw BitstreamError("full bitstream does not start the device");
     }
-    touched = touched_frames(port);
+    touched = port.frame_table().touched;
   } catch (const JpgError& e) {
     rep.error = std::string("stream rejected tool-side, nothing sent: ") +
                 e.what();
@@ -399,6 +408,20 @@ DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
 DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
                                                    std::size_t burst_words) {
   JPG_SPAN("dl.download_stream");
+  return run_download(source, burst_words, nullptr);
+}
+
+DownloadReport VerifiedDownloader::download_validated(
+    std::span<const std::uint32_t> words, const FrameTable& table,
+    std::size_t burst_words) {
+  JPG_SPAN("dl.download_validated");
+  JPG_COUNT("dl.table_applies", 1);
+  return run_download(StreamSource::of(words), burst_words, &table);
+}
+
+DownloadReport VerifiedDownloader::run_download(const StreamSource& source,
+                                                std::size_t burst_words,
+                                                const FrameTable* table) {
   JPG_COUNT("dl.downloads", 1);
   const std::uint64_t telem_t0 = telemetry::now_ns();
   words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
@@ -410,12 +433,12 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
   shadow_port_->reset();
   shadow_port_->reset_stats();
   try {
-    stream_into_shadow(source, burst_words, rep);
+    stream_into_shadow(source, burst_words, table, rep);
   } catch (...) {
-    settle_shadow(false);
+    settle_shadow(table, false);
     throw;
   }
-  settle_shadow(rep.ok());
+  settle_shadow(table, rep.ok());
   finish_report(rep, telem_t0);
   JPG_INFO(rep.summary());
   return rep;
@@ -423,30 +446,40 @@ DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
 
 void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
                                             std::size_t burst_words,
+                                            const FrameTable* table,
                                             DownloadReport& rep) {
   ConfigPort& port = *shadow_port_;
+  if (table != nullptr) {
+    // Validated when it was published: the shadow takes the stream's frame
+    // writes as block copies, and every burst below is sendable.
+    JPG_ASSERT(source.segments().size() == 1);
+    apply_frame_table(*table, source.segments().front(), *shadow_);
+  }
   BurstCursor cursor(source);
-  // Burst k is replayed into the shadow before it is sent: the two-state
-  // invariant holds burst-wise, nothing unvalidated ever goes out.
+  // Otherwise burst k is replayed into the shadow before it is sent: the
+  // two-state invariant holds burst-wise, nothing unvalidated ever goes out.
   bool sending = false;
   bool send_failed = false;
   bool mid_stream_reject = false;
   for (auto burst = cursor.next(burst_words); !burst.empty();
        burst = cursor.next(burst_words)) {
-    try {
-      port.load(burst);
-    } catch (const JpgError& e) {
-      if (!sending) {
-        // Burst 0: a stream malformed at the head is rejected with nothing
-        // sent.
-        rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                    e.what();
-        return;
+    if (table == nullptr) {
+      try {
+        port.load(burst);
+      } catch (const JpgError& e) {
+        if (!sending) {
+          // Burst 0: a stream malformed at the head is rejected with
+          // nothing sent.
+          rep.error =
+              std::string("stream rejected tool-side, nothing sent: ") +
+              e.what();
+          return;
+        }
+        rep.error =
+            std::string("stream rejected tool-side mid-stream: ") + e.what();
+        mid_stream_reject = true;
+        break;
       }
-      rep.error =
-          std::string("stream rejected tool-side mid-stream: ") + e.what();
-      mid_stream_reject = true;
-      break;
     }
     if (!sending) {
       // ABORT first, as in converge(): a previous stream cut off
@@ -472,25 +505,32 @@ void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
     }
   }
 
-  // The replay port logged every frame it committed — a superset of what
-  // the board can have committed (the wire saw a validated prefix).
-  std::vector<std::size_t> touched = touched_frames(port);
+  // The frames the stream writes — for a replay, every frame the port
+  // committed: a superset of what the board can have committed (the wire
+  // saw a validated prefix).
+  FrameTable replayed;
+  if (table == nullptr) {
+    replayed = port.frame_table();
+    table = &replayed;
+  }
+  const std::vector<std::size_t>& touched = table->touched;
   rep.frames_touched = touched.size();
 
   if (mid_stream_reject) {
     // Bursts already on the wire, but the stream's tail is malformed: there
     // is no intended plane to converge to. Abandon the update and roll the
     // committed superset back to the mirror.
-    roll_back(std::move(touched), rep);
+    roll_back(touched, rep);
     return;
   }
 
   // Fully replayed: the shadow is the intended plane. Verify the touched
-  // frames (plus the sweep), then repair with the remaining attempt budget.
+  // frames, then sweep the rest, then repair with the remaining attempt
+  // budget.
   const ConfigMemory& target = *shadow_;
   std::vector<std::size_t> bad = verify_against(target, touched, rep);
   if (bad.empty() && policy_.full_sweep) {
-    bad = verify_against(target, all_frames_, rep);
+    bad = verify_against(target, unchecked_frames(touched), rep);
   }
   bool converged = bad.empty();
   if (!converged) {
@@ -507,7 +547,7 @@ void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
     return;
   }
   rep.error = "update did not converge";
-  roll_back(std::move(touched), rep);
+  roll_back(touched, rep);
 }
 
 void VerifiedDownloader::roll_back(std::vector<std::size_t> touched,

@@ -3,15 +3,17 @@
 // The paper's end-to-end claim is that a generated partial bitstream can be
 // written onto a live device; the fire-and-forget send_config path trusts
 // the link and the stream completely. This wrapper makes the download
-// *verified*: every stream is validated tool-side before a single word goes
-// out (framing + CRC replayed against a mirror of the board's plane), the
-// send is followed by a readback of exactly the frames the replay
-// committed, compared word-for-word against the intended contents (plus,
-// under full_sweep, the whole plane), and mismatched frames are rewritten
-// by targeted repair streams under a bounded retry budget. When the budget
-// is spent the downloader rolls the touched frames back to the pre-update
-// plane, so the device is always in one of exactly two states: the update
-// applied and verified, or the previous configuration — never half-written.
+// *verified*: no stream goes out before it was validated tool-side (framing
+// + CRC replayed against a mirror of the board's plane) — once, when it was
+// published, for a resident lease; burst by burst, ahead of each send, for
+// caller-supplied bytes. The send is followed by a readback of exactly the
+// frames the stream writes, compared word-for-word against the intended
+// contents (plus, under full_sweep, every other frame of the plane), and
+// mismatched frames are rewritten by targeted repair streams under a
+// bounded retry budget. When the budget is spent the downloader rolls the
+// touched frames back to the pre-update plane, so the device is always in
+// one of exactly two states: the update applied and verified, or the
+// previous configuration — never half-written.
 //
 // The downloader keeps a tool-side mirror (the last plane it verified onto
 // the board); repair and rollback streams are generated from it, which is
@@ -19,13 +21,14 @@
 //
 // Next to the mirror it keeps a persistent shadow plane, with its own
 // ConfigPort, that equals the mirror between downloads. A partial download
-// replays into the shadow, which then holds the intended plane, and the
-// port's committed-frame log names exactly the frames where the two
-// differ. On Success those frames are copied shadow -> mirror; on every
-// other exit (rejected at the head or mid-stream, rolled back, failed, or
-// an exception) they are copied mirror -> shadow. Either way the pair is
-// equal again, and a swap copies only the frames it rewrites, never the
-// whole plane.
+// writes the stream's frames into the shadow — replayed through the port,
+// or, for a stream validated at publish, applied from its FrameTable with
+// block copies — which then holds the intended plane; the touched-frame
+// list names exactly the frames where the two differ. On Success those
+// frames are copied shadow -> mirror; on every other exit (rejected at the
+// head or mid-stream, rolled back, failed, or an exception) they are
+// copied mirror -> shadow. Either way the pair is equal again, and a swap
+// copies only the frames it rewrites, never the whole plane.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +39,7 @@
 
 #include "bitstream/config_memory.h"
 #include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
 #include "hwif/stream_source.h"
 #include "hwif/xhwif.h"
@@ -48,9 +52,10 @@ struct DownloadPolicy {
   int max_attempts = 4;
   /// Send attempts for the rollback stream after the update is given up on.
   int rollback_max_attempts = 4;
-  /// After the touched frames verify, read back the whole plane too: a
+  /// After the touched frames verify, read back every other frame too: a
   /// corrupted-but-valid FAR can land frames outside the touched set, and
-  /// only a sweep catches those strays.
+  /// only a sweep catches those strays. Together the two reads cover the
+  /// whole plane once after the last send.
   bool full_sweep = true;
   /// Roll the touched frames back to the mirror when the update fails.
   bool rollback = true;
@@ -153,10 +158,22 @@ class VerifiedDownloader {
   /// "nothing sent" error, one rejected mid-stream rolls the frames
   /// committed so far back to the mirror. After a send fault the replay
   /// continues without sending. After the last burst the touched frames
-  /// (and, under full_sweep, the whole plane) are readback-verified and
+  /// (and, under full_sweep, every other frame) are readback-verified and
   /// repaired.
   DownloadReport download_stream(const StreamSource& source,
                                  std::size_t burst_words = kDefaultBurstWords);
+
+  /// download_stream for a stream validated tool-side once, ahead of time:
+  /// `table` is replay_frame_table() of exactly `words` on this device. The
+  /// shadow takes the table's frames as block copies (no packet parse, no
+  /// CRC), then `words` goes out unchanged in the same bursts, and
+  /// readback, sweep, repair and rollback run as for download_stream. The
+  /// board sees the same traffic and the report, mirror and shadow come
+  /// out the same as download_stream's. A stream whose replay threw has no
+  /// table; it takes download_stream, which rejects it per burst.
+  DownloadReport download_validated(
+      std::span<const std::uint32_t> words, const FrameTable& table,
+      std::size_t burst_words = kDefaultBurstWords);
 
   /// Full-plane readback audit: reads back every frame of the device and
   /// compares it word-for-word against `expected`, masking FF capture bits
@@ -198,6 +215,12 @@ class VerifiedDownloader {
       const ConfigMemory& target, const std::vector<std::size_t>& frames,
       DownloadReport& rep);
 
+  /// The frames outside `checked` (sorted, unique), in order: what the
+  /// sweep still reads back once `checked` verified clean. Returns a
+  /// reused scratch vector.
+  [[nodiscard]] const std::vector<std::size_t>& unchecked_frames(
+      const std::vector<std::size_t>& checked);
+
   /// Drives the board until `check` (and, under full_sweep, the whole
   /// plane) reads back identical to `target`: abort, send, verify, then
   /// repair mismatches with targeted streams. True on convergence.
@@ -205,10 +228,15 @@ class VerifiedDownloader {
                 std::vector<std::size_t> check, int budget,
                 bool ensure_started, int& attempts, DownloadReport& rep);
 
-  /// Replays each burst of `source` into the shadow plane and then sends
-  /// it; then verifies, repairs or rolls back. Fills `rep`.
+  /// The body of download_stream (table null) and download_validated.
+  DownloadReport run_download(const StreamSource& source,
+                              std::size_t burst_words, const FrameTable* table);
+
+  /// Writes the stream into the shadow plane — applied from `table`, or
+  /// else each burst replayed before it is sent — and sends its bursts;
+  /// then verifies, repairs or rolls back. Fills `rep`.
   void stream_into_shadow(const StreamSource& source, std::size_t burst_words,
-                          DownloadReport& rep);
+                          const FrameTable* table, DownloadReport& rep);
 
   /// Rolls `touched` back to the mirror; appends the outcome to rep.error.
   void roll_back(std::vector<std::size_t> touched, DownloadReport& rep);
@@ -216,9 +244,10 @@ class VerifiedDownloader {
   /// Makes the shadow plane a copy of a newly established mirror.
   void reseed_shadow();
 
-  /// Applies the shadow rule to the frames the shadow port committed:
-  /// shadow -> mirror on success, mirror -> shadow otherwise.
-  void settle_shadow(bool success);
+  /// Applies the shadow rule to the frames the shadow took — `table`'s, or
+  /// the shadow port's log when there is no table: shadow -> mirror on
+  /// success, mirror -> shadow otherwise.
+  void settle_shadow(const FrameTable* table, bool success);
 
   /// Fills rep.telemetry from the per-download tallies accumulated by
   /// converge() (words sent, readback words, repair rounds, aborts).
@@ -231,8 +260,6 @@ class VerifiedDownloader {
   /// Equal to *mirror_ between downloads (see the header comment).
   std::unique_ptr<ConfigMemory> shadow_;
   std::unique_ptr<ConfigPort> shadow_port_;
-  /// Every linear frame index in order: the full-plane sweep's frame list.
-  std::vector<std::size_t> all_frames_;
   /// capture_frame_[f] != 0 iff frame f is a CLB capture minor.
   std::vector<char> capture_frame_;
   /// One frame of words with the FF capture bits cleared, the rest set.
@@ -242,8 +269,10 @@ class VerifiedDownloader {
   // here via readback_into and are compared in place against the target
   // plane's frames, so steady-state verification allocates nothing per run.
   std::vector<std::uint32_t> readback_scratch_;
+  /// unchecked_frames() output (clear-don't-shrink).
+  std::vector<std::size_t> sweep_scratch_;
 
-  // Per-download tallies (reset at the top of download_full/download_stream;
+  // Per-download tallies (reset at the top of download_full/run_download;
   // the downloader is single-threaded per instance, so plain integers do).
   mutable std::uint64_t words_sent_ = 0;
   mutable std::uint64_t readback_words_ = 0;

@@ -26,6 +26,8 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
       base_(&base),
       cfg_(std::move(cfg)),
       gen_(base, cfg_.cache_capacity),
+      validate_plane_(device),
+      validate_port_(validate_plane_),
       paused_(cfg_.start_paused) {
   JPG_REQUIRE(&base.device() == &device,
               "service base plane targets a different device");
@@ -357,10 +359,13 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
     resp.resident_hit = hit;
     if (p->req.kind == RequestKind::Swap) {
       BoardCtx& ctx = *boards_[static_cast<std::size_t>(board_idx)];
-      // Zero-copy: the source spans the pinned cache entry's own words.
-      const StreamSource src = StreamSource::of(resident->lease.words());
-      resp.report = ctx.downloader->download_stream(src);
-      swap_words = resident->lease.words().size();
+      // Zero-copy: the bursts span the pinned cache entry's own words.
+      const std::span<const std::uint32_t> words = resident->lease.words();
+      resp.report =
+          resident->table
+              ? ctx.downloader->download_validated(words, *resident->table)
+              : ctx.downloader->download_stream(StreamSource::of(words));
+      swap_words = words.size();
       if (resp.report.ok()) {
         JPG_COUNT("svc.swaps", 1);
         JPG_COUNT("svc.swap_words", swap_words);
@@ -395,7 +400,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
       JPG_COUNT("svc.failed", 1);
     }
     if (resp.resident_hit) ++tenant.stats.resident_hits;
-    tenant.stats.words_swapped += swap_words;
+    if (resp.ok()) tenant.stats.words_swapped += swap_words;
     if (board_idx >= 0) {
       BoardCtx& ctx = *boards_[static_cast<std::size_t>(board_idx)];
       ctx.busy = false;
@@ -488,8 +493,10 @@ std::shared_ptr<ReconfigService::Resident> ReconfigService::acquire_resident(
         relocated = true;
         JPG_COUNT("reloc.served_relocated", 1);
       }
+      std::optional<FrameTable> table = validate_lease(lease.words());
       const std::lock_guard<std::mutex> lock(resident_lock_);
       entry->lease = std::move(lease);
+      entry->table = std::move(table);
       entry->state = Resident::State::Ready;
       JPG_COUNT("svc.resident.misses", 1);
     } catch (...) {
@@ -551,6 +558,20 @@ std::shared_ptr<ReconfigService::Resident> ReconfigService::acquire_resident(
     if (relocated) ++stats_.relocations_served;
   }
   return entry;
+}
+
+std::optional<FrameTable> ReconfigService::validate_lease(
+    std::span<const std::uint32_t> words) {
+  JPG_SPAN("svc.validate_lease");
+  const std::lock_guard<std::mutex> lock(validate_lock_);
+  try {
+    FrameTable table = replay_frame_table(validate_port_, words);
+    JPG_COUNT("svc.resident.validated", 1);
+    return table;
+  } catch (const BitstreamError&) {
+    JPG_COUNT("svc.resident.invalid", 1);
+    return std::nullopt;
+  }
 }
 
 std::shared_ptr<ReconfigService::Resident> ReconfigService::find_donor_locked(

@@ -13,8 +13,9 @@
 //
 // The datapath reuses the existing backends end to end: pbits come from
 // PartialBitstreamGenerator::generate_leased (pinned, cache-resident — the
-// zero-copy path of DESIGN.md §5g), the wire is
-// VerifiedDownloader::download_stream (two-state invariant per swap), and
+// zero-copy path of DESIGN.md §5g), each newly published lease is replayed
+// once through a ConfigPort into a FrameTable, the wire is
+// VerifiedDownloader::download_validated (two-state invariant per swap), and
 // per-tenant quotas are layered *over* the content-addressed cache: each
 // tenant owns an LRU of resident leases; exceeding its quota releases the
 // tenant's least-recently-used lease (making the entry evictable again)
@@ -35,11 +36,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bitstream/config_memory.h"
+#include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "core/partial_gen.h"
 #include "core/relocate.h"
 #include "device/region.h"
@@ -165,6 +169,9 @@ struct TenantStats {
   std::uint64_t failed = 0;
   std::uint64_t resident_hits = 0;
   std::uint64_t quota_evictions = 0;
+  /// Configuration words of the tenant's applied swaps. A swap whose
+  /// download was rejected, rolled back or failed counts nothing (the
+  /// board-pick balance counts every word shipped, applied or not).
   std::uint64_t words_swapped = 0;
   std::size_t resident_entries = 0;  ///< leases held right now
   std::size_t resident_peak = 0;     ///< max ever held (quota audit)
@@ -311,11 +318,16 @@ class ReconfigService {
   struct Resident {
     /// Creation is a tiny state machine so concurrent requests for the same
     /// key generate once: the creator inserts a Generating entry, releases
-    /// resident_lock_, generates, then publishes Ready (or Failed) and
-    /// wakes the waiters.
+    /// resident_lock_, generates (or relocates), validates the lease once,
+    /// then publishes Ready (or Failed) and wakes the waiters.
     enum class State { Generating, Ready, Failed };
     State state = State::Generating;
     PbitLease lease;
+    /// The publish-time replay of the lease's words: present when it
+    /// validated, and then every swap applies it instead of replaying
+    /// again. Absent when it threw — swaps then take the per-burst replay,
+    /// which reports the rejection. Immutable once Ready.
+    std::optional<FrameTable> table;
     std::size_t attached = 0;  ///< tenants holding it in their LRU
     // Identity of the pbit, for the relocation donor search: another
     // request for the same variant at a shape-compatible region can be
@@ -343,6 +355,10 @@ class ReconfigService {
   std::shared_ptr<Resident> acquire_resident(const std::string& tenant,
                                              const ServiceRequest& req,
                                              bool& resident_hit);
+  /// Replays a lease's words once from reset on the validation port and
+  /// returns the frame table, or nothing when the replay threw.
+  [[nodiscard]] std::optional<FrameTable> validate_lease(
+      std::span<const std::uint32_t> words);
   /// Drops registry entries no tenant holds once in-flight users are done.
   void reap_residents_locked();
   /// Ready resident with the same (variant, options) and a shape-compatible
@@ -361,6 +377,12 @@ class ReconfigService {
   ServiceConfig cfg_;
   PartialBitstreamGenerator gen_;
   std::vector<std::unique_ptr<BoardCtx>> boards_;
+  /// Publish-time validation (validate_lease): one scratch plane and port
+  /// shared by every publish under validate_lock_. What the port commits
+  /// depends only on the words, never on the plane's contents.
+  std::mutex validate_lock_;
+  ConfigMemory validate_plane_;
+  ConfigPort validate_port_;
   /// Executions run here, at most pool_.size() at a time.
   ThreadPool& pool_ = ThreadPool::global();
 

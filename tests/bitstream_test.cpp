@@ -8,6 +8,7 @@
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
 #include "bitstream/crc16.h"
+#include "bitstream/frame_table.h"
 #include "support/rng.h"
 
 namespace jpg {
@@ -229,6 +230,96 @@ TEST(ConfigPort, PartialWriteTouchesOnlyAddressedFrames) {
     expect.copy_frame_from(payload, base + i);
   }
   EXPECT_EQ(mem, expect);
+}
+
+TEST(FrameTable, RecordsEachFdriRunAndReappliesIt) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  ConfigMemory payload(dev);
+  const std::size_t a = fm.frame_index(5, 10);
+  const std::size_t b = fm.frame_index(7, 2);
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    payload.frame(f).set_word(1, 0x51000000u ^ static_cast<std::uint32_t>(f));
+  }
+  // Two FDRI runs, the second overlapping the first's last frame from a
+  // separate packet, so commit order matters.
+  BitstreamWriter w(dev);
+  w.begin();
+  w.write_cmd(Command::RCRC);
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a)));
+  w.write_frames(payload, a, 3);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(b)));
+  w.write_frames(payload, b, 2);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a + 2)));
+  ConfigMemory second(dev);
+  w.write_frames(second, a + 2, 1);
+  w.write_crc();
+  w.write_cmd(Command::LFRM);
+  const Bitstream bs = w.finish();
+
+  ConfigMemory mem(dev);
+  mem.frame(a + 2).set(0, true);
+  const ConfigMemory before = mem;
+  ConfigPort port(mem);
+  const FrameTable table = replay_frame_table(port, bs.words);
+
+  ASSERT_EQ(table.runs.size(), 3u);
+  EXPECT_EQ(table.runs[0].first_frame, a);
+  EXPECT_EQ(table.runs[0].frame_count, 3u);
+  EXPECT_EQ(table.runs[1].first_frame, b);
+  EXPECT_EQ(table.runs[2].first_frame, a + 2);
+  // A run's offset names the first word of its frames in the stream.
+  const std::size_t fw = fm.frame_words();
+  const auto stream_frame = [&](const FrameRun& run, std::size_t k) {
+    const std::uint32_t* p = bs.words.data() + run.word_offset + k * fw;
+    return std::vector<std::uint32_t>(p, p + fw);
+  };
+  const auto plane_frame = [fw](const ConfigMemory& m, std::size_t f) {
+    std::vector<std::uint32_t> out(fw);
+    m.read_frame_words(f, out.data());
+    return out;
+  };
+  EXPECT_EQ(stream_frame(table.runs[0], 0), plane_frame(payload, a));
+  EXPECT_EQ(stream_frame(table.runs[1], 1), plane_frame(payload, b + 1));
+  EXPECT_EQ(stream_frame(table.runs[2], 0), plane_frame(second, a + 2));
+  EXPECT_EQ(table.touched,
+            (std::vector<std::size_t>{a, a + 1, a + 2, b, b + 1}));
+
+  ConfigMemory applied = before;
+  apply_frame_table(table, bs.words, applied);
+  EXPECT_EQ(applied, mem);
+
+  // Recorded offsets count from the last log clear: the same stream after
+  // leading padding yields the same table.
+  port.reset();
+  port.load(std::vector<std::uint32_t>(5, kDummyWord));
+  port.clear_committed_frames();
+  port.load(bs.words);
+  EXPECT_EQ(port.frame_table(), table);
+}
+
+TEST(FrameTable, RejectsAPayloadThatBeganBeforeTheLogClear) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  ConfigMemory payload(dev);
+  BitstreamWriter w(dev);
+  w.begin();
+  w.write_cmd(Command::RCRC);
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(4)));
+  w.write_frames(payload, 4, 2);
+  w.write_crc();
+  const Bitstream bs = w.finish();
+  ConfigMemory mem(dev);
+  ConfigPort port(mem);
+  const std::span<const std::uint32_t> words(bs.words);
+  const std::size_t cut = words.size() - 3 * fm.frame_words();  // mid-payload
+  port.load(words.first(cut));
+  port.clear_committed_frames();
+  port.load(words.subspan(cut));
+  ASSERT_EQ(port.committed_frames().size(), 2u);
+  EXPECT_THROW((void)port.frame_table(), JpgError);
 }
 
 TEST(ConfigPort, ReadbackMatchesMemory) {

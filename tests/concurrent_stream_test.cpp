@@ -1,17 +1,21 @@
 // Concurrent verified streamed downloads: several threads drive distinct
 // FaultyBoards through their own VerifiedDownloaders simultaneously, all
-// leasing pbits from ONE shared PartialBitstreamGenerator at once. Run
-// under the tsan label: this is the contended path the multi-tenant
-// service stands on. After every swap the two-state invariant must hold
-// per board: the plane is the verified target (Success) or the previous
-// verified plane (RolledBack), never anything in between.
+// leasing pbits from ONE shared PartialBitstreamGenerator at once, and two
+// boards swap the same leases at once from one shared FrameTable per
+// lease. Run under the tsan label: this is the contended path the
+// multi-tenant service stands on. After every swap the two-state invariant
+// must hold per board: the plane is the verified target (Success) or the
+// previous verified plane (RolledBack), never anything in between.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bitstream/bitgen.h"
+#include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "core/partial_gen.h"
 #include "device/device.h"
 #include "hwif/faulty_board.h"
@@ -128,6 +132,98 @@ TEST(ConcurrentStreamTest, DistinctFaultyBoardsKeepTwoStateInvariant) {
   }
   // The profile is tuned to actually exercise the repair path somewhere
   // across the run; a completely clean campaign proves nothing.
+  EXPECT_GT(faults_total, 0u);
+}
+
+// The service's boards share a resident entry: its pinned words and the
+// frame table its publish replay recorded. Two boards swap the same two
+// leases concurrently through download_validated, reading one table per
+// lease, each over its own faulty link.
+TEST(ConcurrentLeaseTest, TwoBoardsSwapOneLeaseFromOneSharedTable) {
+  constexpr std::size_t kBoards = 2;
+  constexpr int kSwapsPerBoard = 8;
+  const Device& dev = Device::get("XCV50");
+  const ConfigMemory base = noise_plane(dev, 505);
+  const Bitstream base_bit = generate_full_bitstream(base);
+  const PartialBitstreamGenerator gen(base);
+  const Region region{0, 2, dev.rows() - 1, 3};
+  const std::array<ConfigMemory, 2> mods{noise_plane(dev, 3001),
+                                         noise_plane(dev, 3002)};
+  const std::array<PbitLease, 2> leases{gen.generate_leased(mods[0], region),
+                                        gen.generate_leased(mods[1], region)};
+  std::vector<FrameTable> tables;
+  std::vector<ConfigMemory> targets;
+  {
+    ConfigMemory scratch(dev);
+    ConfigPort port(scratch);
+    for (std::size_t k = 0; k < 2; ++k) {
+      tables.push_back(replay_frame_table(port, leases[k].words()));
+      targets.push_back(base);
+      gen.apply_to_base(targets.back(), mods[k], region);
+    }
+  }
+
+  struct Board {
+    std::unique_ptr<SimBoard> inner;
+    std::unique_ptr<FaultyBoard> link;
+    std::unique_ptr<VerifiedDownloader> dl;
+    std::vector<std::string> failures;  // reported from the thread
+  };
+  std::vector<Board> boards(kBoards);
+  for (std::size_t b = 0; b < kBoards; ++b) {
+    boards[b].inner = std::make_unique<SimBoard>(dev);
+    boards[b].inner->send_config(base_bit.words);
+    FaultProfile profile;
+    profile.word_flip = 0.001;
+    profile.readback_flip = 0.0005;
+    profile.send_failure = 0.05;
+    profile.fault_budget = 6;
+    boards[b].link =
+        std::make_unique<FaultyBoard>(*boards[b].inner, profile, 8100 + b);
+    boards[b].dl = std::make_unique<VerifiedDownloader>(*boards[b].link, dev);
+    boards[b].dl->assume_board_state(base);
+  }
+
+  std::vector<std::thread> threads;
+  for (std::size_t b = 0; b < kBoards; ++b) {
+    threads.emplace_back([&, b] {
+      Board& board = boards[b];
+      const ConfigMemory* verified = &base;
+      for (int i = 0; i < kSwapsPerBoard; ++i) {
+        // The boards start on different leases, then trade every swap.
+        const std::size_t k = (b + static_cast<std::size_t>(i)) % 2;
+        const DownloadReport rep =
+            board.dl->download_validated(leases[k].words(), tables[k], 128);
+        const ConfigMemory* want = verified;
+        if (rep.status == DownloadStatus::Success) {
+          want = &targets[k];
+        } else if (rep.status != DownloadStatus::RolledBack) {
+          board.failures.push_back("swap " + std::to_string(i) +
+                                   " neither verified nor rolled back: " +
+                                   rep.summary());
+          break;
+        }
+        if (!(board.inner->config() == *want) ||
+            !(board.dl->mirror() == *want)) {
+          board.failures.push_back(
+              "swap " + std::to_string(i) +
+              " plane does not match its verified state (" + rep.summary() +
+              ")");
+          break;
+        }
+        verified = want;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::size_t faults_total = 0;
+  for (std::size_t b = 0; b < kBoards; ++b) {
+    for (const std::string& f : boards[b].failures) {
+      ADD_FAILURE() << "board " << b << ": " << f;
+    }
+    faults_total += boards[b].link->faults_injected();
+  }
   EXPECT_GT(faults_total, 0u);
 }
 

@@ -292,6 +292,69 @@ TEST_F(ServiceTest, ResponseCarriesTheAppliedPbit) {
   EXPECT_EQ(rejected.applied, nullptr);
 }
 
+// Each lease is replayed once, when it is published; every swap of it
+// then applies that replay's frame table instead of replaying again, and
+// the boards still end on the composed planes.
+TEST_F(ServiceTest, SwapsApplyTheTableValidatedAtPublish) {
+  const std::uint64_t validated0 = svc_counter("svc.resident.validated");
+  const std::uint64_t applies0 = svc_counter("dl.table_applies");
+  ReconfigService svc(*dev_, fx_->base, 2);
+  const std::vector<std::pair<std::size_t, std::size_t>> swaps{
+      {0, 0}, {1, 1}, {0, 0}, {1, 1}, {0, 2}};
+  for (int b = 0; b < 2; ++b) {
+    for (const auto& [slot, variant] : swaps) {
+      ServiceRequest r = fx_->request(slot, variant, "t");
+      r.board = b;
+      const ServiceResponse resp = svc.submit(std::move(r)).get();
+      ASSERT_TRUE(resp.ok()) << resp.message;
+    }
+  }
+  svc.shutdown();
+  EXPECT_EQ(svc.board(0).config(), expected_plane(swaps));
+  EXPECT_EQ(svc.board(1).config(), expected_plane(swaps));
+#if JPG_TELEMETRY_ENABLED
+  EXPECT_EQ(svc_counter("svc.resident.validated") - validated0, 3u);
+  EXPECT_EQ(svc_counter("dl.table_applies") - applies0, 10u);
+#else
+  (void)validated0;
+  (void)applies0;
+#endif
+}
+
+// words_swapped counts applied swaps only: on a link where every send
+// fails, every swap rolls back and no tenant is credited a word, while a
+// clean swap credits exactly its stream.
+TEST_F(ServiceTest, WordsSwappedCountsOnlyAppliedSwaps) {
+  {
+    ReconfigService svc(*dev_, fx_->base, 1);
+    const ServiceResponse r = svc.submit(fx_->request(0, 0, "t")).get();
+    ASSERT_TRUE(r.ok()) << r.message;
+    svc.shutdown();
+    ASSERT_NE(r.applied, nullptr);
+    EXPECT_EQ(svc.stats().tenants.at("t").words_swapped,
+              r.applied->words.size());
+  }
+  ServiceConfig cfg;
+  cfg.inject_faults = true;
+  cfg.fault_profile.send_failure = 1.0;
+  ReconfigService svc(*dev_, fx_->base, 2, cfg);
+  std::vector<std::future<ServiceResponse>> futures;
+  for (std::size_t i = 0; i < 6; ++i) {
+    futures.push_back(
+        svc.submit(fx_->request(i % 2, i % 5, "t" + std::to_string(i % 3))));
+  }
+  for (auto& f : futures) {
+    const ServiceResponse r = f.get();
+    EXPECT_EQ(r.error, ServiceError::DownloadFailed) << r.message;
+  }
+  svc.shutdown();
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.failed, 6u);
+  std::uint64_t words = 0;
+  for (const auto& [name, ts] : st.tenants) words += ts.words_swapped;
+  EXPECT_EQ(words, 0u);
+}
+
 // The hook may submit: a hook that chains one follow-up request off the
 // first completion sees both resolve, and every submit is accounted for at
 // quiescence.

@@ -3,8 +3,9 @@
 // burst sizes and segment cuts (including zero-length segments), ABORT with
 // the port mid-burst, word flips landing exactly on burst seams, mid-stream
 // tool-side rejection with rollback, the board receiving exactly the
-// validated prefix of a rejected stream, and the fdri-buffer reuse contract
-// (cfg.buffer_reallocs stays 0 after warm-up).
+// validated prefix of a rejected stream, frame-table downloads matching the
+// per-burst replay (clean and faulty links), and the fdri-buffer reuse
+// contract (cfg.buffer_reallocs stays 0 after warm-up).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,12 +14,15 @@
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "core/jpg.h"
+#include "core/relocate.h"
 #include "hwif/burst_engine.h"
 #include "hwif/faulty_board.h"
 #include "hwif/sim_board.h"
 #include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
+#include "service/load_harness.h"
 #include "support/rng.h"
 #include "support/telemetry/telemetry.h"
 
@@ -654,6 +658,142 @@ TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
     ASSERT_EQ(board_plane(board), board_plane(twin)) << "step " << step;
   }
   for (const int n : seen) EXPECT_GT(n, 0);
+}
+
+/// The pbits of the table-versus-replay tests on XCV300, each with the
+/// frame table its publish-time replay records: the six
+/// make_load_fixture(XCV300, 1, 2, 6) variants (variant v at slot v % 2),
+/// one relocated, one diff-only and one without CRC.
+struct TableCorpus {
+  const Device* dev = nullptr;
+  LoadFixture fx;
+  Bitstream base_bit;
+  std::vector<Bitstream> pbits;
+  std::vector<FrameTable> tables;
+};
+
+TableCorpus make_table_corpus() {
+  const Device& dev = Device::get("XCV300");
+  TableCorpus c{&dev, make_load_fixture(dev, 1, 2, 6), {}, {}, {}};
+  c.base_bit = generate_full_bitstream(c.fx.base);
+  const PartialBitstreamGenerator gen(c.fx.base);
+  for (std::size_t v = 0; v < c.fx.variants.size(); ++v) {
+    c.pbits.push_back(
+        gen.generate(c.fx.variants[v], c.fx.slots[v % 2]).bitstream);
+  }
+  RelocOptions reloc;
+  reloc.require_containment = false;
+  c.pbits.push_back(PbitRelocator(gen)
+                        .relocate(c.pbits[0], c.fx.slots[0], c.fx.slots[1],
+                                  reloc)
+                        .bitstream);
+  PartialGenOptions diff;
+  diff.diff_only = true;
+  c.pbits.push_back(gen.generate(c.fx.variants[1], c.fx.slots[0], diff).bitstream);
+  PartialGenOptions nocrc;
+  nocrc.include_crc = false;
+  c.pbits.push_back(
+      gen.generate(c.fx.variants[2], c.fx.slots[1], nocrc).bitstream);
+  ConfigMemory scratch(dev);
+  ConfigPort port(scratch);
+  for (const Bitstream& pbit : c.pbits) {
+    c.tables.push_back(replay_frame_table(port, pbit.words));
+  }
+  return c;
+}
+
+/// One board on the fixture base, behind a FaultyBoard (a clean link for a
+/// default profile), with its downloader.
+struct TableLane {
+  TableLane(const TableCorpus& c, const FaultProfile& profile,
+            std::uint64_t seed)
+      : board(*c.dev), link(board, profile, seed), dl(link, *c.dev) {
+    board.send_config(c.base_bit.words);
+    dl.assume_board_state(c.fx.base);
+  }
+  SimBoard board;
+  FaultyBoard link;
+  VerifiedDownloader dl;
+};
+
+/// Everything two reports say apart from wall time.
+void expect_same_report(const DownloadReport& a, const DownloadReport& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.summary(), b.summary()) << what;
+  EXPECT_EQ(a.fault_log, b.fault_log) << what;
+  for (const char* c : {"words_sent", "readback_words", "repair_rounds",
+                        "aborts"}) {
+    EXPECT_EQ(a.telemetry.counter(c), b.telemetry.counter(c))
+        << what << ": " << c;
+  }
+}
+
+/// Downloads every corpus pbit on two lanes with the same link seed — from
+/// its table on one, replayed per burst on the other — and requires the
+/// same report, mirror and board plane after each. An empty download then
+/// checks the shadows: it touches nothing, so its sweep reads every frame
+/// back against the shadow, and a shadow frame left stale would be
+/// "repaired" onto the board of one lane only. Returns the faults the
+/// table lane's link injected.
+std::size_t expect_table_matches_replay(const TableCorpus& c,
+                                 const FaultProfile& profile,
+                                 std::uint64_t seed, bool clean_link) {
+  TableLane table(c, profile, seed);
+  TableLane replay(c, profile, seed);
+  const std::array<std::size_t, 3> bursts{kDefaultBurstWords, 97, 1u << 16};
+  for (std::size_t i = 0; i < c.pbits.size(); ++i) {
+    const std::string what =
+        "seed " + std::to_string(seed) + " pbit " + std::to_string(i);
+    const std::span<const std::uint32_t> words(c.pbits[i].words);
+    const std::size_t burst = bursts[i % bursts.size()];
+    const DownloadReport a = table.dl.download_validated(words, c.tables[i], burst);
+    const DownloadReport b =
+        replay.dl.download_stream(StreamSource::of(words), burst);
+    expect_same_report(a, b, what);
+    if (clean_link) {
+      EXPECT_TRUE(a.ok()) << what << ": " << a.summary();
+    }
+    EXPECT_EQ(table.dl.mirror(), replay.dl.mirror()) << what;
+    EXPECT_EQ(table.board.config(), replay.board.config()) << what;
+
+    const DownloadReport sa = table.dl.download_stream(StreamSource{});
+    const DownloadReport sb = replay.dl.download_stream(StreamSource{});
+    expect_same_report(sa, sb, what + " (sweep)");
+    if (clean_link) {
+      EXPECT_EQ(sa.frames_repaired, 0u) << what << ": " << sa.summary();
+    }
+    EXPECT_EQ(table.board.config(), replay.board.config()) << what;
+  }
+  if (clean_link) {
+    EXPECT_EQ(table.board.config(), table.dl.mirror());
+  }
+  EXPECT_EQ(table.link.faults_injected(), replay.link.faults_injected());
+  return table.link.faults_injected();
+}
+
+TEST_F(StreamDownloadTest, FrameTableDownloadMatchesReplayOnACleanLink) {
+  const TableCorpus c = make_table_corpus();
+  EXPECT_EQ(
+      expect_table_matches_replay(c, FaultProfile{}, 1, /*clean_link=*/true),
+      0u);
+}
+
+TEST_F(StreamDownloadTest, FrameTableDownloadMatchesReplayUnderFaults) {
+  const TableCorpus c = make_table_corpus();
+  FaultProfile profile;
+  profile.send_failure = 0.05;
+  profile.word_flip = 0.0002;
+  profile.truncate = 0.05;
+  profile.readback_failure = 0.02;
+  profile.readback_flip = 0.00002;
+  profile.fault_budget = 8;
+  std::size_t faults = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    faults += expect_table_matches_replay(c, profile, 9100 + seed,
+                                          /*clean_link=*/false);
+  }
+  // A campaign that injected nothing would compare two clean runs.
+  EXPECT_GT(faults, 0u);
 }
 
 #if JPG_TELEMETRY_ENABLED

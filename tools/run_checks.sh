@@ -6,8 +6,9 @@
 #   asan       JPG_SANITIZE=address, fast + fuzz      (memory bugs)
 #   tsan       JPG_SANITIZE=thread, tsan-labelled     (threaded router)
 #   telemoff   JPG_TELEMETRY=OFF, fast tier           (counters compile out)
-#   service    TSan run of the service, concurrent-stream and scheduler
-#              tests, stats coherence and the slot circuit cache included
+#   service    TSan run of the service, concurrent-stream, shared-lease-
+#              table and scheduler tests, stats coherence and the slot
+#              circuit cache included
 #              (each repeated until a failure, up to 10 runs), then a
 #              release JPG_BENCH_SMOKE=1 run of bench_service gated on the
 #              BENCH_service.json sanity fields: p99 swap latency finite,
@@ -163,12 +164,12 @@ run_reloc_checks() {
 }
 
 run_service_checks() {
-  echo "=== [service] TSan service + concurrent-stream + scheduler tests ==="
+  echo "=== [service] TSan service + concurrent-stream + shared-table + scheduler tests ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target service_test concurrent_stream_test sched_test
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" --repeat until-fail:10 \
-     -R 'ServiceTest|ConcurrentStreamTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|SlotCircuitCacheTest')
+     -R 'ServiceTest|ConcurrentStreamTest|ConcurrentLeaseTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|SlotCircuitCacheTest')
   echo "=== [service] bench_service smoke + gate ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   cmake --build build -j "$JOBS" --target bench_service
