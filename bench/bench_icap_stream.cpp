@@ -4,8 +4,8 @@
 // result out of the cache), and resident (a pinned lease streamed straight
 // from cache memory in bounded bursts — no copy anywhere between the cache
 // and the board). Also: the burst-size sweep through stream_to_board, and
-// the verified streamed download (each burst replayed tool-side, then
-// sent). Copy traffic is taken from the telemetry counters
+// the verified streamed download (the whole stream replayed tool-side,
+// then sent in bursts). Copy traffic is taken from the telemetry counters
 // (pgen.cache.copy_bytes + cfg.bytes_copied), so the "zero bytes moved"
 // claim is measured, not asserted. Writes
 // BENCH_icap_stream.json for the driver; tools/run_checks.sh bench gates
@@ -160,8 +160,8 @@ void bench_device(const char* part, benchutil::JsonReport& report,
                pwords * 1e9 / b.ns);
   }
 
-  // Verified swap: the verified downloader replays each burst tool-side,
-  // then sends it. The swap is idempotent (the mirror already holds the
+  // Verified swap: the verified downloader replays the whole stream
+  // tool-side, then sends it in bursts. The swap is idempotent (the mirror already holds the
   // target), with the full-plane sweep off so the figure is the streaming
   // datapath, not readback of the whole plane.
   SimBoard vboard(dev);

@@ -9,7 +9,7 @@
 namespace jpg {
 
 struct BitgenOptions {
-  /// Emit the mid-stream and final CRC checks (DriveDone-style options the
+  /// Emit the intermediate and final CRC checks (DriveDone-style options the
   /// real tool exposes are out of scope; CRC is the one JPG must respect).
   bool include_crc = true;
 };

@@ -122,6 +122,12 @@ void ConfigPort::load(std::span<const std::uint32_t> words) {
   }
 }
 
+void ConfigPort::finish() {
+  if (!synced_ || expect_ == Expect::Header) return;
+  abort();
+  throw BitstreamError("stream ends inside a packet");
+}
+
 void ConfigPort::load_word_impl(std::uint32_t word) {
   ++words_consumed_;
   if (!synced_) {

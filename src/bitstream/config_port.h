@@ -58,6 +58,14 @@ class ConfigPort {
   void load(std::span<const std::uint32_t> words);
   void load(const Bitstream& bs) { load(bs.words); }
 
+  /// End-of-stream check for a tool-side replay of one complete stream:
+  /// throws BitstreamError when the port is synced and still waits for a
+  /// type-2 header or payload words, i.e. the stream ends inside a packet.
+  /// Like any load error, the throw drops the port to the desynced error
+  /// state. A board-side port never calls it: it consumes bursts and cannot
+  /// tell where a stream ends.
+  void finish();
+
   // --- State ------------------------------------------------------------------
   [[nodiscard]] bool synced() const { return synced_; }
   /// True once a START command has been processed (device configured).

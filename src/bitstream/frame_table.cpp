@@ -26,6 +26,7 @@ FrameTable replay_frame_table(ConfigPort& port,
   port.reset();
   port.reset_stats();
   port.load(words);
+  port.finish();
   return port.frame_table();
 }
 

@@ -53,7 +53,8 @@ void apply_frame_table(const FrameTable& table,
 
 /// Replays `words` through `port` from power-on reset (reset() and
 /// reset_stats() first) and returns the replay's frame table. Throws
-/// BitstreamError exactly where ConfigPort::load does.
+/// BitstreamError exactly where ConfigPort::load does, or at the end when
+/// the stream ends inside a packet (ConfigPort::finish).
 [[nodiscard]] FrameTable replay_frame_table(
     ConfigPort& port, std::span<const std::uint32_t> words);
 

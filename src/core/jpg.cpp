@@ -52,11 +52,15 @@ Jpg::PartialResult Jpg::generate_partial_from_text(
 }
 
 void Jpg::write_onto_base(const PartialResult& update) {
-  // Loading the partial stream through the configuration port both
-  // validates it (framing, CRC, FLR, IDCODE) and mutates the base plane —
-  // the "overwrite the original bitstream" behaviour of option 2.
-  ConfigPort port(*base_);
-  port.load(update.partial);
+  // Replaying the partial stream through a scratch configuration port
+  // validates it (framing, CRC, FLR, IDCODE, no packet cut short). Only a
+  // stream valid to its last word then overwrites the base plane — the
+  // "overwrite the original bitstream" behaviour of option 2 — so a
+  // malformed one leaves the tool's base untouched.
+  ConfigMemory scratch(*device_);
+  ConfigPort port(scratch);
+  const FrameTable table = replay_frame_table(port, update.partial.words);
+  apply_frame_table(table, update.partial.words, *base_);
   if (connected()) {
     download(update.partial);
   }

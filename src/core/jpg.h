@@ -52,8 +52,10 @@ class Jpg {
 
   /// Option 2: writes the update onto the base design, overwriting the
   /// tool's copy of the base configuration ("care should therefore be taken
-  /// before modifying the original bitstream"). If a board is connected the
-  /// partial bitstream is downloaded as well.
+  /// before modifying the original bitstream"). The whole stream is
+  /// validated first: a malformed update throws BitstreamError and leaves
+  /// the base unchanged. If a board is connected the partial bitstream is
+  /// downloaded as well.
   void write_onto_base(const PartialResult& update);
 
   /// The (possibly updated) base design as a complete bitstream.
@@ -65,17 +67,18 @@ class Jpg {
   /// Unverified download: sends the stream to the board as one buffer.
   /// Zero-copy streaming of a resident pbit lease goes through
   /// stream_to_board (fire-and-forget) or VerifiedDownloader::download_stream
-  /// directly.
+  /// (validates the whole stream, then sends it in bursts) directly.
   void download(const Bitstream& bs);
 
   /// Fault-tolerant variant of download + verify_via_readback: sends the
   /// update through a VerifiedDownloader seeded with the tool's base plane
   /// (JPG's model: the board holds the base design; partial streams are
   /// state-independent, so this also covers a board running another module
-  /// variant in the same region). The update is CRC-checked before the
-  /// first word is sent, readback-verified frame by frame, repaired under
-  /// the policy's retry budget, and rolled back to the base plane if it
-  /// will not converge. The tool's base configuration is not modified.
+  /// variant in the same region). The whole update is validated (framing,
+  /// CRC, no packet cut short) before the first word is sent, then
+  /// readback-verified frame by frame, repaired under the policy's retry
+  /// budget, and rolled back to the base plane if it will not converge.
+  /// The tool's base configuration is not modified.
   [[nodiscard]] DownloadReport download_verified(
       const PartialResult& update, const DownloadPolicy& policy = {});
 

@@ -198,6 +198,7 @@ ConfigMemory PbitRelocator::decode(const Bitstream& pbit,
   ConfigMemory plane = gen_->base();
   ConfigPort port(plane);
   port.load(pbit);
+  port.finish();
   return plane;
 }
 

@@ -2,9 +2,9 @@
 // word bursts through Xhwif::send_config. This is the fire-and-forget
 // streaming path, and the one a caller streaming a resident pbit lease
 // unverified calls directly (the verified equivalent is VerifiedDownloader::
-// download_stream, which takes the same source and burst bound); both
-// record the same cfg.* telemetry so the burst-size distribution of any run
-// is observable.
+// download_stream, which validates the whole source tool-side and then sends
+// it with the same burst bound); both record the same cfg.burst_words
+// histogram, so the burst-size distribution of any run is observable.
 #pragma once
 
 #include <cstddef>

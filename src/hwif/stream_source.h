@@ -28,8 +28,9 @@ namespace jpg {
 
 /// Words per burst (the upper bound on words per send_config call) when the
 /// caller does not say otherwise. ~2 KiB of wire traffic: large enough to
-/// amortise per-call overhead, small enough that mid-stream state (FAR
-/// tracking, desync-on-error) is exercised at a realistic granularity.
+/// amortise per-call overhead, small enough that the port state a stream
+/// carries across bursts (FAR tracking, a packet split over two bursts) is
+/// exercised at a realistic granularity.
 /// Bursts are *bounded*, not fixed: a burst never crosses a segment
 /// boundary, so segment tails are shorter and stay zero-copy.
 inline constexpr std::size_t kDefaultBurstWords = 512;

@@ -86,6 +86,7 @@ ConfigMemory reconstruct_expected_plane(const ConfigMemory& base,
   for (const Bitstream& pbit : applied) {
     ConfigPort port(plane);
     port.load(pbit);
+    port.finish();
   }
   return plane;
 }
@@ -127,12 +128,8 @@ void VerifiedDownloader::reseed_shadow() {
   }
 }
 
-void VerifiedDownloader::settle_shadow(const FrameTable* table,
-                                       bool success) {
-  // The frames where shadow and mirror can differ: the table's, or those
-  // the replay committed.
-  const std::vector<std::size_t>& frames =
-      table != nullptr ? table->touched : shadow_port_->committed_frames();
+void VerifiedDownloader::settle_shadow(
+    const std::vector<std::size_t>& frames, bool success) {
   for (const std::size_t f : frames) {
     if (success) {
       mirror_->copy_frame_from(*shadow_, f);
@@ -248,49 +245,62 @@ std::vector<std::size_t> VerifiedDownloader::verify_against(
   return bad;
 }
 
-bool VerifiedDownloader::converge(Bitstream stream, const ConfigMemory& target,
-                                  std::vector<std::size_t> check, int budget,
-                                  bool ensure_started, int& attempts,
-                                  DownloadReport& rep) {
-  for (int attempt = 1; attempt <= budget; ++attempt) {
-    ++attempts;
-    try {
-      // ABORT first: a previous stream cut off mid-payload left the port
-      // waiting for FDRI words that would otherwise swallow this stream.
-      board_->abort_config();
-      ++aborts_;
-      board_->send_config(stream.words);
-      words_sent_ += stream.words.size();
-      JPG_COUNT("dl.words_sent", stream.words.size());
-    } catch (const JpgError& e) {
-      ++rep.faults_seen;
-      rep.fault_log.push_back(std::string("send: ") + e.what());
-      // Fall through: readback decides how much of the stream landed.
+void VerifiedDownloader::send(const StreamSource& source,
+                              std::size_t burst_words, int& attempts,
+                              DownloadReport& rep) {
+  BurstCursor cursor(source);
+  auto burst = cursor.next(burst_words);
+  if (burst.empty()) return;
+  ++attempts;
+  try {
+    // ABORT first: a previous stream cut off mid-payload left the port
+    // waiting for FDRI words that would otherwise swallow this stream.
+    board_->abort_config();
+    ++aborts_;
+    for (; !burst.empty(); burst = cursor.next(burst_words)) {
+      JPG_HIST("cfg.burst_words", burst.size());
+      board_->send_config(burst);
+      words_sent_ += burst.size();
+      JPG_COUNT("dl.words_sent", burst.size());
     }
+  } catch (const JpgError& e) {
+    ++rep.faults_seen;
+    rep.fault_log.push_back(std::string("send: ") + e.what());
+    // Stop sending: readback decides how much of the stream landed.
+  }
+}
+
+void VerifiedDownloader::send(const Bitstream& stream, int& attempts,
+                              DownloadReport& rep) {
+  send(StreamSource::of(stream.words),
+       std::max<std::size_t>(1, stream.words.size()), attempts, rep);
+}
+
+bool VerifiedDownloader::converge(const ConfigMemory& target,
+                                  std::vector<std::size_t> check,
+                                  int max_attempts, bool ensure_started,
+                                  int& attempts, DownloadReport& rep) {
+  for (;;) {
     std::vector<std::size_t> bad = verify_against(target, check, rep);
     if (bad.empty() && policy_.full_sweep) {
       bad = verify_against(target, unchecked_frames(check), rep);
     }
     if (bad.empty()) {
-      if (ensure_started && !board_->config_done()) {
-        // Every frame is right but DONE is low: the stream lost its START
-        // command (e.g. truncated after the last pad frame). Resend just
-        // the startup epilogue.
-        rep.fault_log.emplace_back(
-            "frames verified but DONE low; resending startup");
-        stream = build_frames_stream(target, {}, true);
-        check.clear();
-        continue;
-      }
-      return true;
+      if (!ensure_started || board_->config_done()) return true;
+      // Every frame is right but DONE is low: the stream lost its START
+      // command (e.g. truncated after the last pad frame). The next stream
+      // is just the startup epilogue.
+      rep.fault_log.emplace_back(
+          "frames verified but DONE low; resending startup");
+    } else {
+      rep.frames_repaired += bad.size();
+      ++repair_rounds_;
+      JPG_COUNT("dl.repair_rounds", 1);
     }
-    rep.frames_repaired += bad.size();
-    ++repair_rounds_;
-    JPG_COUNT("dl.repair_rounds", 1);
-    stream = build_frames_stream(target, bad, ensure_started);
+    if (attempts >= max_attempts) return false;
+    send(build_frames_stream(target, bad, ensure_started), attempts, rep);
     check = std::move(bad);
   }
-  return false;
 }
 
 void VerifiedDownloader::finish_report(DownloadReport& rep,
@@ -373,6 +383,7 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
   try {
     ConfigPort port(*plane);
     port.load(full);
+    port.finish();
     if (!port.started()) {
       throw BitstreamError("full bitstream does not start the device");
     }
@@ -384,7 +395,8 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
     return rep;
   }
   rep.frames_touched = touched.size();
-  if (converge(full, *plane, std::move(touched), policy_.max_attempts,
+  send(full, rep.attempts, rep);
+  if (converge(*plane, std::move(touched), policy_.max_attempts,
                /*ensure_started=*/true, rep.attempts, rep)) {
     rep.status = DownloadStatus::Success;
     mirror_ = std::move(plane);
@@ -399,8 +411,6 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
 
 DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
   JPG_SPAN("dl.download_partial");
-  // One burst covering the whole stream: it replays completely before a
-  // word is sent, so a malformed stream is rejected with nothing sent.
   return download_stream(StreamSource::of(partial.words),
                          std::max<std::size_t>(1, partial.words.size()));
 }
@@ -430,124 +440,54 @@ DownloadReport VerifiedDownloader::run_download(const StreamSource& source,
               "assume_board_state first");
   JPG_REQUIRE(burst_words > 0, "burst_words must be positive");
   DownloadReport rep;
-  shadow_port_->reset();
-  shadow_port_->reset_stats();
+  ConfigPort& port = *shadow_port_;
+  FrameTable replayed;
+  // The frames where shadow and mirror can differ: the table's, or those
+  // the replay has committed so far.
+  const std::vector<std::size_t>* frames =
+      table != nullptr ? &table->touched : &port.committed_frames();
   try {
-    stream_into_shadow(source, burst_words, table, rep);
+    if (table != nullptr) {
+      // Validated when it was published: the shadow takes the stream's
+      // frame writes as block copies.
+      JPG_ASSERT(source.segments().size() == 1);
+      apply_frame_table(*table, source.segments().front(), *shadow_);
+    } else {
+      // Validate the whole stream before any traffic: a stream malformed
+      // anywhere, or cut off inside a packet, never reaches the board.
+      port.reset();
+      port.reset_stats();
+      try {
+        for (const auto& segment : source.segments()) port.load(segment);
+        port.finish();
+        replayed = port.frame_table();
+        frames = &replayed.touched;
+      } catch (const JpgError& e) {
+        rep.error = std::string("stream rejected tool-side, nothing sent: ") +
+                    e.what();
+      }
+    }
+    if (rep.error.empty()) {
+      // The shadow is the intended plane: send, then verify the touched
+      // frames, sweep the rest and repair, or give up and roll back.
+      rep.frames_touched = frames->size();
+      send(source, burst_words, rep.attempts, rep);
+      if (converge(*shadow_, *frames, policy_.max_attempts,
+                   /*ensure_started=*/false, rep.attempts, rep)) {
+        rep.status = DownloadStatus::Success;
+      } else {
+        rep.error = "update did not converge";
+        roll_back(*frames, rep);
+      }
+    }
   } catch (...) {
-    settle_shadow(table, false);
+    settle_shadow(*frames, false);
     throw;
   }
-  settle_shadow(table, rep.ok());
+  settle_shadow(*frames, rep.ok());
   finish_report(rep, telem_t0);
   JPG_INFO(rep.summary());
   return rep;
-}
-
-void VerifiedDownloader::stream_into_shadow(const StreamSource& source,
-                                            std::size_t burst_words,
-                                            const FrameTable* table,
-                                            DownloadReport& rep) {
-  ConfigPort& port = *shadow_port_;
-  if (table != nullptr) {
-    // Validated when it was published: the shadow takes the stream's frame
-    // writes as block copies, and every burst below is sendable.
-    JPG_ASSERT(source.segments().size() == 1);
-    apply_frame_table(*table, source.segments().front(), *shadow_);
-  }
-  BurstCursor cursor(source);
-  // Otherwise burst k is replayed into the shadow before it is sent: the
-  // two-state invariant holds burst-wise, nothing unvalidated ever goes out.
-  bool sending = false;
-  bool send_failed = false;
-  bool mid_stream_reject = false;
-  for (auto burst = cursor.next(burst_words); !burst.empty();
-       burst = cursor.next(burst_words)) {
-    if (table == nullptr) {
-      try {
-        port.load(burst);
-      } catch (const JpgError& e) {
-        if (!sending) {
-          // Burst 0: a stream malformed at the head is rejected with
-          // nothing sent.
-          rep.error =
-              std::string("stream rejected tool-side, nothing sent: ") +
-              e.what();
-          return;
-        }
-        rep.error =
-            std::string("stream rejected tool-side mid-stream: ") + e.what();
-        mid_stream_reject = true;
-        break;
-      }
-    }
-    if (!sending) {
-      // ABORT first, as in converge(): a previous stream cut off
-      // mid-payload must not swallow this one. The streamed send is one
-      // attempt against the policy budget.
-      board_->abort_config();
-      ++aborts_;
-      ++rep.attempts;
-      sending = true;
-    }
-    if (send_failed) continue;
-    try {
-      JPG_HIST("cfg.burst_words", burst.size());
-      board_->send_config(burst);
-      words_sent_ += burst.size();
-      JPG_COUNT("dl.words_sent", burst.size());
-    } catch (const JpgError& e) {
-      ++rep.faults_seen;
-      rep.fault_log.push_back(std::string("send: ") + e.what());
-      // Stop pushing words after a link fault, but finish the replay:
-      // readback verification needs the complete intended plane.
-      send_failed = true;
-    }
-  }
-
-  // The frames the stream writes — for a replay, every frame the port
-  // committed: a superset of what the board can have committed (the wire
-  // saw a validated prefix).
-  FrameTable replayed;
-  if (table == nullptr) {
-    replayed = port.frame_table();
-    table = &replayed;
-  }
-  const std::vector<std::size_t>& touched = table->touched;
-  rep.frames_touched = touched.size();
-
-  if (mid_stream_reject) {
-    // Bursts already on the wire, but the stream's tail is malformed: there
-    // is no intended plane to converge to. Abandon the update and roll the
-    // committed superset back to the mirror.
-    roll_back(touched, rep);
-    return;
-  }
-
-  // Fully replayed: the shadow is the intended plane. Verify the touched
-  // frames, then sweep the rest, then repair with the remaining attempt
-  // budget.
-  const ConfigMemory& target = *shadow_;
-  std::vector<std::size_t> bad = verify_against(target, touched, rep);
-  if (bad.empty() && policy_.full_sweep) {
-    bad = verify_against(target, unchecked_frames(touched), rep);
-  }
-  bool converged = bad.empty();
-  if (!converged) {
-    rep.frames_repaired += bad.size();
-    ++repair_rounds_;
-    JPG_COUNT("dl.repair_rounds", 1);
-    Bitstream repair = build_frames_stream(target, bad, false);
-    converged = converge(std::move(repair), target, std::move(bad),
-                         policy_.max_attempts - rep.attempts,
-                         /*ensure_started=*/false, rep.attempts, rep);
-  }
-  if (converged) {
-    rep.status = DownloadStatus::Success;
-    return;
-  }
-  rep.error = "update did not converge";
-  roll_back(touched, rep);
 }
 
 void VerifiedDownloader::roll_back(std::vector<std::size_t> touched,
@@ -556,10 +496,10 @@ void VerifiedDownloader::roll_back(std::vector<std::size_t> touched,
     rep.error += "; rollback disabled; board state unknown";
     return;
   }
-  Bitstream rb = build_frames_stream(*mirror_, touched, false);
-  if (converge(std::move(rb), *mirror_, std::move(touched),
-               policy_.rollback_max_attempts, /*ensure_started=*/false,
-               rep.rollback_attempts, rep)) {
+  send(build_frames_stream(*mirror_, touched, false), rep.rollback_attempts,
+       rep);
+  if (converge(*mirror_, std::move(touched), policy_.rollback_max_attempts,
+               /*ensure_started=*/false, rep.rollback_attempts, rep)) {
     rep.status = DownloadStatus::RolledBack;
     rep.error += "; device rolled back to the pre-update plane";
   } else {

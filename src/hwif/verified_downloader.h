@@ -3,10 +3,13 @@
 // The paper's end-to-end claim is that a generated partial bitstream can be
 // written onto a live device; the fire-and-forget send_config path trusts
 // the link and the stream completely. This wrapper makes the download
-// *verified*: no stream goes out before it was validated tool-side (framing
-// + CRC replayed against a mirror of the board's plane) — once, when it was
-// published, for a resident lease; burst by burst, ahead of each send, for
-// caller-supplied bytes. The send is followed by a readback of exactly the
+// *verified*, and every download takes one pipeline: validate the whole
+// stream, then send it, then converge. Validation replays every word
+// tool-side (framing, CRC, a stream that ends inside a packet) against a
+// mirror of the board's plane — once, when it was published, for a
+// resident lease; at the top of the download for caller-supplied bytes. A
+// stream malformed anywhere is rejected with nothing sent. The send is an
+// ABORT followed by the stream's bursts, then a readback of exactly the
 // frames the stream writes, compared word-for-word against the intended
 // contents (plus, under full_sweep, every other frame of the plane), and
 // mismatched frames are rewritten by targeted repair streams under a
@@ -25,9 +28,9 @@
 // or, for a stream validated at publish, applied from its FrameTable with
 // block copies — which then holds the intended plane; the touched-frame
 // list names exactly the frames where the two differ. On Success those
-// frames are copied shadow -> mirror; on every other exit (rejected at the
-// head or mid-stream, rolled back, failed, or an exception) they are
-// copied mirror -> shadow. Either way the pair is equal again, and a swap
+// frames are copied shadow -> mirror; on every other exit (rejected
+// tool-side, rolled back, failed, or an exception) they are copied
+// mirror -> shadow. Either way the pair is equal again, and a swap
 // copies only the frames it rewrites, never the whole plane.
 #pragma once
 
@@ -67,7 +70,9 @@ struct DownloadPolicy {
 enum class DownloadStatus {
   Success,     ///< update applied; readback matches the intended plane
   RolledBack,  ///< update abandoned; readback matches the pre-update plane
-  Failed,      ///< neither converged within its budget (board state unknown)
+  /// Rejected tool-side with nothing sent (board untouched), or the update
+  /// did not converge and was not rolled back (board state unknown).
+  Failed,
 };
 
 struct DownloadReport {
@@ -137,29 +142,24 @@ class VerifiedDownloader {
   VerifiedDownloader(Xhwif& board, const Device& device,
                      const DownloadPolicy& policy = {});
 
-  /// Downloads a complete bitstream, establishing the mirror. Success
-  /// additionally requires the DONE pin — every frame can be correct while
-  /// a truncated stream dropped the START command.
+  /// Downloads a complete bitstream, establishing the mirror. The whole
+  /// stream is validated first and must start the device; nothing is sent
+  /// otherwise. Success additionally requires the DONE pin — every frame
+  /// can be correct while a truncated stream dropped the START command.
   DownloadReport download_full(const Bitstream& full);
 
   /// Downloads a partial bitstream against the established mirror: a
-  /// download_stream with one burst covering the whole stream. The stream
-  /// is first replayed into the shadow plane (tool-side framing and CRC
-  /// check — nothing is sent if it is malformed), then sent,
-  /// readback-verified, repaired, and on persistent failure rolled back.
+  /// download_stream with one burst covering the whole stream.
   DownloadReport download_partial(const Bitstream& partial);
 
-  /// Streaming (ICAP-style) partial download: the scatter-gather source is
-  /// sent in bursts of at most `burst_words` words straight from the
-  /// caller's segments — no concatenated staging copy. Each burst is
-  /// replayed into the shadow plane, then sent. The two-state invariant is
-  /// preserved burst-wise: burst k goes out only after bursts 0..k replayed
-  /// cleanly; a burst rejected before anything was sent reports the usual
-  /// "nothing sent" error, one rejected mid-stream rolls the frames
-  /// committed so far back to the mirror. After a send fault the replay
-  /// continues without sending. After the last burst the touched frames
-  /// (and, under full_sweep, every other frame) are readback-verified and
-  /// repaired.
+  /// Streaming (ICAP-style) partial download. The whole source is first
+  /// replayed into the shadow plane; a stream malformed anywhere, or cut
+  /// off inside a packet, is rejected "nothing sent" with no board traffic
+  /// at all. Then the source is sent in bursts of at most `burst_words`
+  /// words straight from the caller's segments — no concatenated staging
+  /// copy; a send fault ends the send. The touched frames (and, under
+  /// full_sweep, every other frame) are readback-verified and repaired,
+  /// and on persistent failure rolled back.
   DownloadReport download_stream(const StreamSource& source,
                                  std::size_t burst_words = kDefaultBurstWords);
 
@@ -169,8 +169,7 @@ class VerifiedDownloader {
   /// CRC), then `words` goes out unchanged in the same bursts, and
   /// readback, sweep, repair and rollback run as for download_stream. The
   /// board sees the same traffic and the report, mirror and shadow come
-  /// out the same as download_stream's. A stream whose replay threw has no
-  /// table; it takes download_stream, which rejects it per burst.
+  /// out the same as download_stream's.
   DownloadReport download_validated(
       std::span<const std::uint32_t> words, const FrameTable& table,
       std::size_t burst_words = kDefaultBurstWords);
@@ -221,22 +220,28 @@ class VerifiedDownloader {
   [[nodiscard]] const std::vector<std::size_t>& unchecked_frames(
       const std::vector<std::size_t>& checked);
 
-  /// Drives the board until `check` (and, under full_sweep, the whole
-  /// plane) reads back identical to `target`: abort, send, verify, then
-  /// repair mismatches with targeted streams. True on convergence.
-  bool converge(Bitstream stream, const ConfigMemory& target,
-                std::vector<std::size_t> check, int budget,
-                bool ensure_started, int& attempts, DownloadReport& rep);
+  /// ABORT, then `source` in bursts of at most `burst_words` words: one
+  /// attempt. A send fault is logged and ends the send; readback decides
+  /// how much of the stream landed. An empty source sends nothing and
+  /// counts no attempt.
+  void send(const StreamSource& source, std::size_t burst_words,
+            int& attempts, DownloadReport& rep);
+  /// send() of a whole stream as one burst.
+  void send(const Bitstream& stream, int& attempts, DownloadReport& rep);
 
-  /// The body of download_stream (table null) and download_validated.
+  /// Runs after the first send: verifies `check` (and, under full_sweep,
+  /// the rest of the plane) against `target`, waits for DONE when
+  /// `ensure_started`, and sends a targeted repair stream for what
+  /// mismatched, until the plane converges or `attempts` reaches
+  /// `max_attempts`. True on convergence.
+  bool converge(const ConfigMemory& target, std::vector<std::size_t> check,
+                int max_attempts, bool ensure_started, int& attempts,
+                DownloadReport& rep);
+
+  /// The body of download_stream (table null: replay the whole source
+  /// first) and download_validated: shadow, send, converge, roll back.
   DownloadReport run_download(const StreamSource& source,
                               std::size_t burst_words, const FrameTable* table);
-
-  /// Writes the stream into the shadow plane — applied from `table`, or
-  /// else each burst replayed before it is sent — and sends its bursts;
-  /// then verifies, repairs or rolls back. Fills `rep`.
-  void stream_into_shadow(const StreamSource& source, std::size_t burst_words,
-                          const FrameTable* table, DownloadReport& rep);
 
   /// Rolls `touched` back to the mirror; appends the outcome to rep.error.
   void roll_back(std::vector<std::size_t> touched, DownloadReport& rep);
@@ -244,10 +249,9 @@ class VerifiedDownloader {
   /// Makes the shadow plane a copy of a newly established mirror.
   void reseed_shadow();
 
-  /// Applies the shadow rule to the frames the shadow took — `table`'s, or
-  /// the shadow port's log when there is no table: shadow -> mirror on
-  /// success, mirror -> shadow otherwise.
-  void settle_shadow(const FrameTable* table, bool success);
+  /// Applies the shadow rule to `frames`, those the shadow took:
+  /// shadow -> mirror on success, mirror -> shadow otherwise.
+  void settle_shadow(const std::vector<std::size_t>& frames, bool success);
 
   /// Fills rep.telemetry from the per-download tallies accumulated by
   /// converge() (words sent, readback words, repair rounds, aborts).

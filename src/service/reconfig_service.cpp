@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "bitstream/bitgen.h"
-#include "hwif/stream_source.h"
 #include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
@@ -361,10 +360,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
       BoardCtx& ctx = *boards_[static_cast<std::size_t>(board_idx)];
       // Zero-copy: the bursts span the pinned cache entry's own words.
       const std::span<const std::uint32_t> words = resident->lease.words();
-      resp.report =
-          resident->table
-              ? ctx.downloader->download_validated(words, *resident->table)
-              : ctx.downloader->download_stream(StreamSource::of(words));
+      resp.report = ctx.downloader->download_validated(words, resident->table);
       swap_words = words.size();
       if (resp.report.ok()) {
         JPG_COUNT("svc.swaps", 1);
@@ -493,7 +489,7 @@ std::shared_ptr<ReconfigService::Resident> ReconfigService::acquire_resident(
         relocated = true;
         JPG_COUNT("reloc.served_relocated", 1);
       }
-      std::optional<FrameTable> table = validate_lease(lease.words());
+      FrameTable table = validate_lease(lease.words());
       const std::lock_guard<std::mutex> lock(resident_lock_);
       entry->lease = std::move(lease);
       entry->table = std::move(table);
@@ -560,7 +556,7 @@ std::shared_ptr<ReconfigService::Resident> ReconfigService::acquire_resident(
   return entry;
 }
 
-std::optional<FrameTable> ReconfigService::validate_lease(
+FrameTable ReconfigService::validate_lease(
     std::span<const std::uint32_t> words) {
   JPG_SPAN("svc.validate_lease");
   const std::lock_guard<std::mutex> lock(validate_lock_);
@@ -570,7 +566,7 @@ std::optional<FrameTable> ReconfigService::validate_lease(
     return table;
   } catch (const BitstreamError&) {
     JPG_COUNT("svc.resident.invalid", 1);
-    return std::nullopt;
+    throw;
   }
 }
 

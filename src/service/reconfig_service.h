@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,11 +322,10 @@ class ReconfigService {
     enum class State { Generating, Ready, Failed };
     State state = State::Generating;
     PbitLease lease;
-    /// The publish-time replay of the lease's words: present when it
-    /// validated, and then every swap applies it instead of replaying
-    /// again. Absent when it threw — swaps then take the per-burst replay,
-    /// which reports the rejection. Immutable once Ready.
-    std::optional<FrameTable> table;
+    /// The publish-time replay of the lease's words; every swap applies it
+    /// instead of replaying again. A lease whose replay throws is never
+    /// published. Immutable once Ready.
+    FrameTable table;
     std::size_t attached = 0;  ///< tenants holding it in their LRU
     // Identity of the pbit, for the relocation donor search: another
     // request for the same variant at a shape-compatible region can be
@@ -356,8 +354,8 @@ class ReconfigService {
                                              const ServiceRequest& req,
                                              bool& resident_hit);
   /// Replays a lease's words once from reset on the validation port and
-  /// returns the frame table, or nothing when the replay threw.
-  [[nodiscard]] std::optional<FrameTable> validate_lease(
+  /// returns the frame table. Throws BitstreamError on a malformed lease.
+  [[nodiscard]] FrameTable validate_lease(
       std::span<const std::uint32_t> words);
   /// Drops registry entries no tenant holds once in-flight users are done.
   void reap_residents_locked();

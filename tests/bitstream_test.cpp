@@ -3,6 +3,8 @@
 // packet-level reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_reader.h"
 #include "bitstream/bitstream_writer.h"
@@ -320,6 +322,91 @@ TEST(FrameTable, RejectsAPayloadThatBeganBeforeTheLogClear) {
   port.load(words.subspan(cut));
   ASSERT_EQ(port.committed_frames().size(), 2u);
   EXPECT_THROW((void)port.frame_table(), JpgError);
+}
+
+// A stream that ends inside a packet is malformed even though every word
+// it carries loads cleanly. Sweeps every cut point of one partial stream
+// (a type-1 and a type-2 FDRI packet): ConfigPort::finish throws for a
+// cut strictly inside a packet and drops the port to desync, so the
+// complete stream resyncs and loads afterwards; on a packet boundary it
+// changes nothing.
+TEST(ConfigPort, FinishRejectsAStreamCutInsideAPacket) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  const std::size_t fw = fm.frame_words();
+  ConfigMemory payload(dev);
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    payload.frame(f).set_word(2, 0x6D000000u ^ static_cast<std::uint32_t>(f));
+  }
+  const std::size_t small = 3;
+  const std::size_t big = (1u << 11) / fw + 1;  // payload needs a type-2 header
+  BitstreamWriter w(dev);
+  std::vector<std::size_t> boundaries{0, 1};  // before and after the dummy
+  const auto mark = [&] { boundaries.push_back(w.size_words()); };
+  w.begin();
+  mark();
+  w.write_cmd(Command::RCRC);
+  mark();
+  w.write_reg(ConfigReg::FLR, static_cast<std::uint32_t>(fw - 1));
+  mark();
+  w.write_reg(ConfigReg::IDCODE, dev.spec().idcode);
+  mark();
+  w.write_cmd(Command::WCFG);
+  mark();
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(4)));
+  mark();
+  w.write_frames(payload, 4, small);
+  mark();
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(40)));
+  mark();
+  w.write_frames(payload, 40, big);
+  mark();
+  w.write_crc();
+  mark();
+  w.write_cmd(Command::LFRM);
+  mark();
+  const Bitstream bs = w.finish();
+  ASSERT_EQ(boundaries.back() + 3, bs.words.size());  // DESYNC + pad follow
+  boundaries.push_back(bs.words.size() - 1);
+  boundaries.push_back(bs.words.size());
+
+  const std::span<const std::uint32_t> words(bs.words);
+  std::size_t inside = 0;
+  for (std::size_t cut = 0; cut <= words.size(); ++cut) {
+    const bool on_boundary =
+        std::find(boundaries.begin(), boundaries.end(), cut) !=
+        boundaries.end();
+    ConfigMemory mem(dev);
+    ConfigPort port(mem);
+    port.load(words.first(cut));
+    const bool synced = port.synced();
+    const std::vector<std::size_t> committed = port.committed_frames();
+    const ConfigMemory plane = mem;
+    if (on_boundary) {
+      EXPECT_NO_THROW(port.finish()) << "cut " << cut;
+      EXPECT_EQ(port.synced(), synced) << "cut " << cut;
+      EXPECT_EQ(port.committed_frames(), committed) << "cut " << cut;
+      EXPECT_EQ(mem, plane) << "cut " << cut;
+      ConfigMemory scratch(dev);
+      ConfigPort replay(scratch);
+      EXPECT_NO_THROW((void)replay_frame_table(replay, words.first(cut)))
+          << "cut " << cut;
+      continue;
+    }
+    ++inside;
+    EXPECT_THROW(port.finish(), BitstreamError) << "cut " << cut;
+    EXPECT_FALSE(port.synced()) << "cut " << cut;
+    EXPECT_EQ(port.committed_frames(), committed) << "cut " << cut;
+    ConfigMemory scratch(dev);
+    ConfigPort replay(scratch);
+    EXPECT_THROW((void)replay_frame_table(replay, words.first(cut)),
+                 BitstreamError)
+        << "cut " << cut;
+    // Desynced, not stuck: the complete stream loads from here.
+    EXPECT_NO_THROW(port.load(words)) << "cut " << cut;
+    EXPECT_NO_THROW(port.finish()) << "cut " << cut;
+  }
+  EXPECT_EQ(inside, words.size() + 1 - boundaries.size());
 }
 
 TEST(ConfigPort, ReadbackMatchesMemory) {

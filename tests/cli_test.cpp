@@ -240,6 +240,27 @@ TEST_F(CliTest, DownloadVerifiedOverFaultyLink) {
   EXPECT_NE(out.find("board faults"), std::string::npos);
 }
 
+// A pbit cut to half its length ends inside a packet: apply refuses to
+// write it onto the base, and the verified download rejects it with
+// nothing sent.
+TEST_F(CliTest, TruncatedPartialIsRejectedByApplyAndDownload) {
+  ASSERT_EQ(run("partial " + path("base.bit") + " " + path("mod.xdl") + " " +
+                path("mod.ucf") + " -o " + path("update.pbit")),
+            0);
+  Bitstream pbit = Bitstream::load(path("update.pbit"));
+  pbit.words.resize(pbit.words.size() / 2);
+  pbit.save(path("update.pbit"));
+  EXPECT_NE(exit_code("apply " + path("base.bit") + " " +
+                      path("update.pbit") + " -o " + path("updated.bit")),
+            0);
+  EXPECT_NE(output().find("ends inside a packet"), std::string::npos)
+      << output();
+  EXPECT_NE(exit_code("download " + path("base.bit") + " " +
+                      path("update.pbit") + " --seed 1"),
+            0);
+  EXPECT_NE(output().find("nothing sent"), std::string::npos) << output();
+}
+
 TEST_F(CliTest, StatsEmitsMetricsAndChromeTrace) {
   ASSERT_EQ(run("stats --seed 5 --metrics " + path("m.json") + " --trace " +
                 path("t.json")),

@@ -252,6 +252,32 @@ TEST_F(JpgEndToEnd, WriteOntoBaseIsIdempotentAndConverges) {
   EXPECT_EQ(again.far_blocks, 0u);
 }
 
+using JpgCoreTest = JpgEndToEnd;
+
+// write_onto_base validates the whole update before it touches the tool's
+// base plane: an update whose frames replay cleanly but whose CRC check
+// fails leaves the base exactly as it was, so later partials are not
+// generated against a half-written base.
+TEST_F(JpgCoreTest, MalformedUpdateLeavesTheBaseUnchanged) {
+  auto [xdl, ucf] = implement_variant(variant_delay(), 41);
+  Jpg tool(base_bit_);
+  auto res = tool.generate_partial_from_text(xdl, ucf);
+  const Bitstream before = tool.full_bitstream();
+  // The stream ends CRC, LFRM, DESYNC, pad: the CRC value is 6 from the end.
+  std::vector<std::uint32_t>& words = res.partial.words;
+  ASSERT_GE(words.size(), 7u);
+  ASSERT_EQ(words[words.size() - 7],
+            encode_type1(PacketOp::Write, ConfigReg::CRC, 1));
+  words[words.size() - 6] ^= 1u;
+  EXPECT_THROW(tool.write_onto_base(res), BitstreamError);
+  EXPECT_EQ(tool.full_bitstream(), before);
+
+  // The intact update does change the base.
+  words[words.size() - 6] ^= 1u;
+  tool.write_onto_base(res);
+  EXPECT_NE(tool.full_bitstream(), before);
+}
+
 TEST_F(JpgEndToEnd, DefaultPartialsComposeInAnyOrder) {
   // Pre-generated (state-independent) partials must install correctly no
   // matter which variant currently occupies the region — the Figure 1

@@ -1,11 +1,12 @@
 // Burst-boundary torture tests for the streaming configuration datapath:
 // StreamSource/BurstCursor chunking invariants, byte-identical planes across
 // burst sizes and segment cuts (including zero-length segments), ABORT with
-// the port mid-burst, word flips landing exactly on burst seams, mid-stream
-// tool-side rejection with rollback, the board receiving exactly the
-// validated prefix of a rejected stream, frame-table downloads matching the
-// per-burst replay (clean and faulty links), and the fdri-buffer reuse
-// contract (cfg.buffer_reallocs stays 0 after warm-up).
+// the port mid-burst, word flips landing exactly on burst seams, tool-side
+// rejection of a stream malformed anywhere (or cut off inside a packet)
+// with no board traffic at all, the board receiving exactly the stream's
+// bursts, frame-table downloads matching the whole-stream replay (clean and
+// faulty links), and the fdri-buffer reuse contract (cfg.buffer_reallocs
+// stays 0 after warm-up).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -273,18 +274,52 @@ TEST_F(StreamDownloadTest, MalformedHeadIsRejectedNothingSent) {
 TEST_F(StreamDownloadTest, MidStreamMalformationRollsBack) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
+  const std::uint64_t words_before = board.config_words();
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
   Bitstream bad = partial_;
   // Corrupt the stream's tail (the CRC region): with an 8-word burst the
-  // head bursts validate and go out before the replay trips on it.
+  // head bursts would validate on their own, but the whole stream is
+  // checked before the first one goes out.
   bad.words[bad.words.size() - 4] ^= 1u;
   const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words), 8);
-  EXPECT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
-  EXPECT_NE(rep.error.find("mid-stream"), std::string::npos) << rep.error;
-  // Two-state invariant: the board is back on the pre-update plane.
+  EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+  EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
+  EXPECT_EQ(rep.attempts, 0);
+  EXPECT_EQ(board.config_words(), words_before);
+  // Two-state invariant: the board never left the pre-update plane.
   EXPECT_EQ(board_plane(board), *base_plane_);
   EXPECT_EQ(dl.mirror(), *base_plane_);
+}
+
+// A stream cut off inside a packet is malformed even though every word it
+// carries replays cleanly: the whole-stream check rejects it before any
+// traffic, at every burst size.
+TEST_F(StreamDownloadTest, TruncatedStreamIsRejectedNothingSent) {
+  const std::span<const std::uint32_t> half =
+      std::span<const std::uint32_t>(partial_.words)
+          .first(partial_.words.size() / 2);
+  {
+    ConfigMemory scratch(*dev_);
+    ConfigPort port(scratch);
+    port.load(half);
+    ASSERT_THROW(port.finish(), BitstreamError);  // the cut is mid-packet
+  }
+  for (const std::size_t burst : {std::size_t{8}, std::size_t{512}, half.size()}) {
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    const std::uint64_t words_before = board.config_words();
+    VerifiedDownloader dl(board, *dev_);
+    dl.assume_board_state(*base_plane_);
+    const DownloadReport rep = dl.download_stream(StreamSource::of(half), burst);
+    EXPECT_EQ(rep.status, DownloadStatus::Failed)
+        << "burst=" << burst << ": " << rep.summary();
+    EXPECT_NE(rep.error.find("nothing sent"), std::string::npos)
+        << "burst=" << burst << ": " << rep.error;
+    EXPECT_EQ(rep.attempts, 0) << "burst=" << burst;
+    EXPECT_EQ(board.config_words(), words_before) << "burst=" << burst;
+    EXPECT_EQ(dl.mirror(), *base_plane_) << "burst=" << burst;
+  }
 }
 
 /// Records every send_config burst and counts ABORTs, forwarding both.
@@ -322,12 +357,32 @@ class RecordingBoard final : public Xhwif {
   int aborts_ = 0;
 };
 
-// The board receives exactly the validated prefix of a stream: the bursts
-// before the first one a fresh port rejects, word for word, and nothing
-// once the head itself is malformed. Rollback is off so the only traffic
-// is the streamed send.
+// The board receives a valid stream as exactly its bursts after one ABORT,
+// and nothing at all of a stream malformed anywhere: not the bursts before
+// the one a fresh port rejects, and nothing once the head itself is
+// malformed. Rollback is off so the only traffic is the streamed send.
 TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
   constexpr std::size_t kBurst = 8;
+  {
+    const StreamSource src = StreamSource::of(partial_.words);
+    std::vector<std::vector<std::uint32_t>> want;
+    BurstCursor cursor(src);
+    for (auto burst = cursor.next(kBurst); !burst.empty();
+         burst = cursor.next(kBurst)) {
+      want.emplace_back(burst.begin(), burst.end());
+    }
+    ASSERT_GT(want.size(), 1u);
+
+    SimBoard board(*dev_);
+    board.send_config(base_bit_.words);
+    RecordingBoard rec(board);
+    VerifiedDownloader dl(rec, *dev_);
+    dl.assume_board_state(*base_plane_);
+    const DownloadReport rep = dl.download_stream(src, kBurst);
+    EXPECT_TRUE(rep.ok()) << rep.summary();
+    EXPECT_EQ(rec.aborts(), 1);
+    EXPECT_EQ(rec.sends(), want);
+  }
   // Replays the bursts through a fresh port over the base plane; returns
   // the bursts before the first rejected one.
   const auto validated_prefix = [&](const StreamSource& src,
@@ -368,12 +423,10 @@ TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
     dl.assume_board_state(*base_plane_);
     const DownloadReport rep = dl.download_stream(src, kBurst);
     EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
-    EXPECT_NE(rep.error.find("mid-stream"), std::string::npos) << rep.error;
-    EXPECT_EQ(rec.aborts(), 1);
-    EXPECT_EQ(rec.sends(), want);
-    std::size_t want_words = 0;
-    for (const auto& burst : want) want_words += burst.size();
-    EXPECT_EQ(rep.telemetry.counter("words_sent"), want_words);
+    EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
+    EXPECT_TRUE(rec.sends().empty());
+    EXPECT_EQ(rec.aborts(), 0);
+    EXPECT_EQ(rep.telemetry.counter("words_sent"), 0u);
   }
   {
     Bitstream bad = partial_;
@@ -487,8 +540,8 @@ TEST_F(StreamDownloadTest, FaultyLinkStreamingConvergesWithRepairBudget) {
 }
 
 // The very first burst's send throws: the remaining bursts are not sent,
-// but their replay still runs, so readback verifies against the complete
-// intended plane and the repair lands it.
+// but the whole stream was replayed before the send, so readback verifies
+// against the complete intended plane and the repair lands it.
 TEST_F(StreamDownloadTest, StreamedSendFaultIsRepaired) {
   SimBoard board(*dev_);
   board.send_config(base_bit_.words);
@@ -505,7 +558,8 @@ TEST_F(StreamDownloadTest, StreamedSendFaultIsRepaired) {
   // rewrites every touched frame over the now-clean link.
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_GE(rep.faults_seen, 1u);
-  // The replay ran past the fault: every frame of the update was touched.
+  // The replay covered the whole stream: every frame of the update was
+  // touched.
   EXPECT_EQ(rep.frames_touched, kUpdateFrames);
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
@@ -577,8 +631,8 @@ class LinkSwitch final : public Xhwif {
 };
 
 // The downloader replays into a persistent shadow plane and must leave it
-// equal to the mirror after every outcome. A seeded sequence mixes all
-// five exits; after each one, a clean download must behave exactly as on a
+// equal to the mirror after every outcome. A seeded sequence mixes five
+// cases (two tool-side rejects, success, rollback, failure); after each one, a clean download must behave exactly as on a
 // fresh downloader seeded with the same mirror over an identical board. A
 // shadow frame left stale by the previous exit would show up here as a
 // different intended plane: extra repairs, a different mirror or plane.
@@ -627,8 +681,8 @@ TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
         break;
       case kMidStream:
         rep = dl.download_stream(StreamSource::of(bad.words), 8);
-        ASSERT_EQ(rep.status, DownloadStatus::RolledBack) << rep.summary();
-        ASSERT_NE(rep.error.find("mid-stream"), std::string::npos);
+        ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+        ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
       case kSuccess:
         ASSERT_TRUE(dl.download_partial(pbit).ok());
@@ -729,7 +783,7 @@ void expect_same_report(const DownloadReport& a, const DownloadReport& b,
 }
 
 /// Downloads every corpus pbit on two lanes with the same link seed — from
-/// its table on one, replayed per burst on the other — and requires the
+/// its table on one, replayed whole on the other — and requires the
 /// same report, mirror and board plane after each. An empty download then
 /// checks the shadows: it touches nothing, so its sweep reads every frame
 /// back against the shadow, and a shadow frame left stale would be

@@ -186,6 +186,7 @@ int cmd_apply(int argc, char** argv) {
   port.load(base);
   if (!port.started()) throw JpgError("base bitstream did not start up");
   port.load(partial);
+  port.finish();
   generate_full_bitstream(mem).save(out);
   std::printf("wrote %s (base + %zu partial frames)\n", out.c_str(),
               port.committed_frames().size() - dev.frames().num_frames());

@@ -12,8 +12,8 @@
 #              (each repeated until a failure, up to 10 runs), then a
 #              release JPG_BENCH_SMOKE=1 run of bench_service gated on the
 #              BENCH_service.json sanity fields: p99 swap latency finite,
-#              swaps/sec > 0, zero admission-control violations and zero
-#              per-tenant quota violations.
+#              swaps/sec > 0, zero admission-control violations, zero
+#              per-tenant quota violations and zero failed requests.
 #   reloc      ASan build of the relocation stack: the fast relocation and
 #              defragmentation tests, the attestation suite (incl. the
 #              200-scenario fault sweep), the relocate/attest CLI tests and
@@ -23,7 +23,8 @@
 #              a release JPG_BENCH_SMOKE=1 run of bench_sched gated on
 #              BENCH_sched.json: swap-avoidance hit rate > 0.5 on the
 #              locality workload, zero dependency-order violations, zero
-#              admission violations, node throughput > 0. NIGHTLY=1 adds
+#              admission violations, node throughput > 0. Both gates are
+#              the threshold table in tools/bench_gates.py. NIGHTLY=1 adds
 #              the >=500-graph-per-device scheduler oracle shards.
 #   bench      release build, JPG_BENCH_SMOKE=1 run of the parallel-core
 #              benches (router, partial gen, word kernels) plus the ICAP
@@ -176,39 +177,7 @@ run_service_checks() {
   local out
   out=$(mktemp -d)
   (cd "$out" && JPG_BENCH_SMOKE=1 "$OLDPWD/build/bench/bench_service")
-  python3 - "$out" <<'EOF'
-import json, math, os, sys
-
-out = sys.argv[1]
-failures = []
-rep = json.load(open(os.path.join(out, "BENCH_service.json")))
-for sec, kv in rep.items():
-    if "p99_swap_ns" not in kv:
-        continue  # telemetry section
-    print(f"  {sec}: {kv['swaps_per_sec']:.0f} swaps/s, "
-          f"p50 {kv['p50_swap_ns'] / 1e6:.2f} ms, "
-          f"p99 {kv['p99_swap_ns'] / 1e6:.2f} ms, "
-          f"rejected {int(kv['rejected'])}, "
-          f"admission_violations {int(kv['admission_violations'])}, "
-          f"quota_violations {int(kv['quota_violations'])}")
-    if not math.isfinite(kv["p99_swap_ns"]) or kv["p99_swap_ns"] <= 0:
-        failures.append(f"{sec}: p99 swap latency not finite/positive")
-    if kv["swaps_per_sec"] <= 0:
-        failures.append(f"{sec}: sustained swap rate is zero")
-    if kv["admission_violations"] != 0:
-        failures.append(f"{sec}: queue exceeded its configured depth "
-                        f"({int(kv['admission_violations'])} over)")
-    if kv["quota_violations"] != 0:
-        failures.append(f"{sec}: a tenant exceeded its resident quota "
-                        f"({int(kv['quota_violations'])} over)")
-    if kv["failed"] != 0:
-        failures.append(f"{sec}: {int(kv['failed'])} dispatched requests "
-                        "failed")
-if failures:
-    print("\n".join("FAIL: " + f for f in failures), file=sys.stderr)
-    sys.exit(1)
-print("service gate OK")
-EOF
+  python3 tools/bench_gates.py service "$out"
 }
 
 run_sched_checks() {
@@ -227,37 +196,7 @@ run_sched_checks() {
   local out
   out=$(mktemp -d)
   (cd "$out" && JPG_BENCH_SMOKE=1 "$OLDPWD/build/bench/bench_sched")
-  python3 - "$out" <<'EOF'
-import json, os, sys
-
-out = sys.argv[1]
-failures = []
-rep = json.load(open(os.path.join(out, "BENCH_sched.json")))
-for sec, kv in rep.items():
-    if "locality_reuse_rate" not in kv:
-        continue  # telemetry section
-    print(f"  {sec}: locality {kv['locality_nodes_per_sec']:.0f} nodes/s "
-          f"reuse {kv['locality_reuse_rate']:.3f}, "
-          f"mixed {kv['mixed_nodes_per_sec']:.0f} nodes/s "
-          f"(queue wait p99 {kv['mixed_queue_wait_p99_ns'] / 1e6:.2f} ms), "
-          f"dep_violations {int(kv['dep_violations'])}, "
-          f"admission_violations {int(kv['admission_violations'])}")
-    if kv["locality_reuse_rate"] <= 0.5:
-        failures.append(f"{sec}: swap-avoidance hit rate "
-                        f"{kv['locality_reuse_rate']:.3f} <= 0.5 on the "
-                        "locality workload")
-    if kv["dep_violations"] != 0:
-        failures.append(f"{sec}: {int(kv['dep_violations'])} dependency-order "
-                        "violations")
-    if kv["admission_violations"] != 0:
-        failures.append(f"{sec}: admission violations under scheduler load")
-    if kv["locality_nodes_per_sec"] <= 0 or kv["mixed_nodes_per_sec"] <= 0:
-        failures.append(f"{sec}: node throughput is zero")
-if failures:
-    print("\n".join("FAIL: " + f for f in failures), file=sys.stderr)
-    sys.exit(1)
-print("sched gate OK")
-EOF
+  python3 tools/bench_gates.py sched "$out"
 }
 
 for cfg in "${CONFIGS[@]}"; do
