@@ -1,11 +1,11 @@
-// ICAP STREAMING DATAPATH — the zero-copy scatter-gather download path
-// (DESIGN.md §5g): back-to-back partial swaps measured cold (regenerate +
-// whole-buffer send), warm-buffered (pbit cache hit, which still copies the
-// result out of the cache), and resident (a pinned lease streamed straight
-// from cache memory in bounded bursts — no copy anywhere between the cache
-// and the board). Also: the burst-size sweep through stream_to_board, and
-// the verified streamed download (the whole stream replayed tool-side,
-// then sent in bursts). Copy traffic is taken from the telemetry counters
+// ICAP STREAMING DATAPATH — the zero-copy burst download path (DESIGN.md
+// §5g): back-to-back partial swaps measured cold (regenerate + whole-buffer
+// send), warm-buffered (pbit cache hit, which still copies the result out
+// of the cache), and resident (a pinned lease streamed straight from cache
+// memory in bounded bursts, each a subspan of the cached words — no copy
+// anywhere between the cache and the board). Also: the burst-size sweep
+// through stream_to_board, and the verified streamed download (the whole
+// stream replayed tool-side into a frame table, then sent in bursts). Copy traffic is taken from the telemetry counters
 // (pgen.cache.copy_bytes + cfg.bytes_copied), so the "zero bytes moved"
 // claim is measured, not asserted. Writes
 // BENCH_icap_stream.json for the driver; tools/run_checks.sh bench gates
@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -22,7 +23,6 @@
 #include "device/device.h"
 #include "hwif/burst_engine.h"
 #include "hwif/sim_board.h"
-#include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
 #include "support/rng.h"
 
@@ -119,7 +119,7 @@ void bench_device(const char* part, benchutil::JsonReport& report,
   // Resident: a pinned lease keeps the pbit cache-resident; each swap
   // streams the exact cached words in bounded bursts. Nothing is copied.
   const PbitLease lease = gen.generate_leased(mod, region);
-  const StreamSource src = StreamSource::of(lease.words());
+  const std::span<const std::uint32_t> src = lease.words();
   copy0 = copy_counters();
   const Timing resident = time_calls(
       [&] { stream_to_board(board, src, kDefaultBurstWords); }, min_iters,
@@ -161,9 +161,10 @@ void bench_device(const char* part, benchutil::JsonReport& report,
   }
 
   // Verified swap: the verified downloader replays the whole stream
-  // tool-side, then sends it in bursts. The swap is idempotent (the mirror already holds the
-  // target), with the full-plane sweep off so the figure is the streaming
-  // datapath, not readback of the whole plane.
+  // tool-side into a frame table, then sends it in bursts. The swap is
+  // idempotent (the mirror already holds the target), with the full-plane
+  // sweep off so the figure is the streaming datapath, not readback of the
+  // whole plane.
   SimBoard vboard(dev);
   vboard.send_config(base_bit.words);
   DownloadPolicy policy;

@@ -39,10 +39,11 @@ void BitstreamWriter::write_fdri(std::span<const std::uint32_t> words) {
   }
 }
 
-template <typename FrameSource>
-void BitstreamWriter::write_frames_impl(const FrameSource& mem,
+template <typename FrameWords>
+void BitstreamWriter::write_frames_impl(std::size_t num_frames,
+                                        const FrameWords& frame,
                                         std::size_t first, std::size_t count) {
-  JPG_REQUIRE(first + count <= mem.num_frames(), "frame range out of bounds");
+  JPG_REQUIRE(first + count <= num_frames, "frame range out of bounds");
   JPG_REQUIRE(count > 0, "empty frame range");
   const std::size_t fw = device_->frames().frame_words();
   const std::size_t payload = (count + 1) * fw;  // +1: pipeline-flush pad
@@ -57,9 +58,9 @@ void BitstreamWriter::write_frames_impl(const FrameSource& mem,
   }
   const std::size_t before = out_.words.size();
   for (std::size_t i = 0; i < count; ++i) {
-    const BitVector& f = mem.frame(first + i);
-    JPG_ASSERT(f.num_words() == fw);
-    for (const std::uint32_t w : f.words()) {
+    const std::span<const std::uint32_t> words = frame(first + i);
+    JPG_ASSERT(words.size() == fw);
+    for (const std::uint32_t w : words) {
       emit(w);
       crc_.update(static_cast<std::uint32_t>(ConfigReg::FDRI), w);
     }
@@ -75,12 +76,24 @@ void BitstreamWriter::write_frames_impl(const FrameSource& mem,
 
 void BitstreamWriter::write_frames(const ConfigMemory& mem, std::size_t first,
                                    std::size_t count) {
-  write_frames_impl(mem, first, count);
+  write_frames(TargetPlane(mem), first, count);
 }
 
 void BitstreamWriter::write_frames(const FrameOverlay& mem, std::size_t first,
                                    std::size_t count) {
-  write_frames_impl(mem, first, count);
+  write_frames_impl(
+      mem.num_frames(),
+      [&mem](std::size_t f) -> std::span<const std::uint32_t> {
+        return mem.frame(f).words();
+      },
+      first, count);
+}
+
+void BitstreamWriter::write_frames(const TargetPlane& mem, std::size_t first,
+                                   std::size_t count) {
+  write_frames_impl(
+      mem.num_frames(), [&mem](std::size_t f) { return mem.frame_words(f); },
+      first, count);
 }
 
 void BitstreamWriter::write_crc() {

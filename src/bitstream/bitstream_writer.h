@@ -9,6 +9,7 @@
 #include "bitstream/config_memory.h"
 #include "bitstream/crc16.h"
 #include "bitstream/frame_overlay.h"
+#include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
 #include "device/device.h"
 
@@ -49,6 +50,11 @@ class BitstreamWriter {
   void write_frames(const FrameOverlay& mem, std::size_t first,
                     std::size_t count);
 
+  /// Same, reading through a TargetPlane (the verified downloader's repair
+  /// streams: a stream's frames straight from its words).
+  void write_frames(const TargetPlane& mem, std::size_t first,
+                    std::size_t count);
+
   /// Grows the output capacity to hold `words` more words. Callers that
   /// know the frame payload ahead (the partial generator does) reserve once
   /// instead of reallocating across write_frames calls.
@@ -62,9 +68,10 @@ class BitstreamWriter {
   [[nodiscard]] const Bitstream& stream() const { return out_; }
 
  private:
-  template <typename FrameSource>
-  void write_frames_impl(const FrameSource& mem, std::size_t first,
-                         std::size_t count);
+  /// The one FDRI emit loop: `frame(i)` yields frame i's words.
+  template <typename FrameWords>
+  void write_frames_impl(std::size_t num_frames, const FrameWords& frame,
+                         std::size_t first, std::size_t count);
 
   void emit(std::uint32_t word) { out_.words.push_back(word); }
 

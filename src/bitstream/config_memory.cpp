@@ -1,6 +1,7 @@
 #include "bitstream/config_memory.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.h"
 
@@ -11,11 +12,24 @@ ConfigMemory::ConfigMemory(const Device& device) : device_(&device) {
   frames_.assign(fm.num_frames(), BitVector(fm.frame_bits()));
 }
 
-ConfigMemory& ConfigMemory::operator=(const ConfigMemory& other) {
-  JPG_REQUIRE(&other.device() == device_ ||
-                  other.device().spec().name == device_->spec().name,
+namespace {
+
+void require_same_device(const Device& a, const Device& b) {
+  JPG_REQUIRE(&a == &b || a.spec().name == b.spec().name,
               "assigning ConfigMemory across different devices");
+}
+
+}  // namespace
+
+ConfigMemory& ConfigMemory::operator=(const ConfigMemory& other) {
+  require_same_device(other.device(), *device_);
   frames_ = other.frames_;
+  return *this;
+}
+
+ConfigMemory& ConfigMemory::operator=(ConfigMemory&& other) {
+  require_same_device(other.device(), *device_);
+  frames_ = std::move(other.frames_);
   return *this;
 }
 

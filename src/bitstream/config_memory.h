@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "device/device.h"
@@ -49,11 +50,17 @@ class ConfigMemory {
   bool operator!=(const ConfigMemory& other) const { return !(*this == other); }
 
   ConfigMemory(const ConfigMemory&) = default;
+  /// Moves the frames, not their words: no plane is copied.
+  ConfigMemory(ConfigMemory&&) noexcept = default;
+  /// Both assignments require `other` to target the same device.
   ConfigMemory& operator=(const ConfigMemory& other);
+  ConfigMemory& operator=(ConfigMemory&& other);
 
  private:
   const Device* device_;
   std::vector<BitVector> frames_;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<ConfigMemory>);
 
 }  // namespace jpg

@@ -11,6 +11,11 @@
 // with block copies, no packet parse and no CRC (the ReconOS pr_frame_t
 // shape).
 //
+// TargetPlane is the same answer read without writing anything: the plane
+// a stream validated into a table leaves on top of a base plane, as a view.
+// The verified downloader compares readback against it and builds repair
+// streams from it, so the intended plane of a download is never copied.
+//
 // Part of the bitstream layer so the stream fuzzer can check table-apply
 // against replay without linking the hardware interface.
 #pragma once
@@ -43,10 +48,53 @@ struct FrameTable {
   bool operator==(const FrameTable&) const = default;
 };
 
-/// Writes the runs of `table` into `plane` in commit order, taking frame
-/// words from `words`, the stream the table was recorded from. A plane
-/// equal to the replay port's plane before the replay ends equal to it
-/// after.
+/// Read-only view of `base` with the frame writes of `table` on top: a
+/// frame the table writes reads the stream's own words at the last run
+/// that writes it, every other frame reads `base`. Like the port, the view
+/// drops stream bits past the end of a frame. `base` and `words` must
+/// outlive the view and stay unchanged while it is read.
+class TargetPlane {
+ public:
+  /// `base` itself: no stream written.
+  explicit TargetPlane(const ConfigMemory& base) : base_(&base) {}
+
+  /// Throws JpgError when a run of `table` reaches past the end of `words`
+  /// or of the plane: the table was not recorded from this stream.
+  TargetPlane(const ConfigMemory& base, const FrameTable& table,
+              std::span<const std::uint32_t> words);
+
+  // A copy would point into the source's trimmed_ frames.
+  TargetPlane(const TargetPlane&) = delete;
+  TargetPlane& operator=(const TargetPlane&) = delete;
+
+  [[nodiscard]] const Device& device() const { return base_->device(); }
+  [[nodiscard]] std::size_t num_frames() const { return base_->num_frames(); }
+
+  /// The `frame_words()` words frame `idx` holds in the view.
+  [[nodiscard]] std::span<const std::uint32_t> frame_words(
+      std::size_t idx) const {
+    if (!written_.empty() && written_[idx] != nullptr) {
+      return {written_[idx], frame_words_};
+    }
+    return base_->frame(idx).words();
+  }
+
+ private:
+  const ConfigMemory* base_;
+  std::size_t frame_words_ = 0;
+  /// Per frame, its words at its last write — in the stream, or in
+  /// `trimmed_` — or null for a frame read from `base`. Empty when the
+  /// table writes nothing.
+  std::vector<const std::uint32_t*> written_;
+  /// Copies of the written frames that carry bits past the frame's end,
+  /// with those bits cleared (none for a stream a writer emitted).
+  std::vector<std::vector<std::uint32_t>> trimmed_;
+};
+
+/// Writes the frames `table` touches into `plane`, taking their words from
+/// `words`, the stream the table was recorded from (last write wins). A
+/// plane equal to the replay port's plane before the replay ends equal to
+/// it after. Throws as TargetPlane does, before writing anything.
 void apply_frame_table(const FrameTable& table,
                        std::span<const std::uint32_t> words,
                        ConfigMemory& plane);

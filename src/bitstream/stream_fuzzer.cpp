@@ -8,7 +8,6 @@
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_port.h"
 #include "bitstream/frame_table.h"
-#include "hwif/stream_source.h"
 #include "support/rng.h"
 
 namespace jpg {
@@ -167,32 +166,23 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
   port.load(full_base);
 
   // Differential twin: a second port consuming the identical word sequence
-  // through the scatter-gather path — random segment cuts (including
-  // zero-length segments) walked by a BurstCursor with a random burst
-  // bound. Chunking must be invisible to the word-level state machine, so
-  // any divergence in throw/accept, sync/started state, or the final plane
-  // is a finding. The cuts draw from their own Rng so the mutation
-  // campaign itself replays identically with or without this check.
+  // in chunks — random cuts of the one span, each chunk a subspan of it,
+  // as bursts reach a board. Chunking must be invisible to the word-level
+  // state machine, so any divergence in throw/accept, sync/started state,
+  // or the final plane is a finding. The cuts draw from their own Rng so
+  // the mutation campaign itself replays identically with or without this
+  // check.
   Rng seg_rng(opts.seed ^ 0x5eedf00dd1ffc0deull);
   ConfigMemory smem(dev);
   ConfigPort sport(smem);
   sport.load(full_base);
-  const auto load_segmented = [&seg_rng,
-                               &sport](std::span<const std::uint32_t> words) {
-    StreamSource src;
-    std::size_t off = 0;
-    while (off < words.size()) {
-      if (seg_rng.uniform(8) == 0) src.add({});
+  const auto load_chunked = [&seg_rng,
+                             &sport](std::span<const std::uint32_t> words) {
+    for (std::size_t off = 0; off < words.size();) {
       const std::size_t len =
           1 + seg_rng.uniform(std::min<std::size_t>(97, words.size() - off));
-      src.add(words.subspan(off, len));
+      sport.load(words.subspan(off, len));
       off += len;
-    }
-    if (seg_rng.uniform(8) == 0) src.add({});
-    const std::size_t burst = 1 + seg_rng.uniform(64);
-    BurstCursor cursor(src);
-    for (auto b = cursor.next(burst); !b.empty(); b = cursor.next(burst)) {
-      sport.load(b);
     }
   };
 
@@ -219,16 +209,29 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
           "iteration " + std::to_string(rep.iterations) + ": " + why;
     }
   };
-  // Table twin: a stream that loaded cleanly is applied again from the
-  // port's FrameTable onto a copy of the plane the load started from. The
-  // result must be the replayed plane, and the table's runs must name the
-  // frames the port committed, in commit order.
+  // Table twin: a stream that loaded cleanly is read through the
+  // TargetPlane of the plane the load started from, its FrameTable and its
+  // words, then applied from the table onto a copy of that plane. Both
+  // must be the replayed plane, frame for frame, and the table's runs must
+  // name the frames the port committed, in commit order.
   ConfigMemory table_plane(dev);
   const auto check_table = [&fm, &rep, &table_plane](
                                const ConfigPort& replayed,
                                const ConfigMemory& replayed_plane,
                                std::span<const std::uint32_t> words) {
     const FrameTable table = replayed.frame_table();
+    {
+      const TargetPlane target(table_plane, table, words);
+      for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+        const std::span<const std::uint32_t> got = target.frame_words(f);
+        const std::vector<std::uint32_t>& want =
+            replayed_plane.frame(f).words();
+        if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+          ++rep.table_equiv_failures;
+          break;
+        }
+      }
+    }
     apply_frame_table(table, words, table_plane);
     std::vector<std::size_t> frames;
     for (const FrameRun& run : table.runs) {
@@ -301,7 +304,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
 
     bool stream_threw = false;
     try {
-      load_segmented(mutated.words);
+      load_chunked(mutated.words);
     } catch (const BitstreamError&) {
       stream_threw = true;
     }
@@ -334,7 +337,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     }
     try {
       sport.abort();
-      load_segmented(recovery.words);
+      load_chunked(recovery.words);
     } catch (const JpgError&) {
       ++rep.stream_equiv_failures;
     }
@@ -356,7 +359,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
       if (wmem != mem) bulk_diverged("planes differ");
       try {
         sport.abort();
-        load_segmented(full_base.words);
+        load_chunked(full_base.words);
         if (smem != base_plane) ++rep.stream_equiv_failures;
       } catch (const JpgError&) {
         ++rep.stream_equiv_failures;

@@ -61,9 +61,10 @@ struct FuzzReport {
   /// ABORT + valid stream failed to restore the port/plane — contract
   /// violation.
   int recovery_failures = 0;
-  /// The scatter-gather burst path diverged from the word-by-word load on
-  /// the identical word sequence (throw/accept, sync/started state, or
-  /// final plane) — contract violation: chunking must be invisible.
+  /// Loading the stream in random chunks diverged from the word-by-word
+  /// load on the identical word sequence (throw/accept, sync/started
+  /// state, or final plane) — contract violation: chunking must be
+  /// invisible.
   int stream_equiv_failures = 0;
   /// ConfigPort::load's bulk ingest diverged from a word-at-a-time
   /// load_word twin on the identical traffic (exception text or the word
@@ -72,11 +73,12 @@ struct FuzzReport {
   int bulk_equiv_failures = 0;
   /// The first bulk divergence, described (empty when there was none).
   std::string first_bulk_divergence;
-  /// A stream that loaded without protest, written again from its
-  /// FrameTable onto a copy of the plane it started from, gave a different
-  /// plane, or the table's frames differ from the port's committed-frame
-  /// log — contract violation: applying a validated stream's table must
-  /// equal replaying it.
+  /// A stream that loaded without protest, read through the TargetPlane
+  /// of the plane it started from, its FrameTable and its words, or
+  /// written again from the table onto a copy of that plane, gave a
+  /// different plane, or the table's frames differ from the port's
+  /// committed-frame log — contract violation: the view and the apply of a
+  /// validated stream's table must equal replaying it.
   int table_equiv_failures = 0;
   std::array<int, kNumMutationKinds> mutation_counts{};
 

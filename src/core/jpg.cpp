@@ -1,5 +1,7 @@
 #include "core/jpg.h"
 
+#include <algorithm>
+
 #include "bitstream/bitgen.h"
 #include "bitstream/config_port.h"
 #include "support/log.h"
@@ -51,16 +53,21 @@ Jpg::PartialResult Jpg::generate_partial_from_text(
   return generate_partial(xdl, ucf, opts);
 }
 
+FrameTable Jpg::validate(const PartialResult& update) {
+  if (validate_port_ == nullptr) {
+    validate_plane_ = std::make_unique<ConfigMemory>(*device_);
+    validate_port_ = std::make_unique<ConfigPort>(*validate_plane_);
+  }
+  return replay_frame_table(*validate_port_, update.partial.words);
+}
+
 void Jpg::write_onto_base(const PartialResult& update) {
-  // Replaying the partial stream through a scratch configuration port
-  // validates it (framing, CRC, FLR, IDCODE, no packet cut short). Only a
-  // stream valid to its last word then overwrites the base plane — the
-  // "overwrite the original bitstream" behaviour of option 2 — so a
-  // malformed one leaves the tool's base untouched.
-  ConfigMemory scratch(*device_);
-  ConfigPort port(scratch);
-  const FrameTable table = replay_frame_table(port, update.partial.words);
-  apply_frame_table(table, update.partial.words, *base_);
+  // Replaying the partial stream through the validation port checks it
+  // (framing, CRC, FLR, IDCODE, no packet cut short). Only a stream valid
+  // to its last word then overwrites the base plane — the "overwrite the
+  // original bitstream" behaviour of option 2 — so a malformed one leaves
+  // the tool's base untouched.
+  apply_frame_table(validate(update), update.partial.words, *base_);
   if (connected()) {
     download(update.partial);
   }
@@ -78,38 +85,28 @@ void Jpg::download(const Bitstream& bs) {
 DownloadReport Jpg::download_verified(const PartialResult& update,
                                       const DownloadPolicy& policy) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
+  FrameTable table;
+  try {
+    table = validate(update);
+  } catch (const JpgError& e) {
+    return rejected_download(e);
+  }
   VerifiedDownloader dl(*board_, *device_, policy);
   // The tool's model of the board is the base design it was initialised
   // from (option 2's premise); seed the downloader's mirror with it.
   dl.assume_board_state(*base_);
-  return dl.download_partial(update.partial);
+  const std::span<const std::uint32_t> words = update.partial.words;
+  return dl.download_validated(words, table,
+                               std::max<std::size_t>(1, words.size()));
 }
 
 std::size_t Jpg::verify_via_readback(const PartialResult& update) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
-  // Reconstruct the expected frame contents by replaying the partial
-  // stream onto a copy of the tool's base configuration.
-  ConfigMemory expected = *base_;
-  {
-    ConfigPort port(expected);
-    port.load(update.partial);
-  }
-  const std::size_t fw = device_->frames().frame_words();
-  // Mask file: the capture bits (minors 16/17, window bits 0..1 of every
-  // row) hold live FF state after a CAPTURE and must not participate in
-  // configuration comparison — exactly what readback mask files were for.
-  // Both sides go through reusable scratch buffers and are masked in place.
-  std::vector<std::uint32_t> got;
-  std::vector<std::uint32_t> buf(fw);
-  std::size_t mismatches = 0;
-  for (const std::size_t frame : update.frames) {
-    board_->readback_into(frame, 1, got);
-    JPG_ASSERT(got.size() == fw);
-    mask_capture_words_inplace(*device_, frame, got);
-    expected.read_frame_words(frame, buf.data());
-    mask_capture_words_inplace(*device_, frame, buf);
-    if (got != buf) ++mismatches;
-  }
+  const std::span<const std::uint32_t> words = update.partial.words;
+  const TargetPlane expected(*base_, validate(update), words);
+  VerifiedDownloader dl(*board_, *device_);
+  const std::size_t mismatches =
+      dl.mismatched_frames(expected, update.frames).size();
   JPG_INFO("readback verification: " << update.frames.size() << " frames, "
                                      << mismatches << " mismatches");
   return mismatches;

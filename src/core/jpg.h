@@ -66,8 +66,9 @@ class Jpg {
   [[nodiscard]] bool connected() const { return board_ != nullptr; }
   /// Unverified download: sends the stream to the board as one buffer.
   /// Zero-copy streaming of a resident pbit lease goes through
-  /// stream_to_board (fire-and-forget) or VerifiedDownloader::download_stream
-  /// (validates the whole stream, then sends it in bursts) directly.
+  /// stream_to_board (fire-and-forget) or VerifiedDownloader::
+  /// download_validated (sends it in bursts, then reads the board back)
+  /// directly.
   void download(const Bitstream& bs);
 
   /// Fault-tolerant variant of download + verify_via_readback: sends the
@@ -75,7 +76,8 @@ class Jpg {
   /// (JPG's model: the board holds the base design; partial streams are
   /// state-independent, so this also covers a board running another module
   /// variant in the same region). The whole update is validated (framing,
-  /// CRC, no packet cut short) before the first word is sent, then
+  /// CRC, no packet cut short) on the tool's validation port before the
+  /// first word is sent — a malformed one is rejected "nothing sent" — then
   /// readback-verified frame by frame, repaired under the policy's retry
   /// budget, and rolled back to the base plane if it will not converge.
   /// The tool's base configuration is not modified.
@@ -83,8 +85,10 @@ class Jpg {
       const PartialResult& update, const DownloadPolicy& policy = {});
 
   /// Reads the update's frames back from the connected board and compares
-  /// them against what the partial bitstream was supposed to install.
-  /// Returns the number of mismatching frames (0 = verified).
+  /// them, through the downloader's readback comparator, against what the
+  /// partial bitstream installs over the base. Returns the number of
+  /// mismatching frames (0 = verified); an unreadable frame counts as one.
+  /// The update is validated first: a malformed one throws BitstreamError.
   [[nodiscard]] std::size_t verify_via_readback(const PartialResult& update);
 
   /// The tool's persistent partial generator; its pbit cache makes cycling
@@ -95,8 +99,15 @@ class Jpg {
   }
 
  private:
+  /// Replays `update` on the validation port (created on first use; only
+  /// its frame table is read, never its plane). Throws BitstreamError on a
+  /// malformed stream.
+  [[nodiscard]] FrameTable validate(const PartialResult& update);
+
   const Device* device_;
   std::unique_ptr<ConfigMemory> base_;
+  std::unique_ptr<ConfigMemory> validate_plane_;
+  std::unique_ptr<ConfigPort> validate_port_;
   std::unique_ptr<PartialBitstreamGenerator> gen_;
   Xhwif* board_ = nullptr;
 };

@@ -180,8 +180,8 @@ class PartialBitstreamGenerator {
       std::span<const RegionUpdate> updates, std::size_t num_threads = 0) const;
 
   /// Like generate(), but pins the cache entry and returns a lease over it:
-  /// the resident words can be streamed to a board (StreamSource segments
-  /// span them directly) without the per-swap result copy — and without the
+  /// the resident words can be streamed to a board (every burst is a
+  /// subspan of them) without the per-swap result copy — and without the
   /// entry being evicted mid-download. Pinning an entry that is already
   /// pinned throws. With caching disabled (capacity 0) the lease owns a
   /// private copy instead, so it is always safe to hold.

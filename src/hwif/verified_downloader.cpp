@@ -59,11 +59,11 @@ void mask_capture_words_inplace(const Device& device, std::size_t frame,
   }
 }
 
-std::vector<std::uint32_t> mask_capture_words(const Device& device,
-                                              std::size_t frame,
-                                              std::vector<std::uint32_t> words) {
-  mask_capture_words_inplace(device, frame, words);
-  return words;
+DownloadReport rejected_download(const JpgError& why) {
+  DownloadReport rep;
+  rep.error =
+      std::string("stream rejected tool-side, nothing sent: ") + why.what();
+  return rep;
 }
 
 std::string AttestReport::summary() const {
@@ -116,27 +116,6 @@ void VerifiedDownloader::assume_board_state(const ConfigMemory& plane) {
   JPG_REQUIRE(&plane.device() == device_,
               "mirror plane targets a different device");
   mirror_ = std::make_unique<ConfigMemory>(plane);
-  reseed_shadow();
-}
-
-void VerifiedDownloader::reseed_shadow() {
-  if (shadow_ == nullptr) {
-    shadow_ = std::make_unique<ConfigMemory>(*mirror_);
-    shadow_port_ = std::make_unique<ConfigPort>(*shadow_);
-  } else {
-    *shadow_ = *mirror_;
-  }
-}
-
-void VerifiedDownloader::settle_shadow(
-    const std::vector<std::size_t>& frames, bool success) {
-  for (const std::size_t f : frames) {
-    if (success) {
-      mirror_->copy_frame_from(*shadow_, f);
-    } else {
-      shadow_->copy_frame_from(*mirror_, f);
-    }
-  }
 }
 
 const ConfigMemory& VerifiedDownloader::mirror() const {
@@ -145,7 +124,7 @@ const ConfigMemory& VerifiedDownloader::mirror() const {
 }
 
 Bitstream VerifiedDownloader::build_frames_stream(
-    const ConfigMemory& target, const std::vector<std::size_t>& frames,
+    const TargetPlane& target, const std::vector<std::size_t>& frames,
     bool ensure_started) const {
   const FrameMap& fm = device_->frames();
   BitstreamWriter w(*device_);
@@ -204,22 +183,41 @@ const std::vector<std::size_t>& VerifiedDownloader::unchecked_frames(
   return out;
 }
 
+template <typename OnMismatch>
+void VerifiedDownloader::compare_run(const TargetPlane& target,
+                                     std::size_t first, std::size_t count,
+                                     OnMismatch&& on_mismatch) {
+  const std::size_t fw = device_->frames().frame_words();
+  std::vector<std::uint32_t>& got = readback_scratch_;
+  board_->readback_into(first, count, got);
+  JPG_ASSERT(got.size() == count * fw);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t frame = first + k;
+    const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
+    const std::size_t w = first_mismatch(frame, rb, target.frame_words(frame));
+    if (w != fw) on_mismatch(frame, w, rb);
+  }
+}
+
 std::vector<std::size_t> VerifiedDownloader::verify_against(
-    const ConfigMemory& target, const std::vector<std::size_t>& frames,
+    const TargetPlane& target, const std::vector<std::size_t>& frames,
     DownloadReport& rep) {
   const std::size_t fw = device_->frames().frame_words();
   std::vector<std::size_t> bad;
-  std::vector<std::uint32_t>& got = readback_scratch_;
   std::size_t i = 0;
   while (i < frames.size()) {
     std::size_t j = i + 1;
     while (j < frames.size() && frames[j] == frames[j - 1] + 1) ++j;
-    const std::size_t first = frames[i];
     const std::size_t count = j - i;
     try {
-      board_->readback_into(first, count, got);
-      readback_words_ += got.size();
-      JPG_COUNT("dl.readback_words", got.size());
+      compare_run(target, frames[i], count,
+                  [&bad](std::size_t frame, std::size_t,
+                         std::span<const std::uint32_t>) {
+                    bad.push_back(frame);
+                  });
+      readback_words_ += count * fw;
+      JPG_COUNT("dl.readback_words", count * fw);
+      rep.frames_verified += count;
     } catch (const JpgError& e) {
       // A failed readback proves nothing about the run; treat every frame
       // in it as suspect so the retry rewrites and re-verifies them.
@@ -228,36 +226,33 @@ std::vector<std::size_t> VerifiedDownloader::verify_against(
       bad.insert(bad.end(),
                  frames.begin() + static_cast<std::ptrdiff_t>(i),
                  frames.begin() + static_cast<std::ptrdiff_t>(j));
-      i = j;
-      continue;
-    }
-    JPG_ASSERT(got.size() == count * fw);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t frame = first + k;
-      ++rep.frames_verified;
-      const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
-      if (first_mismatch(frame, rb, target.frame(frame).words()) != fw) {
-        bad.push_back(frame);
-      }
     }
     i = j;
   }
   return bad;
 }
 
-void VerifiedDownloader::send(const StreamSource& source,
+std::vector<std::size_t> VerifiedDownloader::mismatched_frames(
+    const TargetPlane& target, const std::vector<std::size_t>& frames) {
+  JPG_REQUIRE(&target.device() == device_,
+              "readback target plane targets a different device");
+  DownloadReport scratch;
+  return verify_against(target, frames, scratch);
+}
+
+void VerifiedDownloader::send(std::span<const std::uint32_t> words,
                               std::size_t burst_words, int& attempts,
                               DownloadReport& rep) {
-  BurstCursor cursor(source);
-  auto burst = cursor.next(burst_words);
-  if (burst.empty()) return;
+  if (words.empty()) return;
   ++attempts;
   try {
     // ABORT first: a previous stream cut off mid-payload left the port
     // waiting for FDRI words that would otherwise swallow this stream.
     board_->abort_config();
     ++aborts_;
-    for (; !burst.empty(); burst = cursor.next(burst_words)) {
+    for (std::size_t off = 0; off < words.size(); off += burst_words) {
+      const auto burst =
+          words.subspan(off, std::min(burst_words, words.size() - off));
       JPG_HIST("cfg.burst_words", burst.size());
       board_->send_config(burst);
       words_sent_ += burst.size();
@@ -272,11 +267,11 @@ void VerifiedDownloader::send(const StreamSource& source,
 
 void VerifiedDownloader::send(const Bitstream& stream, int& attempts,
                               DownloadReport& rep) {
-  send(StreamSource::of(stream.words),
-       std::max<std::size_t>(1, stream.words.size()), attempts, rep);
+  send(stream.words, std::max<std::size_t>(1, stream.words.size()), attempts,
+       rep);
 }
 
-bool VerifiedDownloader::converge(const ConfigMemory& target,
+bool VerifiedDownloader::converge(const TargetPlane& target,
                                   std::vector<std::size_t> check,
                                   int max_attempts, bool ensure_started,
                                   int& attempts, DownloadReport& rep) {
@@ -318,42 +313,35 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
   JPG_REQUIRE(&expected.device() == device_,
               "attestation plane targets a different device");
   const FrameMap& fm = device_->frames();
-  const std::size_t fw = fm.frame_words();
   const std::size_t total = fm.num_frames();
   // Bounded readback runs keep the scratch buffer small on big parts.
   constexpr std::size_t kChunkFrames = 32;
 
   AttestReport rep;
-  std::vector<std::uint32_t>& got = readback_scratch_;
+  const TargetPlane target(expected);
   for (std::size_t first = 0; first < total; first += kChunkFrames) {
     const std::size_t count = std::min(kChunkFrames, total - first);
     try {
-      board_->readback_into(first, count, got);
-      JPG_COUNT("attest.readback_words", got.size());
+      // One finding per frame (the address is what matters), reporting the
+      // words as compared: capture bits masked on both sides.
+      compare_run(target, first, count,
+                  [&](std::size_t frame, std::size_t w,
+                      std::span<const std::uint32_t> rb) {
+                    const std::uint32_t m =
+                        policy_.mask_capture_bits && capture_frame_[frame] != 0
+                            ? capture_mask_[w]
+                            : ~0u;
+                    rep.findings.push_back(
+                        {frame, fm.describe_frame(frame), w,
+                         target.frame_words(frame)[w] & m, rb[w] & m});
+                  });
+      JPG_COUNT("attest.readback_words", count * fm.frame_words());
+      rep.frames_audited += count;
     } catch (const JpgError& e) {
       // An unreadable frame proves nothing — but an audit that cannot see
       // the whole plane must not attest it.
       rep.frames_unreadable += count;
       JPG_WARN(std::string("attest: readback failed: ") + e.what());
-      continue;
-    }
-    JPG_ASSERT(got.size() == count * fw);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t frame = first + k;
-      ++rep.frames_audited;
-      const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
-      const std::vector<std::uint32_t>& want = expected.frame(frame).words();
-      // One finding per frame (the address is what matters), reporting the
-      // words as compared: capture bits masked on both sides.
-      const std::size_t w = first_mismatch(frame, rb, want);
-      if (w != fw) {
-        const std::uint32_t m =
-            policy_.mask_capture_bits && capture_frame_[frame] != 0
-                ? capture_mask_[w]
-                : ~0u;
-        rep.findings.push_back(
-            {frame, fm.describe_frame(frame), w, want[w] & m, rb[w] & m});
-      }
     }
   }
   rep.attested = rep.findings.empty() && rep.frames_unreadable == 0;
@@ -382,25 +370,21 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
   std::vector<std::size_t> touched;
   try {
     ConfigPort port(*plane);
-    port.load(full);
-    port.finish();
+    touched = replay_frame_table(port, full.words).touched;
     if (!port.started()) {
       throw BitstreamError("full bitstream does not start the device");
     }
-    touched = port.frame_table().touched;
   } catch (const JpgError& e) {
-    rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                e.what();
+    rep = rejected_download(e);
     finish_report(rep, telem_t0);
     return rep;
   }
   rep.frames_touched = touched.size();
   send(full, rep.attempts, rep);
-  if (converge(*plane, std::move(touched), policy_.max_attempts,
+  if (converge(TargetPlane(*plane), std::move(touched), policy_.max_attempts,
                /*ensure_started=*/true, rep.attempts, rep)) {
     rep.status = DownloadStatus::Success;
     mirror_ = std::move(plane);
-    reseed_shadow();
   } else {
     rep.error = "full download did not converge within the attempt budget";
   }
@@ -411,14 +395,29 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
 
 DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
   JPG_SPAN("dl.download_partial");
-  return download_stream(StreamSource::of(partial.words),
+  return download_stream(partial.words,
                          std::max<std::size_t>(1, partial.words.size()));
 }
 
-DownloadReport VerifiedDownloader::download_stream(const StreamSource& source,
-                                                   std::size_t burst_words) {
+DownloadReport VerifiedDownloader::download_stream(
+    std::span<const std::uint32_t> words, std::size_t burst_words) {
   JPG_SPAN("dl.download_stream");
-  return run_download(source, burst_words, nullptr);
+  if (validate_port_ == nullptr) {
+    validate_plane_ = std::make_unique<ConfigMemory>(*device_);
+    validate_port_ = std::make_unique<ConfigPort>(*validate_plane_);
+  }
+  FrameTable table;
+  try {
+    // Validate the whole stream before any traffic: a stream malformed
+    // anywhere, or cut off inside a packet, never reaches the board.
+    table = replay_frame_table(*validate_port_, words);
+  } catch (const JpgError& e) {
+    JPG_COUNT("dl.downloads", 1);
+    DownloadReport rep = rejected_download(e);
+    JPG_INFO(rep.summary());
+    return rep;
+  }
+  return run_download(words, table, burst_words);
 }
 
 DownloadReport VerifiedDownloader::download_validated(
@@ -426,12 +425,12 @@ DownloadReport VerifiedDownloader::download_validated(
     std::size_t burst_words) {
   JPG_SPAN("dl.download_validated");
   JPG_COUNT("dl.table_applies", 1);
-  return run_download(StreamSource::of(words), burst_words, &table);
+  return run_download(words, table, burst_words);
 }
 
-DownloadReport VerifiedDownloader::run_download(const StreamSource& source,
-                                                std::size_t burst_words,
-                                                const FrameTable* table) {
+DownloadReport VerifiedDownloader::run_download(
+    std::span<const std::uint32_t> words, const FrameTable& table,
+    std::size_t burst_words) {
   JPG_COUNT("dl.downloads", 1);
   const std::uint64_t telem_t0 = telemetry::now_ns();
   words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
@@ -439,52 +438,19 @@ DownloadReport VerifiedDownloader::run_download(const StreamSource& source,
               "no board mirror established; call download_full or "
               "assume_board_state first");
   JPG_REQUIRE(burst_words > 0, "burst_words must be positive");
+  // The intended plane: the stream's frames over the mirror.
+  const TargetPlane target(*mirror_, table, words);
   DownloadReport rep;
-  ConfigPort& port = *shadow_port_;
-  FrameTable replayed;
-  // The frames where shadow and mirror can differ: the table's, or those
-  // the replay has committed so far.
-  const std::vector<std::size_t>* frames =
-      table != nullptr ? &table->touched : &port.committed_frames();
-  try {
-    if (table != nullptr) {
-      // Validated when it was published: the shadow takes the stream's
-      // frame writes as block copies.
-      JPG_ASSERT(source.segments().size() == 1);
-      apply_frame_table(*table, source.segments().front(), *shadow_);
-    } else {
-      // Validate the whole stream before any traffic: a stream malformed
-      // anywhere, or cut off inside a packet, never reaches the board.
-      port.reset();
-      port.reset_stats();
-      try {
-        for (const auto& segment : source.segments()) port.load(segment);
-        port.finish();
-        replayed = port.frame_table();
-        frames = &replayed.touched;
-      } catch (const JpgError& e) {
-        rep.error = std::string("stream rejected tool-side, nothing sent: ") +
-                    e.what();
-      }
-    }
-    if (rep.error.empty()) {
-      // The shadow is the intended plane: send, then verify the touched
-      // frames, sweep the rest and repair, or give up and roll back.
-      rep.frames_touched = frames->size();
-      send(source, burst_words, rep.attempts, rep);
-      if (converge(*shadow_, *frames, policy_.max_attempts,
-                   /*ensure_started=*/false, rep.attempts, rep)) {
-        rep.status = DownloadStatus::Success;
-      } else {
-        rep.error = "update did not converge";
-        roll_back(*frames, rep);
-      }
-    }
-  } catch (...) {
-    settle_shadow(*frames, false);
-    throw;
+  rep.frames_touched = table.touched.size();
+  send(words, burst_words, rep.attempts, rep);
+  if (converge(target, table.touched, policy_.max_attempts,
+               /*ensure_started=*/false, rep.attempts, rep)) {
+    rep.status = DownloadStatus::Success;
+    apply_frame_table(table, words, *mirror_);
+  } else {
+    rep.error = "update did not converge";
+    roll_back(table.touched, rep);
   }
-  settle_shadow(*frames, rep.ok());
   finish_report(rep, telem_t0);
   JPG_INFO(rep.summary());
   return rep;
@@ -492,13 +458,10 @@ DownloadReport VerifiedDownloader::run_download(const StreamSource& source,
 
 void VerifiedDownloader::roll_back(std::vector<std::size_t> touched,
                                    DownloadReport& rep) {
-  if (!policy_.rollback) {
-    rep.error += "; rollback disabled; board state unknown";
-    return;
-  }
-  send(build_frames_stream(*mirror_, touched, false), rep.rollback_attempts,
+  const TargetPlane previous(*mirror_);
+  send(build_frames_stream(previous, touched, false), rep.rollback_attempts,
        rep);
-  if (converge(*mirror_, std::move(touched), policy_.rollback_max_attempts,
+  if (converge(previous, std::move(touched), policy_.rollback_max_attempts,
                /*ensure_started=*/false, rep.rollback_attempts, rep)) {
     rep.status = DownloadStatus::RolledBack;
     rep.error += "; device rolled back to the pre-update plane";

@@ -5,15 +5,14 @@
 // the link and the stream completely. This wrapper makes the download
 // *verified*, and every download takes one pipeline: validate the whole
 // stream, then send it, then converge. Validation replays every word
-// tool-side (framing, CRC, a stream that ends inside a packet) against a
-// mirror of the board's plane — once, when it was published, for a
-// resident lease; at the top of the download for caller-supplied bytes. A
-// stream malformed anywhere is rejected with nothing sent. The send is an
-// ABORT followed by the stream's bursts, then a readback of exactly the
-// frames the stream writes, compared word-for-word against the intended
-// contents (plus, under full_sweep, every other frame of the plane), and
-// mismatched frames are rewritten by targeted repair streams under a
-// bounded retry budget. When the budget is spent the downloader rolls the
+// tool-side (framing, CRC, a stream that ends inside a packet) — once,
+// when it was published, for a resident lease; at the top of the download
+// for caller-supplied bytes. A stream malformed anywhere is rejected with
+// nothing sent. The send is an ABORT followed by the stream's bursts, then
+// a readback of exactly the frames the stream writes, compared
+// word-for-word against the intended contents (plus, under full_sweep,
+// every other frame of the plane), and mismatched frames are rewritten by
+// targeted repair streams under a bounded retry budget. When the budget is spent the downloader rolls the
 // touched frames back to the pre-update plane, so the device is always in
 // one of exactly two states: the update applied and verified, or the
 // previous configuration — never half-written.
@@ -22,16 +21,14 @@
 // the board); repair and rollback streams are generated from it, which is
 // what makes recovery possible without re-reading the whole device.
 //
-// Next to the mirror it keeps a persistent shadow plane, with its own
-// ConfigPort, that equals the mirror between downloads. A partial download
-// writes the stream's frames into the shadow — replayed through the port,
-// or, for a stream validated at publish, applied from its FrameTable with
-// block copies — which then holds the intended plane; the touched-frame
-// list names exactly the frames where the two differ. On Success those
-// frames are copied shadow -> mirror; on every other exit (rejected
-// tool-side, rolled back, failed, or an exception) they are copied
-// mirror -> shadow. Either way the pair is equal again, and a swap
-// copies only the frames it rewrites, never the whole plane.
+// Every partial download is one primitive: a stream's words and its
+// FrameTable against the mirror. Caller bytes are first replayed into a
+// table on a validation port whose plane is never read; a resident lease
+// brings the table its publish recorded. The intended plane is a
+// TargetPlane view — the stream's own words for the frames the table
+// writes, the mirror for the rest — so nothing is copied to hold it. On
+// Success the table is applied to the mirror; on every other exit the
+// mirror was never written, so there is nothing to undo.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +41,9 @@
 #include "bitstream/config_port.h"
 #include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
-#include "hwif/stream_source.h"
+#include "hwif/burst_engine.h"
 #include "hwif/xhwif.h"
+#include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
@@ -60,8 +58,6 @@ struct DownloadPolicy {
   /// only a sweep catches those strays. Together the two reads cover the
   /// whole plane once after the last send.
   bool full_sweep = true;
-  /// Roll the touched frames back to the mirror when the update fails.
-  bool rollback = true;
   /// Zero FF capture bits before comparing (the readback-mask discipline);
   /// live state captured into the plane is not a configuration mismatch.
   bool mask_capture_bits = true;
@@ -70,8 +66,8 @@ struct DownloadPolicy {
 enum class DownloadStatus {
   Success,     ///< update applied; readback matches the intended plane
   RolledBack,  ///< update abandoned; readback matches the pre-update plane
-  /// Rejected tool-side with nothing sent (board untouched), or the update
-  /// did not converge and was not rolled back (board state unknown).
+  /// Rejected tool-side with nothing sent (board untouched), or the
+  /// rollback did not converge either (board state unknown).
   Failed,
 };
 
@@ -125,16 +121,15 @@ struct AttestReport {
 [[nodiscard]] ConfigMemory reconstruct_expected_plane(
     const ConfigMemory& base, std::span<const Bitstream> applied);
 
-/// Zeroes the FF capture bits of one frame's readback words when `frame`
-/// is a capture minor (CLB minors 16/17) — the readback-mask-file rule.
-[[nodiscard]] std::vector<std::uint32_t> mask_capture_words(
-    const Device& device, std::size_t frame, std::vector<std::uint32_t> words);
-
-/// In-place form of the same, for callers comparing through reusable
-/// scratch buffers (no per-frame vector round trip). `words` must be one
-/// frame's worth.
+/// Zeroes the FF capture bits of one frame's readback words in place when
+/// `frame` is a capture minor (CLB minors 16/17) — the readback-mask-file
+/// rule. `words` must be one frame's worth.
 void mask_capture_words_inplace(const Device& device, std::size_t frame,
                                 std::span<std::uint32_t> words);
+
+/// The report of a download rejected tool-side before any traffic: Failed,
+/// "stream rejected tool-side, nothing sent: <why>".
+[[nodiscard]] DownloadReport rejected_download(const JpgError& why);
 
 class VerifiedDownloader {
  public:
@@ -152,27 +147,32 @@ class VerifiedDownloader {
   /// download_stream with one burst covering the whole stream.
   DownloadReport download_partial(const Bitstream& partial);
 
-  /// Streaming (ICAP-style) partial download. The whole source is first
-  /// replayed into the shadow plane; a stream malformed anywhere, or cut
-  /// off inside a packet, is rejected "nothing sent" with no board traffic
-  /// at all. Then the source is sent in bursts of at most `burst_words`
-  /// words straight from the caller's segments — no concatenated staging
-  /// copy; a send fault ends the send. The touched frames (and, under
-  /// full_sweep, every other frame) are readback-verified and repaired,
-  /// and on persistent failure rolled back.
-  DownloadReport download_stream(const StreamSource& source,
+  /// Streaming (ICAP-style) partial download. The whole stream is first
+  /// replayed into a frame table on the validation port; a stream
+  /// malformed anywhere, or cut off inside a packet, is rejected "nothing
+  /// sent" with no board traffic at all. Then it takes download_validated's
+  /// path.
+  DownloadReport download_stream(std::span<const std::uint32_t> words,
                                  std::size_t burst_words = kDefaultBurstWords);
 
-  /// download_stream for a stream validated tool-side once, ahead of time:
-  /// `table` is replay_frame_table() of exactly `words` on this device. The
-  /// shadow takes the table's frames as block copies (no packet parse, no
-  /// CRC), then `words` goes out unchanged in the same bursts, and
-  /// readback, sweep, repair and rollback run as for download_stream. The
-  /// board sees the same traffic and the report, mirror and shadow come
-  /// out the same as download_stream's.
+  /// The verified download primitive, for a stream validated tool-side
+  /// ahead of time: `table` is replay_frame_table() of exactly `words` on
+  /// this device (a table that does not fit `words` throws before any
+  /// traffic). `words` goes out in bursts of at most `burst_words` words,
+  /// each a subspan of `words` — no staging copy; a send fault ends the
+  /// send. The touched frames (and, under full_sweep, every other frame)
+  /// are then readback-verified against the TargetPlane of mirror, table
+  /// and words, repaired, and on persistent failure rolled back.
   DownloadReport download_validated(
       std::span<const std::uint32_t> words, const FrameTable& table,
       std::size_t burst_words = kDefaultBurstWords);
+
+  /// The readback comparator every verification here uses: reads back
+  /// `frames` (sorted) and returns those whose words differ from `target`,
+  /// capture bits masked per policy. A frame that cannot be read back
+  /// counts as differing.
+  [[nodiscard]] std::vector<std::size_t> mismatched_frames(
+      const TargetPlane& target, const std::vector<std::size_t>& frames);
 
   /// Full-plane readback audit: reads back every frame of the device and
   /// compares it word-for-word against `expected`, masking FF capture bits
@@ -198,7 +198,7 @@ class VerifiedDownloader {
   /// Emits a stream rewriting exactly `frames` (sorted) from `target`,
   /// optionally ending with a START command (full-download repairs).
   [[nodiscard]] Bitstream build_frames_stream(
-      const ConfigMemory& target, const std::vector<std::size_t>& frames,
+      const TargetPlane& target, const std::vector<std::size_t>& frames,
       bool ensure_started) const;
 
   /// Index of the first word where readback `got` of `frame` differs from
@@ -208,10 +208,17 @@ class VerifiedDownloader {
       std::size_t frame, std::span<const std::uint32_t> got,
       std::span<const std::uint32_t> want) const;
 
+  /// Reads back the `count` frames from `first` and calls
+  /// on_mismatch(frame, word, readback words) for each frame that differs
+  /// from `target` at `word` (first_mismatch). Readback faults propagate.
+  template <typename OnMismatch>
+  void compare_run(const TargetPlane& target, std::size_t first,
+                   std::size_t count, OnMismatch&& on_mismatch);
+
   /// Reads back `frames` (sorted) and returns those differing from
   /// `target`. A failed readback marks its whole run mismatched.
   [[nodiscard]] std::vector<std::size_t> verify_against(
-      const ConfigMemory& target, const std::vector<std::size_t>& frames,
+      const TargetPlane& target, const std::vector<std::size_t>& frames,
       DownloadReport& rep);
 
   /// The frames outside `checked` (sorted, unique), in order: what the
@@ -220,11 +227,11 @@ class VerifiedDownloader {
   [[nodiscard]] const std::vector<std::size_t>& unchecked_frames(
       const std::vector<std::size_t>& checked);
 
-  /// ABORT, then `source` in bursts of at most `burst_words` words: one
+  /// ABORT, then `words` in bursts of at most `burst_words` words: one
   /// attempt. A send fault is logged and ends the send; readback decides
-  /// how much of the stream landed. An empty source sends nothing and
+  /// how much of the stream landed. An empty stream sends nothing and
   /// counts no attempt.
-  void send(const StreamSource& source, std::size_t burst_words,
+  void send(std::span<const std::uint32_t> words, std::size_t burst_words,
             int& attempts, DownloadReport& rep);
   /// send() of a whole stream as one burst.
   void send(const Bitstream& stream, int& attempts, DownloadReport& rep);
@@ -234,24 +241,18 @@ class VerifiedDownloader {
   /// `ensure_started`, and sends a targeted repair stream for what
   /// mismatched, until the plane converges or `attempts` reaches
   /// `max_attempts`. True on convergence.
-  bool converge(const ConfigMemory& target, std::vector<std::size_t> check,
+  bool converge(const TargetPlane& target, std::vector<std::size_t> check,
                 int max_attempts, bool ensure_started, int& attempts,
                 DownloadReport& rep);
 
-  /// The body of download_stream (table null: replay the whole source
-  /// first) and download_validated: shadow, send, converge, roll back.
-  DownloadReport run_download(const StreamSource& source,
-                              std::size_t burst_words, const FrameTable* table);
+  /// The body of download_stream and download_validated: send, converge,
+  /// then commit the table to the mirror or roll back.
+  DownloadReport run_download(std::span<const std::uint32_t> words,
+                              const FrameTable& table,
+                              std::size_t burst_words);
 
   /// Rolls `touched` back to the mirror; appends the outcome to rep.error.
   void roll_back(std::vector<std::size_t> touched, DownloadReport& rep);
-
-  /// Makes the shadow plane a copy of a newly established mirror.
-  void reseed_shadow();
-
-  /// Applies the shadow rule to `frames`, those the shadow took:
-  /// shadow -> mirror on success, mirror -> shadow otherwise.
-  void settle_shadow(const std::vector<std::size_t>& frames, bool success);
 
   /// Fills rep.telemetry from the per-download tallies accumulated by
   /// converge() (words sent, readback words, repair rounds, aborts).
@@ -261,9 +262,10 @@ class VerifiedDownloader {
   const Device* device_;
   DownloadPolicy policy_;
   std::unique_ptr<ConfigMemory> mirror_;
-  /// Equal to *mirror_ between downloads (see the header comment).
-  std::unique_ptr<ConfigMemory> shadow_;
-  std::unique_ptr<ConfigPort> shadow_port_;
+  /// download_stream's validation port, created on first use. Only its
+  /// frame table is read, never its plane.
+  std::unique_ptr<ConfigMemory> validate_plane_;
+  std::unique_ptr<ConfigPort> validate_port_;
   /// capture_frame_[f] != 0 iff frame f is a CLB capture minor.
   std::vector<char> capture_frame_;
   /// One frame of words with the FF capture bits cleared, the rest set.

@@ -301,6 +301,92 @@ TEST(FrameTable, RecordsEachFdriRunAndReappliesIt) {
   EXPECT_EQ(port.frame_table(), table);
 }
 
+// The view of a base plane under a stream's table reads the stream's words
+// at each frame's last write and the base everywhere else — the replayed
+// plane, frame for frame — and a table that does not fit the words or the
+// plane throws before anything is read.
+TEST(FrameTable, TargetPlaneReadsTheLastWriteOverTheBase) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  ConfigMemory payload(dev);
+  const std::size_t a = fm.frame_index(5, 10);
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    payload.frame(f).set_word(2, 0x7A000000u ^ static_cast<std::uint32_t>(f));
+  }
+  BitstreamWriter w(dev);
+  w.begin();
+  w.write_cmd(Command::RCRC);
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a)));
+  w.write_frames(payload, a, 3);
+  // The last frame again, from a blank plane: the later write wins.
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a + 2)));
+  w.write_frames(ConfigMemory(dev), a + 2, 1);
+  w.write_crc();
+  w.write_cmd(Command::LFRM);
+  const Bitstream bs = w.finish();
+
+  ConfigMemory base(dev);
+  for (std::size_t f = 0; f < fm.num_frames(); f += 7) base.frame(f).set(3, true);
+  ConfigMemory replayed = base;
+  ConfigPort port(replayed);
+  const FrameTable table = replay_frame_table(port, bs.words);
+  const TargetPlane view(base, table, bs.words);
+  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
+    const std::span<const std::uint32_t> got = view.frame_words(f);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                           replayed.frame(f).words().begin(),
+                           replayed.frame(f).words().end()))
+        << "frame " << f;
+  }
+  // Points into the stream for written frames, into the base otherwise.
+  const std::uint32_t* begin = bs.words.data();
+  const std::uint32_t* end = begin + bs.words.size();
+  EXPECT_TRUE(view.frame_words(a).data() >= begin &&
+              view.frame_words(a).data() < end);
+  EXPECT_EQ(view.frame_words(a + 3).data(), base.frame(a + 3).words().data());
+  EXPECT_EQ(TargetPlane(base).frame_words(a).data(),
+            base.frame(a).words().data());
+
+  const std::span<const std::uint32_t> words(bs.words);
+  EXPECT_THROW(TargetPlane(base, table, words.first(words.size() / 2)),
+               JpgError);
+  FrameTable past_the_plane;
+  past_the_plane.runs.push_back({fm.num_frames() - 1, 0, 2});
+  EXPECT_THROW(TargetPlane(base, past_the_plane, words), JpgError);
+}
+
+// A stream may carry anything in the bits past a frame's end; the port
+// drops them on commit, and so does the view.
+TEST(FrameTable, TargetPlaneDropsBitsPastTheFrameEnd) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  ASSERT_NE(fm.frame_bits() % 32, 0u);
+  const std::size_t a = fm.frame_index(3, 4);
+  ConfigMemory payload(dev);
+  payload.frame(a).set_word(0, 0x600DF00Du);
+  BitstreamWriter w(dev);  // no CRC packet, so the words can be edited
+  w.begin();
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a)));
+  w.write_frames(payload, a, 1);
+  w.write_cmd(Command::LFRM);
+  Bitstream bs = w.finish();
+
+  const ConfigMemory base(dev);
+  ConfigMemory replayed = base;
+  ConfigPort port(replayed);
+  FrameTable table = replay_frame_table(port, bs.words);
+  ASSERT_EQ(table.touched, std::vector<std::size_t>{a});
+  bs.words[table.runs[0].word_offset + fm.frame_words() - 1] |= 1u << 31;
+  table = replay_frame_table(port, bs.words);
+  const TargetPlane view(base, table, bs.words);
+  const std::span<const std::uint32_t> got = view.frame_words(a);
+  const std::vector<std::uint32_t>& want = replayed.frame(a).words();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  EXPECT_EQ(got[0], 0x600DF00Du);
+}
+
 TEST(FrameTable, RejectsAPayloadThatBeganBeforeTheLogClear) {
   const Device& dev = Device::get("XCV50");
   const FrameMap& fm = dev.frames();
@@ -434,6 +520,24 @@ TEST(ConfigMemory, DiffFrames) {
   ASSERT_EQ(diff.size(), 2u);
   EXPECT_EQ(diff[0], 3u);
   EXPECT_EQ(diff[1], 100u);
+}
+
+// A move hands the frames over without copying their words; the move
+// assignment keeps the copy's same-device check.
+TEST(ConfigMemory, MoveHandsOverTheFrameWords) {
+  const Device& dev = Device::get("XCV50");
+  ConfigMemory src(dev);
+  src.frame(0).set_word(0, 0xC0FFEEu);
+  const std::uint32_t* words = src.frame(0).words().data();
+  ConfigMemory moved(std::move(src));
+  EXPECT_EQ(moved.frame(0).words().data(), words);
+  EXPECT_EQ(moved.frame(0).words()[0], 0xC0FFEEu);
+  ConfigMemory assigned(dev);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.frame(0).words().data(), words);
+  ConfigMemory other(Device::get("XCV100"));
+  EXPECT_THROW(assigned = std::move(other), JpgError);
+  EXPECT_EQ(assigned.frame(0).words().data(), words);
 }
 
 TEST(BitstreamReader, ParsesBitgenOutput) {

@@ -20,7 +20,6 @@
 #include "device/device.h"
 #include "hwif/faulty_board.h"
 #include "hwif/sim_board.h"
-#include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
 #include "support/rng.h"
 
@@ -100,7 +99,7 @@ TEST(ConcurrentStreamTest, DistinctFaultyBoardsKeepTwoStateInvariant) {
       for (int i = 0; i < kSwapsPerThread; ++i) {
         const bool use_a = (i % 2) == 0;
         const DownloadReport rep = lane.dl->download_stream(
-            StreamSource::of(use_a ? lease_a.words() : lease_b.words()), 128);
+            use_a ? lease_a.words() : lease_b.words(), 128);
         const ConfigMemory* want = verified;
         if (rep.status == DownloadStatus::Success) {
           want = use_a ? &target_a : &target_b;

@@ -276,6 +276,24 @@ TEST_F(JpgCoreTest, MalformedUpdateLeavesTheBaseUnchanged) {
   words[words.size() - 6] ^= 1u;
   tool.write_onto_base(res);
   EXPECT_NE(tool.full_bitstream(), before);
+
+  // An update cut to half its words ends inside its FDRI packet. Sent raw,
+  // it lands part of its frames; readback verification validates the
+  // update before comparing, so it throws instead of reporting a match,
+  // and the verified download rejects it with nothing sent.
+  Jpg::PartialResult half = res;
+  half.partial.words.resize(words.size() / 2);
+  SimBoard board(*dev_);
+  board.send_config(base_bit_.words);
+  Jpg fresh(base_bit_);
+  fresh.connect(&board);
+  fresh.download(half.partial);
+  EXPECT_THROW((void)fresh.verify_via_readback(half), BitstreamError);
+  const std::uint64_t words_before = board.config_words();
+  const DownloadReport rep = fresh.download_verified(half);
+  EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+  EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
+  EXPECT_EQ(board.config_words(), words_before);
 }
 
 TEST_F(JpgEndToEnd, DefaultPartialsComposeInAnyOrder) {

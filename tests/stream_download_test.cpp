@@ -1,6 +1,6 @@
 // Burst-boundary torture tests for the streaming configuration datapath:
-// StreamSource/BurstCursor chunking invariants, byte-identical planes across
-// burst sizes and segment cuts (including zero-length segments), ABORT with
+// burst-cut invariants of one span (every burst a bounded subspan, in
+// order), byte-identical planes across burst sizes, ABORT with
 // the port mid-burst, word flips landing exactly on burst seams, tool-side
 // rejection of a stream malformed anywhere (or cut off inside a packet)
 // with no board traffic at all, the board receiving exactly the stream's
@@ -9,6 +9,7 @@
 // stays 0 after warm-up).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
 
@@ -21,7 +22,6 @@
 #include "hwif/burst_engine.h"
 #include "hwif/faulty_board.h"
 #include "hwif/sim_board.h"
-#include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
 #include "service/load_harness.h"
 #include "support/rng.h"
@@ -30,68 +30,128 @@
 namespace jpg {
 namespace {
 
-TEST(StreamSourceTest, TracksSegmentsAndTotal) {
-  const std::vector<std::uint32_t> a{1, 2, 3};
-  const std::vector<std::uint32_t> b{4, 5};
-  StreamSource src;
-  EXPECT_TRUE(src.empty());
-  src.add(a);
-  src.add({});  // zero-length segments are legal
-  src.add(b);
-  EXPECT_FALSE(src.empty());
-  EXPECT_EQ(src.total_words(), 5u);
-  EXPECT_EQ(src.segments().size(), 3u);
-  EXPECT_EQ(StreamSource::of(a).total_words(), 3u);
+/// Records every send_config burst and counts ABORTs, forwarding both to
+/// `inner` when there is one (a null inner is a sink that reads back
+/// nothing).
+class RecordingBoard final : public Xhwif {
+ public:
+  explicit RecordingBoard(Xhwif* inner = nullptr) : inner_(inner) {}
+  [[nodiscard]] std::string board_name() const override {
+    return inner_ != nullptr ? "recording(" + inner_->board_name() + ")"
+                             : "recording";
+  }
+  void send_config(std::span<const std::uint32_t> words) override {
+    sends_.emplace_back(words.begin(), words.end());
+    send_data_.push_back(words.data());
+    if (inner_ != nullptr) inner_->send_config(words);
+  }
+  void abort_config() override {
+    ++aborts_;
+    if (inner_ != nullptr) inner_->abort_config();
+  }
+  [[nodiscard]] bool config_done() override {
+    return inner_ != nullptr && inner_->config_done();
+  }
+  [[nodiscard]] std::vector<std::uint32_t> readback(
+      std::size_t first, std::size_t nframes) override {
+    return inner_ != nullptr ? inner_->readback(first, nframes)
+                             : std::vector<std::uint32_t>{};
+  }
+  void capture_state() override {
+    if (inner_ != nullptr) inner_->capture_state();
+  }
+  void step_clock(int cycles) override {
+    if (inner_ != nullptr) inner_->step_clock(cycles);
+  }
+  void set_pin(int pad, bool value) override {
+    if (inner_ != nullptr) inner_->set_pin(pad, value);
+  }
+  [[nodiscard]] bool get_pin(int pad) override {
+    return inner_ != nullptr && inner_->get_pin(pad);
+  }
+  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& sends() const {
+    return sends_;
+  }
+  /// Where each burst's words lay when it was sent (compared, never read).
+  [[nodiscard]] const std::vector<const std::uint32_t*>& send_data() const {
+    return send_data_;
+  }
+  [[nodiscard]] int aborts() const { return aborts_; }
+
+ private:
+  Xhwif* inner_;
+  std::vector<std::vector<std::uint32_t>> sends_;
+  std::vector<const std::uint32_t*> send_data_;
+  int aborts_ = 0;
+};
+
+/// `words` cut into bursts of at most `burst` words, copied.
+std::vector<std::vector<std::uint32_t>> bursts_of(
+    std::span<const std::uint32_t> words, std::size_t burst) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (std::size_t off = 0; off < words.size(); off += burst) {
+    const auto b = words.subspan(off, std::min(burst, words.size() - off));
+    out.emplace_back(b.begin(), b.end());
+  }
+  return out;
 }
 
-TEST(BurstCursorTest, BurstsNeverCrossSegmentBoundaries) {
-  std::vector<std::uint32_t> a(7);
-  std::vector<std::uint32_t> b(5);
-  std::vector<std::uint32_t> c(1);
-  std::iota(a.begin(), a.end(), 100);
-  std::iota(b.begin(), b.end(), 200);
-  std::iota(c.begin(), c.end(), 300);
-  StreamSource src;
-  src.add({});
-  src.add(a);
-  src.add(b);
-  src.add({});
-  src.add(c);
+// The burst engine's tallies: every word goes out once, in
+// ceil(words / bound) bursts, and an empty stream sends nothing.
+TEST(StreamSourceTest, TracksSegmentsAndTotal) {
+  const std::vector<std::uint32_t> words{1, 2, 3, 4, 5};
+  for (const std::size_t burst : {1u, 2u, 5u, 64u}) {
+    RecordingBoard sink;
+    const BurstStats stats = stream_to_board(sink, words, burst);
+    EXPECT_EQ(stats.words, words.size()) << "burst=" << burst;
+    EXPECT_EQ(stats.bursts, (words.size() + burst - 1) / burst)
+        << "burst=" << burst;
+    EXPECT_EQ(sink.sends().size(), stats.bursts) << "burst=" << burst;
+  }
+  RecordingBoard sink;
+  const BurstStats none = stream_to_board(sink, {}, 16);
+  EXPECT_EQ(none.words, 0u);
+  EXPECT_EQ(none.bursts, 0u);
+  EXPECT_TRUE(sink.sends().empty());
+}
 
-  for (const std::size_t burst_words : {1u, 2u, 3u, 4u, 5u, 7u, 64u}) {
-    BurstCursor cursor(src);
+// Every burst is a subspan of the caller's one span, at most the bound
+// long, starting where the previous one ended; only the last is short.
+// Concatenated, the bursts are the stream.
+TEST(BurstCursorTest, BurstsNeverCrossSegmentBoundaries) {
+  std::vector<std::uint32_t> words(13);
+  std::iota(words.begin(), words.end(), 100);
+  for (const std::size_t burst_words : {1u, 2u, 3u, 4u, 5u, 7u, 13u, 64u}) {
+    RecordingBoard sink;
+    (void)stream_to_board(sink, words, burst_words);
+    const std::uint32_t* next = words.data();
     std::vector<std::uint32_t> cat;
-    EXPECT_FALSE(cursor.done());
-    for (auto burst = cursor.next(burst_words); !burst.empty();
-         burst = cursor.next(burst_words)) {
-      EXPECT_LE(burst.size(), burst_words);
-      // Zero-copy: the burst must point into one of the source buffers.
-      const auto* p = burst.data();
-      const bool in_a = p >= a.data() && p + burst.size() <= a.data() + a.size();
-      const bool in_b = p >= b.data() && p + burst.size() <= b.data() + b.size();
-      const bool in_c = p >= c.data() && p + burst.size() <= c.data() + c.size();
-      EXPECT_TRUE(in_a || in_b || in_c);
+    for (std::size_t i = 0; i < sink.sends().size(); ++i) {
+      const std::vector<std::uint32_t>& burst = sink.sends()[i];
+      // Zero-copy: the burst points into the caller's words, in order.
+      EXPECT_EQ(sink.send_data()[i], next) << "burst_words=" << burst_words;
+      next += burst.size();
+      if (i + 1 < sink.sends().size()) {
+        EXPECT_EQ(burst.size(), burst_words);
+      } else {
+        EXPECT_GE(burst.size(), 1u);
+        EXPECT_LE(burst.size(), burst_words);
+      }
       cat.insert(cat.end(), burst.begin(), burst.end());
     }
-    EXPECT_TRUE(cursor.done());
-    // Concatenating the bursts reproduces the concatenated segments.
-    std::vector<std::uint32_t> want;
-    want.insert(want.end(), a.begin(), a.end());
-    want.insert(want.end(), b.begin(), b.end());
-    want.insert(want.end(), c.begin(), c.end());
-    EXPECT_EQ(cat, want);
-    cursor.rewind();
-    EXPECT_FALSE(cursor.done());
-    EXPECT_EQ(cursor.next(3).size(), 3u);
+    EXPECT_EQ(next, words.data() + words.size());
+    EXPECT_EQ(cat, words);
+    EXPECT_EQ(sink.sends(), bursts_of(words, burst_words));
   }
 }
 
 TEST(BurstCursorTest, RejectsZeroBurstAndExhaustsEmptySource) {
-  const StreamSource empty;
-  BurstCursor cursor(empty);
-  EXPECT_TRUE(cursor.done());
-  EXPECT_TRUE(cursor.next(16).empty());
-  EXPECT_THROW((void)cursor.next(0), JpgError);
+  const std::vector<std::uint32_t> words{1, 2, 3};
+  RecordingBoard sink;
+  EXPECT_THROW((void)stream_to_board(sink, words, 0), JpgError);
+  EXPECT_TRUE(sink.sends().empty());
+  EXPECT_EQ(stream_to_board(sink, {}, 16).bursts, 0u);
+  EXPECT_TRUE(sink.sends().empty());
 }
 
 class StreamDownloadTest : public ::testing::Test {
@@ -143,22 +203,6 @@ class StreamDownloadTest : public ::testing::Test {
     return got;
   }
 
-  /// Splits `words` into segments cut at every position in `cuts` (plus a
-  /// zero-length segment between each pair), exercising seam placement.
-  static StreamSource cut_source(std::span<const std::uint32_t> words,
-                                 std::span<const std::size_t> cuts) {
-    StreamSource src;
-    std::size_t off = 0;
-    for (const std::size_t cut : cuts) {
-      if (cut <= off || cut >= words.size()) continue;
-      src.add(words.subspan(off, cut - off));
-      src.add({});
-      off = cut;
-    }
-    src.add(words.subspan(off));
-    return src;
-  }
-
   /// A partial rewriting `count` frames from `first` with a pattern keyed
   /// by `salt` (distinct salts give distinct frame contents).
   Bitstream make_partial(std::size_t first, std::size_t count,
@@ -202,20 +246,15 @@ TEST_F(StreamDownloadTest, RawBurstDownloadMatchesWholeSend) {
   whole.send_config(base_bit_.words);
   whole.send_config(partial_.words);
 
-  // Cuts at and just inside burst edges for a burst bound of 16, plus an
-  // odd segment in the middle of an FDRI payload.
-  const std::vector<std::size_t> cuts{15, 16, 17, 33, 100, 101};
   for (const std::size_t burst :
        {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{512},
         std::size_t{1u << 20}}) {
     SimBoard board(*dev_);
-    const BurstStats base_stats =
-        stream_to_board(board, StreamSource::of(base_bit_.words), burst);
+    const BurstStats base_stats = stream_to_board(board, base_bit_.words, burst);
     EXPECT_EQ(base_stats.words, base_bit_.words.size());
-    const StreamSource src = cut_source(partial_.words, cuts);
-    const BurstStats stats = stream_to_board(board, src, burst);
+    const BurstStats stats = stream_to_board(board, partial_.words, burst);
     EXPECT_EQ(stats.words, partial_.words.size());
-    EXPECT_GE(stats.bursts, (partial_.words.size() + burst - 1) / burst);
+    EXPECT_EQ(stats.bursts, (partial_.words.size() + burst - 1) / burst);
     EXPECT_EQ(board_plane(board), board_plane(whole))
         << "burst=" << burst << " diverged from the whole-buffer send";
   }
@@ -228,10 +267,7 @@ TEST_F(StreamDownloadTest, VerifiedStreamSucceedsAcrossBurstSizes) {
     board.send_config(base_bit_.words);
     VerifiedDownloader dl(board, *dev_);
     dl.assume_board_state(*base_plane_);
-    const std::vector<std::size_t> cuts{burst - 1, burst, burst + 1,
-                                        3 * burst + 1};
-    const DownloadReport rep =
-        dl.download_stream(cut_source(partial_.words, cuts), burst);
+    const DownloadReport rep = dl.download_stream(partial_.words, burst);
     EXPECT_TRUE(rep.ok()) << "burst=" << burst << ": " << rep.summary();
     EXPECT_EQ(rep.attempts, 1);
     EXPECT_EQ(rep.frames_touched, kUpdateFrames);
@@ -246,7 +282,7 @@ TEST_F(StreamDownloadTest, EmptySourceVerifiesTheMirrorAndSucceeds) {
   board.send_config(base_bit_.words);
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
-  const DownloadReport rep = dl.download_stream(StreamSource{});
+  const DownloadReport rep = dl.download_stream({});
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_EQ(rep.frames_touched, 0u);
@@ -263,7 +299,7 @@ TEST_F(StreamDownloadTest, MalformedHeadIsRejectedNothingSent) {
   bad.words[10] ^= 0x40u;  // CRC-covered register write corrupted
   // Default burst (512) covers the whole stream: the head replay fails
   // before anything is sent.
-  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words));
+  const DownloadReport rep = dl.download_stream(bad.words);
   EXPECT_EQ(rep.status, DownloadStatus::Failed);
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
@@ -282,7 +318,7 @@ TEST_F(StreamDownloadTest, MidStreamMalformationRollsBack) {
   // head bursts would validate on their own, but the whole stream is
   // checked before the first one goes out.
   bad.words[bad.words.size() - 4] ^= 1u;
-  const DownloadReport rep = dl.download_stream(StreamSource::of(bad.words), 8);
+  const DownloadReport rep = dl.download_stream(bad.words, 8);
   EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
   EXPECT_EQ(rep.attempts, 0);
@@ -311,7 +347,7 @@ TEST_F(StreamDownloadTest, TruncatedStreamIsRejectedNothingSent) {
     const std::uint64_t words_before = board.config_words();
     VerifiedDownloader dl(board, *dev_);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_stream(StreamSource::of(half), burst);
+    const DownloadReport rep = dl.download_stream(half, burst);
     EXPECT_EQ(rep.status, DownloadStatus::Failed)
         << "burst=" << burst << ": " << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos)
@@ -322,106 +358,60 @@ TEST_F(StreamDownloadTest, TruncatedStreamIsRejectedNothingSent) {
   }
 }
 
-/// Records every send_config burst and counts ABORTs, forwarding both.
-class RecordingBoard final : public Xhwif {
- public:
-  explicit RecordingBoard(Xhwif& inner) : inner_(&inner) {}
-  [[nodiscard]] std::string board_name() const override {
-    return "recording(" + inner_->board_name() + ")";
-  }
-  void send_config(std::span<const std::uint32_t> words) override {
-    sends_.emplace_back(words.begin(), words.end());
-    inner_->send_config(words);
-  }
-  void abort_config() override {
-    ++aborts_;
-    inner_->abort_config();
-  }
-  [[nodiscard]] bool config_done() override { return inner_->config_done(); }
-  [[nodiscard]] std::vector<std::uint32_t> readback(
-      std::size_t first, std::size_t nframes) override {
-    return inner_->readback(first, nframes);
-  }
-  void capture_state() override { inner_->capture_state(); }
-  void step_clock(int cycles) override { inner_->step_clock(cycles); }
-  void set_pin(int pad, bool value) override { inner_->set_pin(pad, value); }
-  [[nodiscard]] bool get_pin(int pad) override { return inner_->get_pin(pad); }
-  [[nodiscard]] const std::vector<std::vector<std::uint32_t>>& sends() const {
-    return sends_;
-  }
-  [[nodiscard]] int aborts() const { return aborts_; }
-
- private:
-  Xhwif* inner_;
-  std::vector<std::vector<std::uint32_t>> sends_;
-  int aborts_ = 0;
-};
-
 // The board receives a valid stream as exactly its bursts after one ABORT,
 // and nothing at all of a stream malformed anywhere: not the bursts before
 // the one a fresh port rejects, and nothing once the head itself is
-// malformed. Rollback is off so the only traffic is the streamed send.
+// malformed.
 TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
   constexpr std::size_t kBurst = 8;
   {
-    const StreamSource src = StreamSource::of(partial_.words);
-    std::vector<std::vector<std::uint32_t>> want;
-    BurstCursor cursor(src);
-    for (auto burst = cursor.next(kBurst); !burst.empty();
-         burst = cursor.next(kBurst)) {
-      want.emplace_back(burst.begin(), burst.end());
-    }
+    const auto want = bursts_of(partial_.words, kBurst);
     ASSERT_GT(want.size(), 1u);
 
     SimBoard board(*dev_);
     board.send_config(base_bit_.words);
-    RecordingBoard rec(board);
+    RecordingBoard rec(&board);
     VerifiedDownloader dl(rec, *dev_);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_stream(src, kBurst);
+    const DownloadReport rep = dl.download_stream(partial_.words, kBurst);
     EXPECT_TRUE(rep.ok()) << rep.summary();
     EXPECT_EQ(rec.aborts(), 1);
     EXPECT_EQ(rec.sends(), want);
   }
   // Replays the bursts through a fresh port over the base plane; returns
   // the bursts before the first rejected one.
-  const auto validated_prefix = [&](const StreamSource& src,
+  const auto validated_prefix = [&](std::span<const std::uint32_t> words,
                                     bool& rejected) {
     ConfigMemory plane(*base_plane_);
     ConfigPort port(plane);
-    BurstCursor cursor(src);
     std::vector<std::vector<std::uint32_t>> prefix;
     rejected = false;
-    for (auto burst = cursor.next(kBurst); !burst.empty();
-         burst = cursor.next(kBurst)) {
+    for (const auto& burst : bursts_of(words, kBurst)) {
       try {
         port.load(burst);
       } catch (const JpgError&) {
         rejected = true;
         break;
       }
-      prefix.emplace_back(burst.begin(), burst.end());
+      prefix.push_back(burst);
     }
     return prefix;
   };
-  DownloadPolicy policy;
-  policy.rollback = false;
 
   {
     Bitstream bad = partial_;
     bad.words[bad.words.size() - 4] ^= 1u;  // the CRC word: tail-corrupted
-    const StreamSource src = StreamSource::of(bad.words);
     bool rejected = false;
-    const auto want = validated_prefix(src, rejected);
+    const auto want = validated_prefix(bad.words, rejected);
     ASSERT_TRUE(rejected);
-    ASSERT_FALSE(want.empty());  // some bursts validate and go out
+    ASSERT_FALSE(want.empty());  // some bursts would validate on their own
 
     SimBoard board(*dev_);
     board.send_config(base_bit_.words);
-    RecordingBoard rec(board);
-    VerifiedDownloader dl(rec, *dev_, policy);
+    RecordingBoard rec(&board);
+    VerifiedDownloader dl(rec, *dev_);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_stream(src, kBurst);
+    const DownloadReport rep = dl.download_stream(bad.words, kBurst);
     EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
     EXPECT_TRUE(rec.sends().empty());
@@ -431,17 +421,16 @@ TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
   {
     Bitstream bad = partial_;
     bad.words[7] ^= 0x40u;  // the IDCODE value, inside burst 0
-    const StreamSource src = StreamSource::of(bad.words);
     bool rejected = false;
-    ASSERT_TRUE(validated_prefix(src, rejected).empty());
+    ASSERT_TRUE(validated_prefix(bad.words, rejected).empty());
     ASSERT_TRUE(rejected);
 
     SimBoard board(*dev_);
     board.send_config(base_bit_.words);
-    RecordingBoard rec(board);
-    VerifiedDownloader dl(rec, *dev_, policy);
+    RecordingBoard rec(&board);
+    VerifiedDownloader dl(rec, *dev_);
     dl.assume_board_state(*base_plane_);
-    const DownloadReport rep = dl.download_stream(src, kBurst);
+    const DownloadReport rep = dl.download_stream(bad.words, kBurst);
     EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
     EXPECT_TRUE(rec.sends().empty());
@@ -459,7 +448,7 @@ TEST_F(StreamDownloadTest, AbortUnsticksAPortLeftMidBurst) {
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(*base_plane_);
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), 16);
+      dl.download_stream(partial_.words, 16);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(board_plane(board), *target_plane_);
 }
@@ -514,7 +503,7 @@ TEST_F(StreamDownloadTest, WordFlipOnBurstSeamIsRepaired) {
     VerifiedDownloader dl(seam, *dev_, policy);
     dl.assume_board_state(*base_plane_);
     const DownloadReport rep =
-        dl.download_stream(StreamSource::of(partial_.words), 16);
+        dl.download_stream(partial_.words, 16);
     EXPECT_TRUE(rep.ok()) << "nth=" << nth << ": " << rep.summary();
     EXPECT_EQ(seam.flips(), 1) << "nth=" << nth;
     EXPECT_EQ(board_plane(board), *target_plane_) << "nth=" << nth;
@@ -533,7 +522,7 @@ TEST_F(StreamDownloadTest, FaultyLinkStreamingConvergesWithRepairBudget) {
   VerifiedDownloader dl(faulty, *dev_, policy);
   dl.assume_board_state(*base_plane_);
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), 32);
+      dl.download_stream(partial_.words, 32);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(faulty.faults_injected(), 1u);
   EXPECT_EQ(board_plane(board), *target_plane_);
@@ -553,7 +542,7 @@ TEST_F(StreamDownloadTest, StreamedSendFaultIsRepaired) {
   dl.assume_board_state(*base_plane_);
   // Many bursts, all skipped after the fault.
   const DownloadReport rep =
-      dl.download_stream(StreamSource::of(partial_.words), 16);
+      dl.download_stream(partial_.words, 16);
   // Nothing reached the board in the streamed phase; the repair stream
   // rewrites every touched frame over the now-clean link.
   EXPECT_TRUE(rep.ok()) << rep.summary();
@@ -570,7 +559,7 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   board.send_config(base_bit_.words);
 
   // Build a module plane for a region and lease its cached pbit; the
-  // streamed words are the cache's own (zero-copy), wrapped as one segment.
+  // streamed words are the cache's own (zero-copy).
   const Region region{0, 6, dev_->rows() - 1, 7};
   ConfigMemory module(*dev_);
   const FrameMap& fm = dev_->frames();
@@ -587,14 +576,14 @@ TEST_F(StreamDownloadTest, JpgFacadeStreamsALeasedPbit) {
   ASSERT_TRUE(lease.valid());
   VerifiedDownloader dl(board, *dev_);
   dl.assume_board_state(tool.base_config());
-  const DownloadReport rep = dl.download_stream(StreamSource::of(lease.words()));
+  const DownloadReport rep = dl.download_stream(lease.words());
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(tool.generator().cache_stats().pinned, 1u);
 
   // The fire-and-forget path lands the same plane.
   SimBoard board2(*dev_);
   board2.send_config(base_bit_.words);
-  stream_to_board(board2, StreamSource::of(lease.words()));
+  stream_to_board(board2, lease.words());
   EXPECT_EQ(board_plane(board), board_plane(board2));
 }
 
@@ -630,12 +619,14 @@ class LinkSwitch final : public Xhwif {
   Xhwif* link_;
 };
 
-// The downloader replays into a persistent shadow plane and must leave it
-// equal to the mirror after every outcome. A seeded sequence mixes five
-// cases (two tool-side rejects, success, rollback, failure); after each one, a clean download must behave exactly as on a
-// fresh downloader seeded with the same mirror over an identical board. A
-// shadow frame left stale by the previous exit would show up here as a
-// different intended plane: extra repairs, a different mirror or plane.
+// A download writes the mirror only on Success, and only the frames its
+// table names, so no exit may leave state behind that the next download
+// reads. A seeded sequence mixes five cases (two tool-side rejects,
+// success, rollback, failure); after each one, a clean download must
+// behave exactly as on a fresh downloader seeded with the same mirror over
+// an identical board. State left stale by the previous exit would show up
+// here as a different intended plane: extra repairs, a different mirror
+// or plane.
 TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
   const FrameMap& fm = dev_->frames();
   SimBoard board(*dev_);
@@ -675,12 +666,12 @@ TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
     DownloadReport rep;
     switch (kind) {
       case kHeadReject:
-        rep = dl.download_stream(StreamSource::of(bad.words), bad.words.size());
+        rep = dl.download_stream(bad.words, bad.words.size());
         ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
         ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
       case kMidStream:
-        rep = dl.download_stream(StreamSource::of(bad.words), 8);
+        rep = dl.download_stream(bad.words, 8);
         ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
         ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
@@ -785,9 +776,9 @@ void expect_same_report(const DownloadReport& a, const DownloadReport& b,
 /// Downloads every corpus pbit on two lanes with the same link seed — from
 /// its table on one, replayed whole on the other — and requires the
 /// same report, mirror and board plane after each. An empty download then
-/// checks the shadows: it touches nothing, so its sweep reads every frame
-/// back against the shadow, and a shadow frame left stale would be
-/// "repaired" onto the board of one lane only. Returns the faults the
+/// checks the mirrors: it touches nothing, so its sweep reads every frame
+/// back against the mirror, and a mirror frame the commit left wrong would
+/// be "repaired" onto the board of one lane only. Returns the faults the
 /// table lane's link injected.
 std::size_t expect_table_matches_replay(const TableCorpus& c,
                                  const FaultProfile& profile,
@@ -802,7 +793,7 @@ std::size_t expect_table_matches_replay(const TableCorpus& c,
     const std::size_t burst = bursts[i % bursts.size()];
     const DownloadReport a = table.dl.download_validated(words, c.tables[i], burst);
     const DownloadReport b =
-        replay.dl.download_stream(StreamSource::of(words), burst);
+        replay.dl.download_stream(words, burst);
     expect_same_report(a, b, what);
     if (clean_link) {
       EXPECT_TRUE(a.ok()) << what << ": " << a.summary();
@@ -810,8 +801,8 @@ std::size_t expect_table_matches_replay(const TableCorpus& c,
     EXPECT_EQ(table.dl.mirror(), replay.dl.mirror()) << what;
     EXPECT_EQ(table.board.config(), replay.board.config()) << what;
 
-    const DownloadReport sa = table.dl.download_stream(StreamSource{});
-    const DownloadReport sb = replay.dl.download_stream(StreamSource{});
+    const DownloadReport sa = table.dl.download_stream({});
+    const DownloadReport sb = replay.dl.download_stream({});
     expect_same_report(sa, sb, what + " (sweep)");
     if (clean_link) {
       EXPECT_EQ(sa.frames_repaired, 0u) << what << ": " << sa.summary();

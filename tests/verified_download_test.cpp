@@ -6,12 +6,13 @@
 // never anything in between.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_writer.h"
 #include "core/jpg.h"
 #include "hwif/faulty_board.h"
 #include "hwif/sim_board.h"
-#include "hwif/stream_source.h"
 #include "hwif/verified_downloader.h"
 #include "netlib/generators.h"
 #include "pnr/flow.h"
@@ -214,16 +215,25 @@ TEST_F(VerifiedDownloadTest, MaskCaptureWordsZeroesOnlyCaptureMinors) {
   const std::size_t fw = fm.frame_words();
   std::vector<std::uint32_t> words(fw, 0xFFFFFFFFu);
 
-  // A capture minor loses exactly the per-row capture bits...
+  const auto masked = [&](std::size_t frame, std::vector<std::uint32_t> w) {
+    mask_capture_words_inplace(*dev_, frame, w);
+    return w;
+  };
+
+  // A capture minor loses exactly the per-row capture bits: two per row...
   const std::size_t cap = fm.frame_index(clb_major, 16);
-  const auto masked = mask_capture_words(*dev_, cap, words);
-  EXPECT_NE(masked, words);
+  const std::vector<std::uint32_t> cap_masked = masked(cap, words);
+  std::size_t cleared = 0;
+  for (const std::uint32_t w : cap_masked) {
+    cleared += static_cast<std::size_t>(32 - std::popcount(w));
+  }
+  EXPECT_EQ(cleared, 2u * static_cast<std::size_t>(dev_->rows()));
   // ...and masking is idempotent.
-  EXPECT_EQ(mask_capture_words(*dev_, cap, masked), masked);
+  EXPECT_EQ(masked(cap, cap_masked), cap_masked);
 
   // A non-capture minor of the same column is untouched.
   const std::size_t cfg = fm.frame_index(clb_major, 2);
-  EXPECT_EQ(mask_capture_words(*dev_, cfg, words), words);
+  EXPECT_EQ(masked(cfg, words), words);
 }
 
 // The campaign: 200 seeded scenarios across four fault families, each with
@@ -291,9 +301,10 @@ TEST_F(VerifiedDownloadTest, TwoHundredSeededFaultScenariosConvergeOrRollBack) {
   EXPECT_GT(rollbacks, 0);
 }
 
-// The same 200-scenario campaign through the streaming datapath: small
-// bursts (so faults land at burst granularity) and segmented sources. The
-// invariant is identical — streaming must not open a third state.
+// The same 200-scenario campaign through the streaming datapath: a
+// scenario-seeded small burst bound, so streams span many bursts and
+// faults land at burst granularity. The invariant is identical —
+// streaming must not open a third state.
 TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack) {
   int successes = 0;
   int rollbacks = 0;
@@ -336,17 +347,8 @@ TEST_F(VerifiedDownloadTest, StreamingSweepTwoHundredScenariosConvergeOrRollBack
     VerifiedDownloader dl(faulty, *dev_, policy);
     dl.assume_board_state(*base_plane_);
 
-    // Scenario-seeded segmentation: a couple of cuts, one zero-length
-    // segment, and a small burst bound so streams span many bursts.
-    const std::span<const std::uint32_t> words(partial_.words);
-    StreamSource src;
-    const std::size_t cut1 = 1 + r.uniform(words.size() - 2);
-    const std::size_t cut2 = cut1 + r.uniform(words.size() - cut1);
-    src.add(words.first(cut1));
-    src.add({});
-    src.add(words.subspan(cut1, cut2 - cut1));
-    src.add(words.subspan(cut2));
-    const DownloadReport rep = dl.download_stream(src, 1 + r.uniform(48));
+    const DownloadReport rep =
+        dl.download_stream(partial_.words, 1 + r.uniform(48));
 
     ASSERT_NE(rep.status, DownloadStatus::Failed)
         << "scenario " << s << ": " << rep.summary();

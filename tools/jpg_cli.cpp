@@ -545,7 +545,7 @@ int cmd_fuzzcfg(int argc, char** argv) {
 
   // Relocated-stream corpus: a LUT-patterned module pbit generated at one
   // column plus its PbitRelocator retarget near the right edge. Mutants of
-  // relocated streams replay through the same differential segment-cut
+  // relocated streams replay through the same differential chunked-load
   // harness as the rest of the corpus, so a FAR-rewrite bug that only
   // manifests after chunked delivery still counts as a finding.
   const ConfigMemory empty_base(dev);

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Build-and-test matrix for local pre-merge checking and for the nightly
-# job. Four configurations:
+# job. Eight configurations (the default run is the first four):
 #
 #   release    default flags, full fast tier          (the tier-1 gate)
-#   asan       JPG_SANITIZE=address, fast + fuzz      (memory bugs)
+#   asan       JPG_SANITIZE=address (ASan + UBSan + libstdc++ bounds
+#              assertions), fast + fuzz               (memory bugs)
 #   tsan       JPG_SANITIZE=thread, tsan-labelled     (threaded router)
 #   telemoff   JPG_TELEMETRY=OFF, fast tier           (counters compile out)
 #   service    TSan run of the service, concurrent-stream, shared-lease-
