@@ -6,8 +6,8 @@
 //   * FAR-run coalescing (contiguous frames share one FAR+FDRI block) vs
 //     one block per frame;
 //   * CRC on/off (integrity vs the handful of words it costs);
-//   * the fast path itself: seed-style full-device compose vs the
-//     region-scoped frame overlay, cold and through the pbit cache, plus
+//   * the fast path itself: seed-style per-bit compose vs word-blit
+//     composition, cold and through the pbit cache, plus
 //     generate_batch over disjoint regions. Results land in
 //     BENCH_partial_gen.json for the driver to scrape.
 #include <benchmark/benchmark.h>
@@ -136,7 +136,7 @@ void print_ablation() {
               3 + fw);
 }
 
-// --- fast-path ablation: overlay + cache + batch vs the seed pipeline ------
+// --- fast-path ablation: word blits + cache + batch vs the seed pipeline ---
 
 ConfigMemory noise_plane(const Device& dev, std::uint64_t seed) {
   ConfigMemory mem(dev);
@@ -150,10 +150,10 @@ ConfigMemory noise_plane(const Device& dev, std::uint64_t seed) {
   return mem;
 }
 
-/// Replica of the pre-overlay generate(): full-device copy of the base,
-/// per-bit row-window merge, then generate_frames over the full plane.
-/// Kept here (not in the library) so the ablation keeps an honest baseline
-/// after the hot path moved to overlays and word blits.
+/// Replica of the seed generate(): full-device copy of the base, per-bit
+/// row-window merge, then generate_frames over the full plane. Kept here
+/// (not in the library) so the ablation keeps an honest baseline after the
+/// hot path moved to word blits.
 PartialGenResult seed_generate(const PartialBitstreamGenerator& gen,
                                const ConfigMemory& base,
                                const ConfigMemory& module_config,
@@ -165,8 +165,8 @@ PartialGenResult seed_generate(const PartialBitstreamGenerator& gen,
   for (const int major : region.clb_majors(dev)) {
     for (int minor = 0; minor < fm.frames_in_major(major); ++minor) {
       const std::size_t idx = fm.frame_index(major, minor);
-      BitVector& frame = composed.frame(idx);
-      const BitVector& mod = module_config.frame(idx);
+      BitSpan frame = composed.frame(idx);
+      const ConstBitSpan mod = module_config.frame(idx);
       for (int r = region.r0; r <= region.r1; ++r) {
         const std::size_t base_bit = fm.row_bit_base(r);
         for (int b = 0; b < FrameMap::kBitsPerRow; ++b) {
@@ -249,9 +249,9 @@ void bench_fastpath(benchutil::JsonReport& report) {
     const double fn = static_cast<double>(nframes);
     t.row({part, "seed full-copy compose", fmt(seed_ns / fn, 0),
            std::to_string(bytes), "1.00x"});
-    t.row({part, "overlay, cold", fmt(cold_ns / fn, 0), std::to_string(bytes),
-           fmt(seed_ns / cold_ns, 2) + "x"});
-    t.row({part, "overlay, warm pbit cache", fmt(warm_ns / fn, 0),
+    t.row({part, "word blits, cold", fmt(cold_ns / fn, 0),
+           std::to_string(bytes), fmt(seed_ns / cold_ns, 2) + "x"});
+    t.row({part, "word blits, warm pbit cache", fmt(warm_ns / fn, 0),
            std::to_string(bytes), fmt(seed_ns / warm_ns, 2) + "x"});
 
     report.set(part, "frames_per_pbit", fn);
@@ -316,7 +316,7 @@ void bench_fastpath(benchutil::JsonReport& report) {
     report.set(part, "host_cpus",
                static_cast<double>(benchutil::host_cpus()));
   }
-  t.print("ABLATION: fast path (overlay compose, pbit cache, batch)");
+  t.print("ABLATION: fast path (word-blit compose, pbit cache, batch)");
 }
 
 }  // namespace

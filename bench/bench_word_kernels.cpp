@@ -1,13 +1,22 @@
-// WORD KERNELS — the BitVector bulk operations under the partial generator's
+// WORD KERNELS — the BitSpan bulk operations under the partial generator's
 // warm path (DESIGN.md §5a/§5c): in-place and relocating copy_range,
 // diff_in_range and popcount, measured on real frame geometries from XCV50
-// up to XCV1000. The kernels are shared-middle word blits (memcpy, 8-wide
-// XOR-OR reduction, 64-bit popcount) with masked edges and a funnel-shift
-// fallback for misaligned relocation; this bench quantifies each path and
-// writes BENCH_word_kernels.json for the driver to scrape.
+// up to XCV1000. The kernels are shared-middle word blits (memcpy, memcmp,
+// 64-bit popcount) with masked edges and a funnel-shift fallback for
+// misaligned relocation. Per part it also measures the two whole-stream
+// kernels of a verified swap (DESIGN.md §5d): the configuration CRC over a
+// full-plane FDRI payload, one update per word against update_run's
+// eight-write steps, and a copy of the flat configuration plane. It writes
+// BENCH_word_kernels.json to the working directory.
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <utility>
+
 #include "bench_util.h"
+#include "bitstream/config_memory.h"
+#include "bitstream/crc16.h"
+#include "bitstream/packet.h"
 #include "device/device.h"
 #include "support/bitvec.h"
 #include "support/rng.h"
@@ -47,6 +56,8 @@ void bench_kernels() {
 
   benchutil::JsonReport report;
   benchutil::Table t({"device", "frame bits", "kernel", "ns/frame", "GB/s"});
+  benchutil::Table planes({"device", "plane words", "crc16 word ns/word",
+                           "crc16 run ns/word", "plane copy ns"});
   for (const char* part : parts) {
     const Device& dev = Device::get(part);
     const std::size_t nbits = dev.frames().frame_words() * 32;
@@ -92,11 +103,40 @@ void bench_kernels() {
       report.set(part, r.key, r.ns);
     }
     report.set(part, "frame_bits", static_cast<double>(nbits));
+
+    // One full-plane FDRI payload through the CRC, then a plane copy.
+    ConfigMemory plane(dev);
+    const BitVector noise = noise_frame(plane.num_frames() * nbits, 4);
+    plane.write_frames(0, noise.words());
+    const std::span<const std::uint32_t> payload =
+        std::as_const(plane).frame_run(0, plane.num_frames());
+    constexpr auto kFdri = static_cast<std::uint32_t>(ConfigReg::FDRI);
+    Crc16 crc;
+    const double n = static_cast<double>(payload.size());
+    const double crc_word_ns = ns_per_call([&] {
+      for (const std::uint32_t w : payload) crc.update(kFdri, w);
+      benchmark::DoNotOptimize(crc.value());
+    }) / n;
+    const double crc_run_ns = ns_per_call([&] {
+      crc.update_run(kFdri, payload);
+      benchmark::DoNotOptimize(crc.value());
+    }) / n;
+    ConfigMemory copy(dev);
+    const double copy_ns = ns_per_call([&] {
+      copy = plane;
+      benchmark::DoNotOptimize(copy.frame(0).words().data());
+    });
+    planes.row({part, std::to_string(payload.size()), fmt(crc_word_ns, 2),
+                fmt(crc_run_ns, 2), fmt(copy_ns, 0)});
+    report.set(part, "crc16_word_ns_per_word", crc_word_ns);
+    report.set(part, "crc16_run_ns_per_word", crc_run_ns);
+    report.set(part, "plane_copy_ns", copy_ns);
     report.set(part, "misaligned_penalty", reloc_mis_ns / reloc_co_ns);
     report.set(part, "host_cpus",
                static_cast<double>(benchutil::host_cpus()));
   }
-  t.print("WORD KERNELS: BitVector bulk ops on frame geometries");
+  t.print("WORD KERNELS: BitSpan bulk ops on frame geometries");
+  planes.print("WORD KERNELS: configuration CRC and plane copy per part");
   std::printf("co-aligned relocation and in-place blits ride the memcpy/"
               "vector path; the misaligned\nfunnel-shift fallback is the "
               "price of odd bit offsets (rare in frame composition).\n");

@@ -89,13 +89,8 @@ int main() {
   // Verify the new contents through readback.
   ConfigMemory check(dev);
   {
-    const std::size_t fw = dev.frames().frame_words();
-    for (int minor = 0; minor < FrameMap::kBramFrames; ++minor) {
-      const std::size_t f = dev.frames().bram_frame_index(0, minor);
-      const auto words = board.readback(f, 1);
-      check.write_frame_words(f, words.data());
-      (void)fw;
-    }
+    const std::size_t first = dev.frames().bram_frame_index(0, 0);
+    check.write_frames(first, board.readback(first, FrameMap::kBramFrames));
   }
   CBits ccb(check);
   int correct = 0;

@@ -154,21 +154,21 @@ ParbitResult parbit_transform(const Bitstream& new_design,
     for (std::size_t minor = 0; minor < n_minors; ++minor) {
       const std::size_t sidx = fm.frame_index(smajor, static_cast<int>(minor));
       const std::size_t tidx = fm.frame_index(tmajor, static_cast<int>(minor));
-      BitVector frame = opts.mode == ParbitOptions::Mode::Block
-                            ? current.frame(tidx)
-                            : BitVector(fm.frame_bits());
-      // Copy the block rows (relocated by dr) from the new design. Row
-      // windows are contiguous, so the whole block is one word-level blit.
-      frame.copy_range(fresh.frame(sidx), fm.row_bit_base(opts.source.r0),
-                       fm.row_bit_base(opts.source.r0 + dr),
-                       static_cast<std::size_t>(opts.source.height()) *
-                           FrameMap::kBitsPerRow);
+      BitSpan frame = staged.frame(tidx);
       if (opts.mode == ParbitOptions::Mode::Column) {
         // Column mode ships the full source frame rows as-is (relocation of
         // whole columns); out-of-block rows come from the new design too.
-        frame = fresh.frame(sidx);
+        frame.set_words(fresh.frame(sidx).words());
+      } else {
+        // Copy the block rows (relocated by dr) from the new design over
+        // the current frame. Row windows are contiguous, so the whole
+        // block is one word-level blit.
+        frame.set_words(current.frame(tidx).words());
+        frame.copy_range(fresh.frame(sidx), fm.row_bit_base(opts.source.r0),
+                         fm.row_bit_base(opts.source.r0 + dr),
+                         static_cast<std::size_t>(opts.source.height()) *
+                             FrameMap::kBitsPerRow);
       }
-      staged.frame(tidx) = frame;
     }
     // One FAR + FDRI run per destination column.
     w.write_reg(ConfigReg::FAR, fm.encode_far(

@@ -25,74 +25,58 @@ void BitstreamWriter::write_reg(ConfigReg reg, std::uint32_t value) {
   }
 }
 
-void BitstreamWriter::write_fdri(std::span<const std::uint32_t> words) {
-  if (words.size() < (1u << 11)) {
-    emit(encode_type1(PacketOp::Write, ConfigReg::FDRI,
-                      static_cast<std::uint32_t>(words.size())));
-  } else {
-    emit(encode_type1(PacketOp::Write, ConfigReg::FDRI, 0));
-    emit(encode_type2(PacketOp::Write, static_cast<std::uint32_t>(words.size())));
-  }
-  for (const std::uint32_t w : words) {
-    emit(w);
-    crc_.update(static_cast<std::uint32_t>(ConfigReg::FDRI), w);
-  }
-}
-
-template <typename FrameWords>
-void BitstreamWriter::write_frames_impl(std::size_t num_frames,
-                                        const FrameWords& frame,
-                                        std::size_t first, std::size_t count) {
-  JPG_REQUIRE(first + count <= num_frames, "frame range out of bounds");
-  JPG_REQUIRE(count > 0, "empty frame range");
-  const std::size_t fw = device_->frames().frame_words();
-  const std::size_t payload = (count + 1) * fw;  // +1: pipeline-flush pad
-  const std::size_t header = payload < (1u << 11) ? 1 : 2;
-  reserve(header + payload);
-  if (header == 1) {
+void BitstreamWriter::write_fdri_header(std::size_t payload) {
+  if (payload < (1u << 11)) {
     emit(encode_type1(PacketOp::Write, ConfigReg::FDRI,
                       static_cast<std::uint32_t>(payload)));
   } else {
     emit(encode_type1(PacketOp::Write, ConfigReg::FDRI, 0));
     emit(encode_type2(PacketOp::Write, static_cast<std::uint32_t>(payload)));
   }
+}
+
+void BitstreamWriter::write_fdri(std::span<const std::uint32_t> words) {
+  write_fdri_header(words.size());
+  out_.words.insert(out_.words.end(), words.begin(), words.end());
+  crc_.update_run(static_cast<std::uint32_t>(ConfigReg::FDRI), words);
+}
+
+template <typename FrameBlock>
+void BitstreamWriter::write_frames_impl(std::size_t num_frames,
+                                        const FrameBlock& block,
+                                        std::size_t first, std::size_t count) {
+  JPG_REQUIRE(first + count <= num_frames, "frame range out of bounds");
+  JPG_REQUIRE(count > 0, "empty frame range");
+  const std::size_t fw = device_->frames().frame_words();
+  const std::size_t payload = (count + 1) * fw;  // +1: pipeline-flush pad
+  reserve(2 + payload);
+  write_fdri_header(payload);
   const std::size_t before = out_.words.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<const std::uint32_t> words = frame(first + i);
-    JPG_ASSERT(words.size() == fw);
-    for (const std::uint32_t w : words) {
-      emit(w);
-      crc_.update(static_cast<std::uint32_t>(ConfigReg::FDRI), w);
-    }
+  for (std::size_t f = first; f < first + count;) {
+    const std::span<const std::uint32_t> words = block(f, first + count - f);
+    JPG_ASSERT(!words.empty() && words.size() % fw == 0);
+    out_.words.insert(out_.words.end(), words.begin(), words.end());
+    f += words.size() / fw;
   }
   // Pipeline-flush pad frame (discarded by the port).
-  for (std::size_t w = 0; w < fw; ++w) {
-    emit(0u);
-    crc_.update(static_cast<std::uint32_t>(ConfigReg::FDRI), 0u);
-  }
-  JPG_ASSERT_MSG(out_.words.size() - before == payload,
-                 "FDRI payload size does not match prediction");
+  out_.words.resize(before + payload, 0u);
+  crc_.update_run(static_cast<std::uint32_t>(ConfigReg::FDRI),
+                  std::span(out_.words).subspan(before));
 }
 
 void BitstreamWriter::write_frames(const ConfigMemory& mem, std::size_t first,
                                    std::size_t count) {
-  write_frames(TargetPlane(mem), first, count);
-}
-
-void BitstreamWriter::write_frames(const FrameOverlay& mem, std::size_t first,
-                                   std::size_t count) {
   write_frames_impl(
       mem.num_frames(),
-      [&mem](std::size_t f) -> std::span<const std::uint32_t> {
-        return mem.frame(f).words();
-      },
+      [&mem](std::size_t f, std::size_t n) { return mem.frame_run(f, n); },
       first, count);
 }
 
 void BitstreamWriter::write_frames(const TargetPlane& mem, std::size_t first,
                                    std::size_t count) {
   write_frames_impl(
-      mem.num_frames(), [&mem](std::size_t f) { return mem.frame_words(f); },
+      mem.num_frames(),
+      [&mem](std::size_t f, std::size_t) { return mem.frame_words(f); },
       first, count);
 }
 

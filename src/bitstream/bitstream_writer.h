@@ -8,7 +8,6 @@
 
 #include "bitstream/config_memory.h"
 #include "bitstream/crc16.h"
-#include "bitstream/frame_overlay.h"
 #include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
 #include "device/device.h"
@@ -39,15 +38,9 @@ class BitstreamWriter {
   /// Emits the trailing DESYNC command and returns the stream.
   [[nodiscard]] Bitstream finish();
 
-  /// Serialises one frame of `mem` plus trailing zero pad frame... see
-  /// write_frames: emits FDRI data for frames [first, first+count) of `mem`
-  /// followed by one pad frame (the config pipeline flush frame).
+  /// Emits one FDRI packet: frames [first, first+count) of `mem` as one
+  /// block, followed by one pad frame (the config pipeline flush frame).
   void write_frames(const ConfigMemory& mem, std::size_t first,
-                    std::size_t count);
-
-  /// Same, reading through a FrameOverlay (the partial generator's fast
-  /// path: untouched frames stream straight from the borrowed base).
-  void write_frames(const FrameOverlay& mem, std::size_t first,
                     std::size_t count);
 
   /// Same, reading through a TargetPlane (the verified downloader's repair
@@ -68,9 +61,16 @@ class BitstreamWriter {
   [[nodiscard]] const Bitstream& stream() const { return out_; }
 
  private:
-  /// The one FDRI emit loop: `frame(i)` yields frame i's words.
-  template <typename FrameWords>
-  void write_frames_impl(std::size_t num_frames, const FrameWords& frame,
+  /// Type 1 FDRI header for `payload` words, or a zero-count Type 1 and a
+  /// Type 2 header when it does not fit 11 bits.
+  void write_fdri_header(std::size_t payload);
+
+  /// The one FDRI frame emit: `block(f, n)` yields the words of frame f
+  /// and of up to n - 1 frames after it that lie contiguous with it, and
+  /// each block goes out with one insert. The payload's CRC is one
+  /// update_run over the emitted words.
+  template <typename FrameBlock>
+  void write_frames_impl(std::size_t num_frames, const FrameBlock& block,
                          std::size_t first, std::size_t count);
 
   void emit(std::uint32_t word) { out_.words.push_back(word); }

@@ -302,21 +302,19 @@ void ConfigPort::handle_fdri_payload_complete() {
   const std::size_t commit = nframes - 1;
   if (commit == 0) return;
   JPG_COUNT("port.frames_committed", commit);
-  // The run grows frame by frame, so it matches the frame log even when
-  // the write runs past the last frame part-way.
+  // One block copy for the frames that fit (the FAR auto-increments
+  // through consecutive linear indices); a write running past the last
+  // frame commits those, then throws.
+  const std::size_t fit = std::min(commit, fm.num_frames() - cur_frame_);
+  mem_->write_frames(cur_frame_, std::span(fdri_buffer_).first(fit * fw));
   committed_run_log_.push_back(
-      {cur_frame_, static_cast<std::size_t>(fdri_payload_start_), 0});
-  FrameRun& run = committed_run_log_.back();
-  for (std::size_t i = 0; i < commit; ++i) {
-    if (cur_frame_ >= fm.num_frames()) {
-      throw BitstreamError("FDRI write ran past the last frame");
-    }
-    mem_->write_frame_words(cur_frame_, fdri_buffer_.data() + i * fw);
-    committed_frame_log_.push_back(cur_frame_);
-    ++run.frame_count;
-    ++frames_committed_;
-    cur_frame_ = fm.next_frame(cur_frame_);
+      {cur_frame_, static_cast<std::size_t>(fdri_payload_start_), fit});
+  for (std::size_t i = 0; i < fit; ++i) {
+    committed_frame_log_.push_back(cur_frame_ + i);
   }
+  frames_committed_ += fit;
+  cur_frame_ += fit;
+  if (fit < commit) throw BitstreamError("FDRI write ran past the last frame");
 }
 
 void ConfigPort::handle_cmd(Command cmd) {
@@ -358,14 +356,9 @@ std::vector<std::uint32_t> ConfigPort::readback_frames(std::size_t first,
 
 void ConfigPort::readback_frames_into(std::size_t first, std::size_t count,
                                       std::vector<std::uint32_t>& out) const {
-  const FrameMap& fm = mem_->device().frames();
-  JPG_REQUIRE(first + count <= fm.num_frames(), "readback range out of bounds");
-  const std::size_t fw = fm.frame_words();
-  out.resize(count * fw);
+  const std::span<const std::uint32_t> words = mem_->frame_run(first, count);
+  out.assign(words.begin(), words.end());
   JPG_COUNT("port.readback_words", out.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    mem_->read_frame_words(first + i, out.data() + i * fw);
-  }
 }
 
 }  // namespace jpg

@@ -7,15 +7,17 @@
 // resets it on success). Polynomial: CRC-16/IBM, x^16 + x^15 + x^2 + 1
 // (0x8005), zero initial value.
 //
-// Crc16 is the table-driven implementation used on the hot paths (every
-// configuration word clocked through ConfigPort, every word emitted by
-// BitstreamWriter, and every verified-download attempt pays one update per
-// word). Crc16Serial is the bit-serial formulation straight from the
-// definition above; it exists as the cross-check reference — the test
-// suite asserts the two agree over random register-write streams.
+// Crc16 is the table-driven implementation used on the hot paths: every
+// configuration word clocked through ConfigPort and every word emitted by
+// BitstreamWriter. FDRI payloads, nearly all of a stream's words, go
+// through update_run, which folds eight writes per step. Crc16Serial is the
+// bit-serial formulation straight from the definition above; it exists as
+// the cross-check reference — the test suite asserts the two agree over
+// random register-write streams and runs.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -41,20 +43,28 @@ consteval std::uint16_t crc16_feed(std::uint32_t r, std::uint32_t bits,
   return static_cast<std::uint16_t>(r);
 }
 
+inline constexpr int kCrc16RunStep = 8;  ///< writes per update_run step
+using Crc16ByteTables = std::array<std::array<std::uint16_t, 256>, 4>;
+
 // One update is linear in (register, data, address), so it splits into
 // independent lookups. With x = r ^ data (the register overlaps the first
-// 16 data bits), byte k of x contributes T[k][byte]: the register after
-// that byte, the 3 - k data bytes behind it and the `trailing` bits that
-// follow the word, all fed from zero with everything else zero. For one
-// write the trailing bits are the 5 address bits, whose own contribution
-// is kCrc16TailTable[addr].
-consteval std::array<std::array<std::uint16_t, 256>, 4> make_crc16_tables(
-    int trailing) {
-  std::array<std::array<std::uint16_t, 256>, 4> t{};
+// 16 data bits), byte k of x contributes a table entry: the register after
+// that byte, the 3 - k data bytes behind it and the bits that follow the
+// word, all fed from zero with everything else zero; the address bits add
+// their own tail-table entry. In a step of kCrc16RunStep writes to one
+// register, word j's bytes are followed by its 5 address bits and the 37
+// bits of each later write: T[j]. Only word 0 of a step depends on the
+// register. T[last] is the single-write table, and T[j] is T[j + 1] fed 37
+// zero bits, so the 16 KB build stays far inside constexpr step limits.
+consteval std::array<Crc16ByteTables, kCrc16RunStep> make_crc16_run_tables() {
+  std::array<Crc16ByteTables, kCrc16RunStep> t{};
   for (int k = 0; k < 4; ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      t[static_cast<std::size_t>(k)][i] =
-          crc16_feed(crc16_feed(0, i, 8), 0, 8 * (3 - k) + trailing);
+      std::uint16_t r = crc16_feed(crc16_feed(0, i, 8), 0, 8 * (3 - k) + 5);
+      for (int j = kCrc16RunStep - 1; j >= 0; --j) {
+        t[j][k][i] = r;
+        r = crc16_feed(r, 0, 37);
+      }
     }
   }
   return t;
@@ -72,12 +82,17 @@ consteval std::array<std::uint16_t, 32> make_crc16_tail_table(int writes) {
   return t;
 }
 
-inline constexpr auto kCrc16Tables = make_crc16_tables(5);
+inline constexpr auto kCrc16RunTables = make_crc16_run_tables();
 inline constexpr auto kCrc16TailTable = make_crc16_tail_table(1);
-// Two writes per step (Crc16::update_run): the first word's bytes are
-// followed by its address and the whole second write.
-inline constexpr auto kCrc16PairTables = make_crc16_tables(5 + 37);
-inline constexpr auto kCrc16PairTailTable = make_crc16_tail_table(2);
+inline constexpr auto kCrc16RunTailTable =
+    make_crc16_tail_table(kCrc16RunStep);
+
+/// Word `x`'s four byte lookups in `t`.
+constexpr std::uint16_t crc16_lookup(const Crc16ByteTables& t,
+                                     std::uint32_t x) noexcept {
+  return static_cast<std::uint16_t>(t[0][x & 0xFFu] ^ t[1][(x >> 8) & 0xFFu] ^
+                                    t[2][(x >> 16) & 0xFFu] ^ t[3][x >> 24]);
+}
 
 constexpr std::uint16_t reverse16(std::uint16_t v) noexcept {
   std::uint16_t r = 0;
@@ -96,34 +111,31 @@ class Crc16 {
   /// Accumulates one register write: 32 data bits LSB-first, then the 5
   /// register-address bits LSB-first.
   void update(std::uint32_t reg_addr, std::uint32_t data) noexcept {
-    const std::uint32_t x = reg_ ^ data;
-    const auto& t = detail::kCrc16Tables;
-    reg_ = static_cast<std::uint16_t>(
-        t[0][x & 0xFFu] ^ t[1][(x >> 8) & 0xFFu] ^ t[2][(x >> 16) & 0xFFu] ^
-        t[3][x >> 24] ^ detail::kCrc16TailTable[reg_addr & 0x1Fu]);
+    reg_ = detail::crc16_lookup(detail::kCrc16RunTables.back(), reg_ ^ data) ^
+           detail::kCrc16TailTable[reg_addr & 0x1Fu];
   }
 
   /// Accumulates one write of each word of `data` to the same register,
-  /// in order — update(reg_addr, w) per word, two words per step. Only
-  /// the first word of a pair depends on the running register, so a pair
-  /// costs one dependent lookup round instead of two.
+  /// in order — update(reg_addr, w) per word, eight words per step. Only
+  /// the first word of a step depends on the running register, so a step
+  /// costs one dependent lookup round instead of eight.
   void update_run(std::uint32_t reg_addr,
                   std::span<const std::uint32_t> data) noexcept {
-    const auto& t = detail::kCrc16Tables;
-    const auto& p = detail::kCrc16PairTables;
-    const std::uint16_t tail = detail::kCrc16PairTailTable[reg_addr & 0x1Fu];
+    constexpr std::size_t kStep = detail::kCrc16RunStep;
+    const auto& t = detail::kCrc16RunTables;
+    const std::uint16_t tail = detail::kCrc16RunTailTable[reg_addr & 0x1Fu];
     std::uint16_t r = reg_;
     std::size_t i = 0;
-    for (; i + 2 <= data.size(); i += 2) {
-      const std::uint32_t x = r ^ data[i];
-      const std::uint32_t y = data[i + 1];
-      r = static_cast<std::uint16_t>(
-          p[0][x & 0xFFu] ^ p[1][(x >> 8) & 0xFFu] ^ p[2][(x >> 16) & 0xFFu] ^
-          p[3][x >> 24] ^ t[0][y & 0xFFu] ^ t[1][(y >> 8) & 0xFFu] ^
-          t[2][(y >> 16) & 0xFFu] ^ t[3][y >> 24] ^ tail);
+    for (; i + kStep <= data.size(); i += kStep) {
+      // Words 1.. first: the register waits only on word 0's round.
+      std::uint16_t acc = tail;
+      for (std::size_t j = 1; j < kStep; ++j) {
+        acc ^= detail::crc16_lookup(t[j], data[i + j]);
+      }
+      r = acc ^ detail::crc16_lookup(t[0], r ^ data[i]);
     }
     reg_ = r;
-    if (i < data.size()) update(reg_addr, data[i]);
+    for (; i < data.size(); ++i) update(reg_addr, data[i]);
   }
 
   [[nodiscard]] std::uint16_t value() const noexcept {

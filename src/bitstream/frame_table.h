@@ -51,8 +51,10 @@ struct FrameTable {
 /// Read-only view of `base` with the frame writes of `table` on top: a
 /// frame the table writes reads the stream's own words at the last run
 /// that writes it, every other frame reads `base`. Like the port, the view
-/// drops stream bits past the end of a frame. `base` and `words` must
-/// outlive the view and stay unchanged while it is read.
+/// drops stream bits past the end of a frame. Its index is sized to the
+/// table, not the device: the runs' frame ranges with later writes cut out
+/// of earlier ones, found by binary search. `base` and `words` must outlive
+/// the view and stay unchanged while it is read.
 class TargetPlane {
  public:
   /// `base` itself: no stream written.
@@ -63,7 +65,7 @@ class TargetPlane {
   TargetPlane(const ConfigMemory& base, const FrameTable& table,
               std::span<const std::uint32_t> words);
 
-  // A copy would point into the source's trimmed_ frames.
+  // A copy would point into the source's trimmed_ runs.
   TargetPlane(const TargetPlane&) = delete;
   TargetPlane& operator=(const TargetPlane&) = delete;
 
@@ -72,29 +74,34 @@ class TargetPlane {
 
   /// The `frame_words()` words frame `idx` holds in the view.
   [[nodiscard]] std::span<const std::uint32_t> frame_words(
-      std::size_t idx) const {
-    if (!written_.empty() && written_[idx] != nullptr) {
-      return {written_[idx], frame_words_};
-    }
-    return base_->frame(idx).words();
-  }
+      std::size_t idx) const;
 
  private:
+  /// `count` frames from `first`, read from consecutive frames at `words`.
+  struct Segment {
+    std::size_t first;
+    std::size_t count;
+    const std::uint32_t* words;
+    [[nodiscard]] std::size_t end() const { return first + count; }
+  };
+
+  /// The first segment that starts after frame `idx`.
+  [[nodiscard]] std::vector<Segment>::const_iterator segment_after(
+      std::size_t idx) const;
+
   const ConfigMemory* base_;
-  std::size_t frame_words_ = 0;
-  /// Per frame, its words at its last write — in the stream, or in
-  /// `trimmed_` — or null for a frame read from `base`. Empty when the
-  /// table writes nothing.
-  std::vector<const std::uint32_t*> written_;
-  /// Copies of the written frames that carry bits past the frame's end,
-  /// with those bits cleared (none for a stream a writer emitted).
+  /// Sorted and disjoint: every written frame at its last write.
+  std::vector<Segment> segments_;
+  /// Copies of the runs whose frames carry bits past the frame's end, with
+  /// those bits cleared (none for a stream a writer emitted).
   std::vector<std::vector<std::uint32_t>> trimmed_;
 };
 
-/// Writes the frames `table` touches into `plane`, taking their words from
-/// `words`, the stream the table was recorded from (last write wins). A
-/// plane equal to the replay port's plane before the replay ends equal to
-/// it after. Throws as TargetPlane does, before writing anything.
+/// Writes the runs of `table` into `plane` in commit order, one block copy
+/// each, taking their words from `words`, the stream the table was recorded
+/// from (so the last write wins). A plane equal to the replay port's plane
+/// before the replay ends equal to it after. Throws as TargetPlane does,
+/// before writing anything.
 void apply_frame_table(const FrameTable& table,
                        std::span<const std::uint32_t> words,
                        ConfigMemory& plane);

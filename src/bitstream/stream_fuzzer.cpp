@@ -148,9 +148,8 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     w.write_cmd(Command::LFRM);
     recovery = w.finish();
   }
-  std::vector<std::uint32_t> rec_expect(2 * fw);
-  rec_plane.read_frame_words(rec_first, rec_expect.data());
-  rec_plane.read_frame_words(rec_first + 1, rec_expect.data() + fw);
+  const std::span<const std::uint32_t> rec_expect =
+      rec_plane.frame_run(rec_first, 2);
 
   // The corpus: the full stream, the recovery partial, plus the caller's.
   std::vector<const Bitstream*> corpus_ptrs{&full_base, &recovery};
@@ -224,7 +223,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
       const TargetPlane target(table_plane, table, words);
       for (std::size_t f = 0; f < fm.num_frames(); ++f) {
         const std::span<const std::uint32_t> got = target.frame_words(f);
-        const std::vector<std::uint32_t>& want =
+        const std::span<const std::uint32_t> want =
             replayed_plane.frame(f).words();
         if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
           ++rep.table_equiv_failures;
@@ -329,7 +328,8 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     wport.abort();
     try {
       if (load_both(recovery.words) ||
-          port.readback_frames(rec_first, 2) != rec_expect) {
+          !std::ranges::equal(port.readback_frames(rec_first, 2),
+                              rec_expect)) {
         ++rep.recovery_failures;
       }
     } catch (const JpgError&) {

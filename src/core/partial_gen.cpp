@@ -75,7 +75,7 @@ std::uint64_t PartialBitstreamGenerator::content_hash(
       for (const std::uint32_t w : base_->frame(idx).words()) {
         fnv_mix(h, w);
       }
-      const BitVector& mod = module_config.frame(idx);
+      const ConstBitSpan mod = module_config.frame(idx);
       for (std::size_t w = win_lo >> 5; w <= (win_hi >> 5); ++w) {
         fnv_mix(h, mod.word(w));
       }
@@ -84,48 +84,30 @@ std::uint64_t PartialBitstreamGenerator::content_hash(
   return h;
 }
 
-FrameOverlay PartialBitstreamGenerator::compose_overlay(
-    const ConfigMemory& module_config, const Region& region) const {
-  check_update(module_config, region);
-  const FrameMap& fm = device_->frames();
-  const std::size_t win_lo = window_base(fm, region);
-  const std::size_t win_bits = window_bits(region);
-  FrameOverlay overlay(*base_);
-  JPG_TELEM(std::uint64_t telem_frames = 0;)
-  for (const int major : region.clb_majors(*device_)) {
-    for (int minor = 0; minor < fm.frames_in_major(major); ++minor) {
-      const std::size_t idx = fm.frame_index(major, minor);
-      // Replace only the region rows' windows; out-of-region rows keep the
-      // base content, so rewriting the frame is non-disruptive.
-      overlay.mutable_frame(idx).copy_range(module_config.frame(idx), win_lo,
-                                            win_bits);
-      JPG_TELEM(++telem_frames;)
-    }
-  }
-  JPG_COUNT("pgen.frames_composed", telem_frames);
-  JPG_COUNT("pgen.words_blitted", telem_frames * ((win_bits + 31) / 32));
-  return overlay;
-}
-
 ConfigMemory PartialBitstreamGenerator::compose(
     const ConfigMemory& module_config, const Region& region) const {
   check_update(module_config, region);
   const FrameMap& fm = device_->frames();
   const std::size_t win_lo = window_base(fm, region);
   const std::size_t win_bits = window_bits(region);
-  ConfigMemory out = *base_;
+  ConfigMemory out = *base_;  // one block copy of the flat plane
+  JPG_TELEM(std::uint64_t telem_frames = 0;)
   for (const int major : region.clb_majors(*device_)) {
     for (int minor = 0; minor < fm.frames_in_major(major); ++minor) {
       const std::size_t idx = fm.frame_index(major, minor);
+      // Replace only the region rows' windows; out-of-region rows keep the
+      // base content, so rewriting the frame is non-disruptive.
       out.frame(idx).copy_range(module_config.frame(idx), win_lo, win_bits);
+      JPG_TELEM(++telem_frames;)
     }
   }
+  JPG_COUNT("pgen.frames_composed", telem_frames);
+  JPG_COUNT("pgen.words_blitted", telem_frames * ((win_bits + 31) / 32));
   return out;
 }
 
-template <typename FrameSource>
-PartialGenResult PartialBitstreamGenerator::generate_frames_impl(
-    const FrameSource& content, const std::vector<std::size_t>& frames,
+PartialGenResult PartialBitstreamGenerator::generate_frames(
+    const ConfigMemory& content, const std::vector<std::size_t>& frames,
     const PartialGenOptions& opts) const {
   const FrameMap& fm = device_->frames();
   const std::size_t fw = fm.frame_words();
@@ -179,23 +161,11 @@ PartialGenResult PartialBitstreamGenerator::generate_frames_impl(
   return result;
 }
 
-PartialGenResult PartialBitstreamGenerator::generate_frames(
-    const ConfigMemory& content, const std::vector<std::size_t>& frames,
-    const PartialGenOptions& opts) const {
-  return generate_frames_impl(content, frames, opts);
-}
-
-PartialGenResult PartialBitstreamGenerator::generate_frames(
-    const FrameOverlay& content, const std::vector<std::size_t>& frames,
-    const PartialGenOptions& opts) const {
-  return generate_frames_impl(content, frames, opts);
-}
-
 PartialGenResult PartialBitstreamGenerator::generate_uncached(
     const ConfigMemory& module_config, const Region& region,
     const PartialGenOptions& opts) const {
   const FrameMap& fm = device_->frames();
-  const FrameOverlay composed = compose_overlay(module_config, region);
+  const ConfigMemory composed = compose(module_config, region);
   const std::size_t win_lo = window_base(fm, region);
   const std::size_t win_bits = window_bits(region);
 
@@ -215,7 +185,7 @@ PartialGenResult PartialBitstreamGenerator::generate_uncached(
       }
     }
   }
-  return generate_frames_impl(composed, frames, opts);
+  return generate_frames(composed, frames, opts);
 }
 
 PartialGenResult PartialBitstreamGenerator::generate(
@@ -312,7 +282,7 @@ std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
   }
 
   // Fan out over the global pool, at most num_threads wide. Everything
-  // per-update — content hash, cache probe, overlay composition, stream
+  // per-update — content hash, cache probe, composition, stream
   // emission, cache insertion — runs inside the worker; the only
   // cross-thread state is the mutex-guarded pbit cache, and results land in
   // input order, so the batch is byte-identical to sequential generate()

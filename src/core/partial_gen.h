@@ -9,9 +9,8 @@
 // base guarantees the out-of-region rows are rewritten with their *current*
 // values, which is what makes the load non-disruptive (paper §2.1, §3).
 //
-// The hot path is region-scoped: composition materialises only the frames
-// owned by the region's majors in a FrameOverlay over the borrowed base
-// (never a full-device copy), row windows move as word-level blits, and a
+// Composition copies the base plane (one block copy of its flat word
+// array), row windows of the region's frames move as word-level blits, and a
 // content-addressed LRU cache short-circuits regeneration when a module
 // pool cycles (the Figure-1 serving workload). Batches of updates over
 // disjoint majors fan out across ThreadPool::global().
@@ -26,7 +25,6 @@
 
 #include "bitstream/bitstream_writer.h"
 #include "bitstream/config_memory.h"
-#include "bitstream/frame_overlay.h"
 #include "device/region.h"
 #include "support/telemetry/telemetry.h"
 
@@ -146,15 +144,9 @@ class PartialBitstreamGenerator {
       const ConfigMemory& base, std::size_t cache_capacity = kDefaultCacheCapacity);
 
   /// Frame-level composition: base memory with the region's rows of the
-  /// region's columns replaced by `module_config`'s bits. Full-device
-  /// result; the generation paths use compose_overlay instead.
+  /// region's columns replaced by `module_config`'s bits.
   [[nodiscard]] ConfigMemory compose(const ConfigMemory& module_config,
                                      const Region& region) const;
-
-  /// Region-scoped composition: materialises only the frames of the
-  /// region's majors, each a word-level blend of module rows over base.
-  [[nodiscard]] FrameOverlay compose_overlay(const ConfigMemory& module_config,
-                                             const Region& region) const;
 
   /// Generates the partial bitstream updating `region` of the base design
   /// to `module_config`'s content. The stream carries IDCODE/FLR checks, a
@@ -170,7 +162,7 @@ class PartialBitstreamGenerator {
   /// `num_threads == 0` uses the caller plus every worker, 1 runs the batch
   /// on the caller, N > 1 uses at most N threads, caller included. Each
   /// thread runs the whole per-update pipeline: content hash, cache probe,
-  /// overlay composition, stream emission and cache insertion. The regions
+  /// composition, stream emission and cache insertion. The regions
   /// must own pairwise-disjoint majors (their frame sets are then disjoint,
   /// so the generations are embarrassingly parallel); overlapping batches
   /// are rejected. Output order matches input order and each element is
@@ -198,11 +190,6 @@ class PartialBitstreamGenerator {
   /// (linear indices, any block type) with contents taken from `content`.
   [[nodiscard]] PartialGenResult generate_frames(
       const ConfigMemory& content, const std::vector<std::size_t>& frames,
-      const PartialGenOptions& opts = {}) const;
-
-  /// Overlay form of the same: untouched frames stream from the base.
-  [[nodiscard]] PartialGenResult generate_frames(
-      const FrameOverlay& content, const std::vector<std::size_t>& frames,
       const PartialGenOptions& opts = {}) const;
 
   /// BRAM content update (block type 1): ships the frames of `side`'s BRAM
@@ -245,11 +232,6 @@ class PartialBitstreamGenerator {
 
   [[nodiscard]] PartialGenResult generate_uncached(
       const ConfigMemory& module_config, const Region& region,
-      const PartialGenOptions& opts) const;
-
-  template <typename FrameSource>
-  [[nodiscard]] PartialGenResult generate_frames_impl(
-      const FrameSource& content, const std::vector<std::size_t>& frames,
       const PartialGenOptions& opts) const;
 
   const ConfigMemory* base_;

@@ -138,10 +138,8 @@ void SimBoard::corrupt_frame_word(std::size_t frame, std::size_t word,
   const FrameMap& fm = device_->frames();
   JPG_REQUIRE(frame < fm.num_frames(), "corrupt_frame_word: frame out of range");
   JPG_REQUIRE(word < fm.frame_words(), "corrupt_frame_word: word out of range");
-  std::vector<std::uint32_t> words(fm.frame_words());
-  memory_.read_frame_words(frame, words.data());
-  words[word] ^= mask;
-  memory_.write_frame_words(frame, words.data());
+  BitSpan bits = memory_.frame(frame);
+  bits.set_word(word, bits.word(word) ^ mask);
   // The plane changed behind the port's back: drop the cached circuit so
   // the simulator (like readback) sees the corrupted configuration.
   sim_.reset();

@@ -19,6 +19,19 @@ bool is_capture_frame(const FrameMap& fm, std::size_t frame) {
          fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb;
 }
 
+/// Calls f(first, count) for each maximal run of consecutive frames in
+/// `frames` (sorted, unique), in order.
+template <typename F>
+void for_each_run(const std::vector<std::size_t>& frames, F&& f) {
+  std::size_t i = 0;
+  while (i < frames.size()) {
+    std::size_t j = i + 1;
+    while (j < frames.size() && frames[j] == frames[j - 1] + 1) ++j;
+    f(frames[i], j - i);
+    i = j;
+  }
+}
+
 }  // namespace
 
 std::string_view download_status_name(DownloadStatus s) {
@@ -134,14 +147,10 @@ Bitstream VerifiedDownloader::build_frames_stream(
   w.write_reg(ConfigReg::IDCODE, device_->spec().idcode);
   if (!frames.empty()) {
     w.write_cmd(Command::WCFG);
-    std::size_t i = 0;
-    while (i < frames.size()) {
-      std::size_t j = i + 1;
-      while (j < frames.size() && frames[j] == frames[j - 1] + 1) ++j;
-      w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(frames[i])));
-      w.write_frames(target, frames[i], j - i);
-      i = j;
-    }
+    for_each_run(frames, [&](std::size_t first, std::size_t count) {
+      w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(first)));
+      w.write_frames(target, first, count);
+    });
     w.write_crc();
     w.write_cmd(Command::LFRM);
   }
@@ -168,21 +177,6 @@ std::size_t VerifiedDownloader::first_mismatch(
   return got.size();
 }
 
-const std::vector<std::size_t>& VerifiedDownloader::unchecked_frames(
-    const std::vector<std::size_t>& checked) {
-  std::vector<std::size_t>& out = sweep_scratch_;
-  out.clear();
-  auto next = checked.begin();
-  for (std::size_t f = 0; f < device_->frames().num_frames(); ++f) {
-    if (next != checked.end() && *next == f) {
-      ++next;
-    } else {
-      out.push_back(f);
-    }
-  }
-  return out;
-}
-
 template <typename OnMismatch>
 void VerifiedDownloader::compare_run(const TargetPlane& target,
                                      std::size_t first, std::size_t count,
@@ -199,36 +193,52 @@ void VerifiedDownloader::compare_run(const TargetPlane& target,
   }
 }
 
+void VerifiedDownloader::verify_run(const TargetPlane& target,
+                                    std::size_t first, std::size_t count,
+                                    std::vector<std::size_t>& bad,
+                                    DownloadReport& rep) {
+  const std::size_t fw = device_->frames().frame_words();
+  try {
+    compare_run(target, first, count,
+                [&bad](std::size_t frame, std::size_t,
+                       std::span<const std::uint32_t>) {
+                  bad.push_back(frame);
+                });
+    readback_words_ += count * fw;
+    JPG_COUNT("dl.readback_words", count * fw);
+    rep.frames_verified += count;
+  } catch (const JpgError& e) {
+    // A failed readback proves nothing about the run; treat every frame
+    // in it as suspect so the retry rewrites and re-verifies them.
+    ++rep.faults_seen;
+    rep.fault_log.push_back(std::string("readback: ") + e.what());
+    for (std::size_t k = 0; k < count; ++k) bad.push_back(first + k);
+  }
+}
+
 std::vector<std::size_t> VerifiedDownloader::verify_against(
     const TargetPlane& target, const std::vector<std::size_t>& frames,
     DownloadReport& rep) {
-  const std::size_t fw = device_->frames().frame_words();
   std::vector<std::size_t> bad;
-  std::size_t i = 0;
-  while (i < frames.size()) {
-    std::size_t j = i + 1;
-    while (j < frames.size() && frames[j] == frames[j - 1] + 1) ++j;
-    const std::size_t count = j - i;
-    try {
-      compare_run(target, frames[i], count,
-                  [&bad](std::size_t frame, std::size_t,
-                         std::span<const std::uint32_t>) {
-                    bad.push_back(frame);
-                  });
-      readback_words_ += count * fw;
-      JPG_COUNT("dl.readback_words", count * fw);
-      rep.frames_verified += count;
-    } catch (const JpgError& e) {
-      // A failed readback proves nothing about the run; treat every frame
-      // in it as suspect so the retry rewrites and re-verifies them.
-      ++rep.faults_seen;
-      rep.fault_log.push_back(std::string("readback: ") + e.what());
-      bad.insert(bad.end(),
-                 frames.begin() + static_cast<std::ptrdiff_t>(i),
-                 frames.begin() + static_cast<std::ptrdiff_t>(j));
-    }
-    i = j;
-  }
+  for_each_run(frames, [&](std::size_t first, std::size_t count) {
+    verify_run(target, first, count, bad, rep);
+  });
+  return bad;
+}
+
+std::vector<std::size_t> VerifiedDownloader::sweep(
+    const TargetPlane& target, const std::vector<std::size_t>& checked,
+    DownloadReport& rep) {
+  std::vector<std::size_t> bad;
+  std::size_t next = 0;  // first frame not yet swept or checked
+  const auto gap_to = [&](std::size_t end) {
+    if (end > next) verify_run(target, next, end - next, bad, rep);
+  };
+  for_each_run(checked, [&](std::size_t first, std::size_t count) {
+    gap_to(first);
+    next = first + count;
+  });
+  gap_to(device_->frames().num_frames());
   return bad;
 }
 
@@ -278,7 +288,7 @@ bool VerifiedDownloader::converge(const TargetPlane& target,
   for (;;) {
     std::vector<std::size_t> bad = verify_against(target, check, rep);
     if (bad.empty() && policy_.full_sweep) {
-      bad = verify_against(target, unchecked_frames(check), rep);
+      bad = sweep(target, check, rep);
     }
     if (bad.empty()) {
       if (!ensure_started || board_->config_done()) return true;

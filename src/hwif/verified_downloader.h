@@ -215,17 +215,25 @@ class VerifiedDownloader {
   void compare_run(const TargetPlane& target, std::size_t first,
                    std::size_t count, OnMismatch&& on_mismatch);
 
+  /// Reads back the `count` frames from `first` and appends those
+  /// differing from `target` to `bad` — all of them when the readback
+  /// fails — counting the readback words and verified frames.
+  void verify_run(const TargetPlane& target, std::size_t first,
+                  std::size_t count, std::vector<std::size_t>& bad,
+                  DownloadReport& rep);
+
   /// Reads back `frames` (sorted) and returns those differing from
-  /// `target`. A failed readback marks its whole run mismatched.
+  /// `target`, one readback per run of consecutive frames.
   [[nodiscard]] std::vector<std::size_t> verify_against(
       const TargetPlane& target, const std::vector<std::size_t>& frames,
       DownloadReport& rep);
 
-  /// The frames outside `checked` (sorted, unique), in order: what the
-  /// sweep still reads back once `checked` verified clean. Returns a
-  /// reused scratch vector.
-  [[nodiscard]] const std::vector<std::size_t>& unchecked_frames(
-      const std::vector<std::size_t>& checked);
+  /// The full-plane sweep once `checked` (sorted, unique) verified clean:
+  /// reads back every other frame, one readback per gap between the runs
+  /// of `checked`, and returns those differing from `target`.
+  [[nodiscard]] std::vector<std::size_t> sweep(
+      const TargetPlane& target, const std::vector<std::size_t>& checked,
+      DownloadReport& rep);
 
   /// ABORT, then `words` in bursts of at most `burst_words` words: one
   /// attempt. A send fault is logged and ends the send; readback decides
@@ -275,8 +283,6 @@ class VerifiedDownloader {
   // here via readback_into and are compared in place against the target
   // plane's frames, so steady-state verification allocates nothing per run.
   std::vector<std::uint32_t> readback_scratch_;
-  /// unchecked_frames() output (clear-don't-shrink).
-  std::vector<std::size_t> sweep_scratch_;
 
   // Per-download tallies (reset at the top of download_full/run_download;
   // the downloader is single-threaded per instance, so plain integers do).

@@ -2,30 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-
-#include "support/word_kernels.h"
+#include <cstring>
 
 namespace jpg {
-
-std::uint32_t BitVector::get_field(std::size_t pos, unsigned width) const {
-  JPG_ASSERT_MSG(width >= 1 && width <= 32, "field width out of range");
-  JPG_ASSERT_MSG(pos + width <= nbits_, "field read out of range");
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < width; ++i) {
-    v |= static_cast<std::uint32_t>(get(pos + i)) << i;
-  }
-  return v;
-}
-
-void BitVector::set_field(std::size_t pos, unsigned width, std::uint32_t value) {
-  JPG_ASSERT_MSG(width >= 1 && width <= 32, "field width out of range");
-  JPG_ASSERT_MSG(pos + width <= nbits_, "field write out of range");
-  JPG_ASSERT_MSG(width == 32 || (value >> width) == 0,
-                 "field value wider than field");
-  for (unsigned i = 0; i < width; ++i) {
-    set(pos + i, (value >> i) & 1u);
-  }
-}
 
 namespace {
 
@@ -36,38 +15,71 @@ constexpr std::uint32_t bit_span_mask(unsigned lo, unsigned hi) {
   return upto_hi & ~((1u << lo) - 1u);
 }
 
+// The whole-word middles of the range kernels are std::copy_n and
+// std::equal over words, which compile to memmove and memcmp: wide
+// vectorized loops in libc on every target we build for.
 }  // namespace
 
-void BitVector::copy_range(const BitVector& src, std::size_t pos,
-                           std::size_t nbits) {
-  JPG_ASSERT_MSG(pos + nbits <= nbits_ && pos + nbits <= src.nbits_,
+void BitSpan::set_words(std::span<const std::uint32_t> src) {
+  JPG_ASSERT(src.size() == num_words());
+  std::copy_n(src.data(), num_words(), data());
+  mask_tail();
+}
+
+std::uint32_t ConstBitSpan::get_field(std::size_t pos, unsigned width) const {
+  JPG_ASSERT_MSG(width >= 1 && width <= 32, "field width out of range");
+  JPG_ASSERT_MSG(pos + width <= nbits_, "field read out of range");
+  std::uint32_t v = 0;
+  for (unsigned i = 0; i < width; ++i) {
+    v |= static_cast<std::uint32_t>(get(pos + i)) << i;
+  }
+  return v;
+}
+
+void BitSpan::set_field(std::size_t pos, unsigned width,
+                        std::uint32_t value) {
+  JPG_ASSERT_MSG(width >= 1 && width <= 32, "field width out of range");
+  JPG_ASSERT_MSG(pos + width <= size(), "field write out of range");
+  JPG_ASSERT_MSG(width == 32 || (value >> width) == 0,
+                 "field value wider than field");
+  for (unsigned i = 0; i < width; ++i) {
+    set(pos + i, (value >> i) & 1u);
+  }
+}
+
+void BitSpan::copy_range(ConstBitSpan src, std::size_t pos,
+                         std::size_t nbits) {
+  JPG_ASSERT_MSG(pos + nbits <= size() && pos + nbits <= src.size(),
                  "copy_range out of range");
   if (nbits == 0) return;
+  std::uint32_t* d = data();
+  const std::uint32_t* s = src.words().data();
   const std::size_t first = pos >> 5;
   const std::size_t last = (pos + nbits - 1) >> 5;
   const unsigned head = pos & 31;
   const unsigned tail = (pos + nbits - 1) & 31;
   if (first == last) {
     const std::uint32_t m = bit_span_mask(head, tail);
-    words_[first] = (words_[first] & ~m) | (src.words_[first] & m);
+    d[first] = (d[first] & ~m) | (s[first] & m);
     return;
   }
   const std::uint32_t mf = bit_span_mask(head, 31);
-  words_[first] = (words_[first] & ~mf) | (src.words_[first] & mf);
-  kernels::copy_words(words_.data() + first + 1, src.words_.data() + first + 1,
-                      last - first - 1);
+  d[first] = (d[first] & ~mf) | (s[first] & mf);
+  std::copy_n(s + first + 1, last - first - 1, d + first + 1);
   const std::uint32_t ml = bit_span_mask(0, tail);
-  words_[last] = (words_[last] & ~ml) | (src.words_[last] & ml);
+  d[last] = (d[last] & ~ml) | (s[last] & ml);
 }
 
-void BitVector::copy_range(const BitVector& src, std::size_t src_pos,
-                           std::size_t dst_pos, std::size_t nbits) {
+void BitSpan::copy_range(ConstBitSpan src, std::size_t src_pos,
+                         std::size_t dst_pos, std::size_t nbits) {
+  std::uint32_t* d = data();
+  const std::uint32_t* s = src.words().data();
   if (src_pos == dst_pos) {
-    if (&src != this) copy_range(src, src_pos, nbits);
+    if (s != d) copy_range(src, src_pos, nbits);
     return;
   }
-  JPG_ASSERT_MSG(this != &src, "relocating self-copy is unsupported");
-  JPG_ASSERT_MSG(src_pos + nbits <= src.nbits_ && dst_pos + nbits <= nbits_,
+  JPG_ASSERT_MSG(s != d, "relocating self-copy is unsupported");
+  JPG_ASSERT_MSG(src_pos + nbits <= src.size() && dst_pos + nbits <= size(),
                  "copy_range out of range");
   if (nbits == 0) return;
   if (((src_pos ^ dst_pos) & 31) == 0) {
@@ -81,15 +93,14 @@ void BitVector::copy_range(const BitVector& src, std::size_t src_pos,
     const std::size_t sf = src_pos >> 5;
     if (df == dl) {
       const std::uint32_t m = bit_span_mask(head, tail);
-      words_[df] = (words_[df] & ~m) | (src.words_[sf] & m);
+      d[df] = (d[df] & ~m) | (s[sf] & m);
       return;
     }
     const std::uint32_t mf = bit_span_mask(head, 31);
-    words_[df] = (words_[df] & ~mf) | (src.words_[sf] & mf);
-    kernels::copy_words(words_.data() + df + 1, src.words_.data() + sf + 1,
-                        dl - df - 1);
+    d[df] = (d[df] & ~mf) | (s[sf] & mf);
+    std::copy_n(s + sf + 1, dl - df - 1, d + df + 1);
     const std::uint32_t ml = bit_span_mask(0, tail);
-    words_[dl] = (words_[dl] & ~ml) | (src.words_[sf + (dl - df)] & ml);
+    d[dl] = (d[dl] & ~ml) | (s[sf + (dl - df)] & ml);
     return;
   }
   // Misaligned fallback: walk destination word by word; each chunk gathers
@@ -101,51 +112,59 @@ void BitVector::copy_range(const BitVector& src, std::size_t src_pos,
         static_cast<unsigned>(std::min<std::size_t>(32 - doff, remaining));
     const std::size_t sw = sp >> 5;
     const unsigned soff = sp & 31;
-    std::uint32_t bits = src.words_[sw] >> soff;
-    if (soff != 0 && sw + 1 < src.words_.size()) {
-      bits |= src.words_[sw + 1] << (32 - soff);
+    std::uint32_t bits = s[sw] >> soff;
+    if (soff != 0 && sw + 1 < src.num_words()) {
+      bits |= s[sw + 1] << (32 - soff);
     }
     const std::uint32_t m =
         (chunk == 32 ? 0xFFFFFFFFu : (1u << chunk) - 1u) << doff;
-    words_[dp >> 5] = (words_[dp >> 5] & ~m) | ((bits << doff) & m);
+    d[dp >> 5] = (d[dp >> 5] & ~m) | ((bits << doff) & m);
     sp += chunk;
     dp += chunk;
     remaining -= chunk;
   }
 }
 
-bool BitVector::diff_in_range(const BitVector& other, std::size_t pos,
-                              std::size_t nbits) const {
-  JPG_ASSERT_MSG(nbits_ == other.nbits_,
-                 "comparing BitVectors of unequal size");
+bool ConstBitSpan::diff_in_range(ConstBitSpan other, std::size_t pos,
+                                 std::size_t nbits) const {
+  JPG_ASSERT_MSG(nbits_ == other.size(),
+                 "comparing bit spans of unequal size");
   JPG_ASSERT_MSG(pos + nbits <= nbits_, "diff_in_range out of range");
   if (nbits == 0) return false;
+  const std::uint32_t* o = other.words().data();
   const std::size_t first = pos >> 5;
   const std::size_t last = (pos + nbits - 1) >> 5;
   const unsigned head = pos & 31;
   const unsigned tail = (pos + nbits - 1) & 31;
   if (first == last) {
-    return ((words_[first] ^ other.words_[first]) &
-            bit_span_mask(head, tail)) != 0;
+    return ((words_[first] ^ o[first]) & bit_span_mask(head, tail)) != 0;
   }
-  if ((words_[first] ^ other.words_[first]) & bit_span_mask(head, 31)) {
+  if ((words_[first] ^ o[first]) & bit_span_mask(head, 31)) return true;
+  if (!std::equal(o + first + 1, o + last, words_.data() + first + 1)) {
     return true;
   }
-  if (kernels::words_differ(words_.data() + first + 1,
-                            other.words_.data() + first + 1,
-                            last - first - 1)) {
-    return true;
+  return ((words_[last] ^ o[last]) & bit_span_mask(0, tail)) != 0;
+}
+
+bool ConstBitSpan::differs_from(ConstBitSpan other) const {
+  JPG_ASSERT_MSG(nbits_ == other.size(),
+                 "comparing bit spans of unequal size");
+  return !std::ranges::equal(words_, other.words());
+}
+
+std::size_t ConstBitSpan::popcount() const noexcept {
+  // 64 bits at a time, then the odd word.
+  std::size_t total = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= words_.size(); i += 2) {
+    std::uint64_t pair;
+    std::memcpy(&pair, words_.data() + i, sizeof(pair));
+    total += static_cast<std::size_t>(std::popcount(pair));
   }
-  return ((words_[last] ^ other.words_[last]) & bit_span_mask(0, tail)) != 0;
-}
-
-std::size_t BitVector::popcount() const noexcept {
-  return kernels::popcount_words(words_.data(), words_.size());
-}
-
-bool BitVector::differs_from(const BitVector& other) const {
-  JPG_ASSERT_MSG(nbits_ == other.nbits_, "comparing BitVectors of unequal size");
-  return words_ != other.words_;
+  if (i < words_.size()) {
+    total += static_cast<std::size_t>(std::popcount(words_[i]));
+  }
+  return total;
 }
 
 }  // namespace jpg

@@ -179,10 +179,9 @@ TEST_F(AttestTest, CaptureBitsAreMaskedDuringTheAudit) {
   const std::size_t fw = fm.frame_words();
   std::size_t cap_frame = 0, cap_word = 0;
   std::uint32_t cap_mask = 0;
-  std::vector<std::uint32_t> was(fw), now(fw);
   for (std::size_t f = 0; f < fm.num_frames() && cap_mask == 0; ++f) {
-    expected_->read_frame_words(f, was.data());
-    probe.read_frame_words(f, now.data());
+    const std::span<const std::uint32_t> was = expected_->frame(f).words();
+    const std::span<const std::uint32_t> now = probe.frame(f).words();
     for (std::size_t w = 0; w < fw; ++w) {
       if (was[w] != now[w]) {
         cap_frame = f;

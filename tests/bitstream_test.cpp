@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_reader.h"
@@ -228,9 +229,7 @@ TEST(ConfigPort, PartialWriteTouchesOnlyAddressedFrames) {
   EXPECT_EQ(port.committed_frames()[2], base + 2);
   // Everything else untouched.
   ConfigMemory expect(dev);
-  for (std::size_t i = 0; i < 3; ++i) {
-    expect.copy_frame_from(payload, base + i);
-  }
+  expect.write_frames(base, payload.frame_run(base, 3));
   EXPECT_EQ(mem, expect);
 }
 
@@ -277,10 +276,9 @@ TEST(FrameTable, RecordsEachFdriRunAndReappliesIt) {
     const std::uint32_t* p = bs.words.data() + run.word_offset + k * fw;
     return std::vector<std::uint32_t>(p, p + fw);
   };
-  const auto plane_frame = [fw](const ConfigMemory& m, std::size_t f) {
-    std::vector<std::uint32_t> out(fw);
-    m.read_frame_words(f, out.data());
-    return out;
+  const auto plane_frame = [](const ConfigMemory& m, std::size_t f) {
+    const std::span<const std::uint32_t> words = m.frame(f).words();
+    return std::vector<std::uint32_t>(words.begin(), words.end());
   };
   EXPECT_EQ(stream_frame(table.runs[0], 0), plane_frame(payload, a));
   EXPECT_EQ(stream_frame(table.runs[1], 1), plane_frame(payload, b + 1));
@@ -382,9 +380,57 @@ TEST(FrameTable, TargetPlaneDropsBitsPastTheFrameEnd) {
   table = replay_frame_table(port, bs.words);
   const TargetPlane view(base, table, bs.words);
   const std::span<const std::uint32_t> got = view.frame_words(a);
-  const std::vector<std::uint32_t>& want = replayed.frame(a).words();
+  const std::span<const std::uint32_t> want = replayed.frame(a).words();
   EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
   EXPECT_EQ(got[0], 0x600DF00Du);
+}
+
+// The block commit of a multi-frame run must clear the bits past the end
+// of every frame it copies, not just the run's last: the port's commit and
+// apply_frame_table both equal one masked write per frame.
+TEST(FrameTable, BlockCommitsMaskEveryFrameOfARun) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  ASSERT_NE(fm.frame_bits() % 32, 0u);
+  const std::size_t fw = fm.frame_words();
+  const std::size_t a = fm.frame_index(3, 4);
+  constexpr std::size_t kFrames = 5;
+  ConfigMemory payload(dev);
+  Rng rng(0x7A11ull);
+  for (std::size_t f = a; f < a + kFrames; ++f) {
+    for (std::size_t w = 0; w < fw; ++w) {
+      payload.frame(f).set_word(w, static_cast<std::uint32_t>(rng.next()));
+    }
+  }
+  BitstreamWriter w(dev);  // no CRC packet, so the words can be edited
+  w.begin();
+  w.write_cmd(Command::WCFG);
+  w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(a)));
+  w.write_frames(payload, a, kFrames);
+  w.write_cmd(Command::LFRM);
+  Bitstream bs = w.finish();
+
+  ConfigMemory replayed(dev);
+  ConfigPort port(replayed);
+  FrameTable table = replay_frame_table(port, bs.words);
+  ASSERT_EQ(table.runs.size(), 1u);
+  const std::size_t off = table.runs[0].word_offset;
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    bs.words[off + (k + 1) * fw - 1] |= 1u << 31;
+  }
+  table = replay_frame_table(port, bs.words);
+  ASSERT_EQ(table.runs[0].frame_count, kFrames);
+
+  ConfigMemory expect(dev);
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    expect.frame(a + k).set_words(
+        std::span(bs.words).subspan(off + k * fw, fw));
+  }
+  ASSERT_FALSE(expect.frame(a + 1).differs_from(payload.frame(a + 1)));
+  EXPECT_EQ(replayed, expect);
+  ConfigMemory applied(dev);
+  apply_frame_table(table, bs.words, applied);
+  EXPECT_EQ(applied, expect);
 }
 
 TEST(FrameTable, RejectsAPayloadThatBeganBeforeTheLogClear) {
@@ -504,8 +550,7 @@ TEST(ConfigPort, ReadbackMatchesMemory) {
   const auto words = port.readback_frames(7, 2);
   ASSERT_EQ(words.size(), 2 * dev.frames().frame_words());
   ConfigMemory copy(dev);
-  copy.write_frame_words(7, words.data());
-  copy.write_frame_words(8, words.data() + dev.frames().frame_words());
+  copy.write_frames(7, words);
   EXPECT_FALSE(copy.frame(7).differs_from(mem.frame(7)));
   EXPECT_FALSE(copy.frame(8).differs_from(mem.frame(8)));
 }
@@ -520,6 +565,32 @@ TEST(ConfigMemory, DiffFrames) {
   ASSERT_EQ(diff.size(), 2u);
   EXPECT_EQ(diff[0], 3u);
   EXPECT_EQ(diff[1], 100u);
+}
+
+// The frames are one array at a fixed stride, and a copy of the plane is
+// the source frame for frame.
+TEST(ConfigMemory, FramesAreOneArrayAndCopyFrameForFrame) {
+  const Device& dev = Device::get("XCV50");
+  const std::size_t fw = dev.frames().frame_words();
+  ConfigMemory mem(dev);
+  ASSERT_EQ(mem.frame_words(), fw);
+  Rng rng(0xF1A7ull);
+  for (std::size_t f = 0; f < mem.num_frames(); ++f) {
+    for (std::size_t w = 0; w < fw; ++w) {
+      mem.frame(f).set_word(w, static_cast<std::uint32_t>(rng.next()));
+    }
+  }
+  const std::span<const std::uint32_t> all =
+      std::as_const(mem).frame_run(0, mem.num_frames());
+  ASSERT_EQ(all.size(), mem.num_frames() * fw);
+  for (std::size_t f = 0; f < mem.num_frames(); ++f) {
+    ASSERT_EQ(mem.frame(f).words().data(), all.data() + f * fw) << f;
+  }
+  const ConfigMemory copy = mem;
+  EXPECT_NE(copy.frame(0).words().data(), all.data());
+  for (std::size_t f = 0; f < mem.num_frames(); ++f) {
+    ASSERT_FALSE(copy.frame(f).differs_from(mem.frame(f))) << f;
+  }
 }
 
 // A move hands the frames over without copying their words; the move
@@ -575,19 +646,26 @@ TEST(Crc16, TableMatchesBitSerialReference) {
 }
 
 TEST(Crc16, RunMatchesBitSerialReference) {
-  // update_run folds two writes per step; runs of every parity (and empty
-  // ones) must leave the same register as the one-bit-at-a-time definition.
+  // update_run folds eight writes per step; runs of 0..40 words (empty, a
+  // remainder alone, several steps with and without a remainder) must
+  // leave the same register as the one-bit-at-a-time definition, and a run
+  // split anywhere the same register as the whole run.
   Rng rng(0xC4C2ull);
   Crc16 fast;
   Crc16Serial ref;
   std::vector<std::uint32_t> run;
   for (int i = 0; i < 2000; ++i) {
     const auto reg = static_cast<std::uint32_t>(rng.uniform(32));
-    run.resize(rng.uniform(9));
+    run.resize(rng.uniform(41));
     for (std::uint32_t& w : run) w = static_cast<std::uint32_t>(rng.next());
+    Crc16 split = fast;
+    const std::size_t cut = rng.uniform(run.size() + 1);
+    split.update_run(reg, std::span(run).first(cut));
+    split.update_run(reg, std::span(run).subspan(cut));
     fast.update_run(reg, run);
     for (const std::uint32_t w : run) ref.update(reg, w);
     ASSERT_EQ(fast.value(), ref.value()) << "run " << i;
+    ASSERT_EQ(split.value(), fast.value()) << "run " << i << " cut " << cut;
   }
 }
 

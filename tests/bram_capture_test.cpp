@@ -195,7 +195,7 @@ TEST(Bram, LiveMemoryUpdateLeavesLogicRunning) {
   const auto words =
       board.readback(dev.frames().bram_frame_index(0, 0), 1);
   ConfigMemory check(dev);
-  check.write_frame_words(dev.frames().bram_frame_index(0, 0), words.data());
+  check.write_frames(dev.frames().bram_frame_index(0, 0), words);
   CBits ccb(check);
   EXPECT_EQ(ccb.bram_read(Side::Left, 0, 0), 0xF0F0);
 }

@@ -206,35 +206,12 @@ TEST_F(PartialGenTest, ApplyToBaseMutatesInPlace) {
 TEST_F(PartialGenTest, RejectsOutOfBoundsRegion) {
   const PartialBitstreamGenerator gen(*base_);
   EXPECT_THROW((void)gen.compose(*module_, Region{0, 0, 99, 99}), JpgError);
-  EXPECT_THROW((void)gen.compose_overlay(*module_, Region{0, 0, 99, 99}),
-               JpgError);
   const RegionUpdate bad{module_.get(), Region{0, 0, 99, 99}, {}};
   EXPECT_THROW((void)gen.generate_batch({&bad, 1}), JpgError);
 }
 
-TEST_F(PartialGenTest, ComposeOverlayMatchesCompose) {
-  const Region region{4, 10, 9, 12};  // rectangular: row merge both sides
-  const PartialBitstreamGenerator gen(*base_);
-  const ConfigMemory full = gen.compose(*module_, region);
-  const FrameOverlay overlay = gen.compose_overlay(*module_, region);
-
-  // Every frame reads identically through the overlay...
-  ASSERT_EQ(overlay.num_frames(), full.num_frames());
-  for (std::size_t f = 0; f < full.num_frames(); ++f) {
-    ASSERT_FALSE(overlay.frame(f).differs_from(full.frame(f)))
-        << dev_->frames().describe_frame(f);
-  }
-  // ...but only the region majors' frames were materialised.
-  std::size_t expected = 0;
-  for (const int major : region.clb_majors(*dev_)) {
-    expected += static_cast<std::size_t>(dev_->frames().frames_in_major(major));
-  }
-  EXPECT_EQ(overlay.overlay_count(), expected);
-  EXPECT_LT(overlay.overlay_count(), full.num_frames());
-}
-
 TEST_F(PartialGenTest, GenerateMatchesSeedFramePath) {
-  // Byte-identity of the overlay fast path against the original pipeline
+  // Byte-identity of the generation path against the original pipeline
   // (full compose + explicit frame list through generate_frames).
   const Region region{2, 7, 11, 9};
   const PartialBitstreamGenerator gen(*base_, /*cache_capacity=*/0);

@@ -195,11 +195,8 @@ class StreamDownloadTest : public ::testing::Test {
 
   ConfigMemory board_plane(SimBoard& board) const {
     const FrameMap& fm = dev_->frames();
-    const auto words = board.readback(0, fm.num_frames());
     ConfigMemory got(*dev_);
-    for (std::size_t f = 0; f < fm.num_frames(); ++f) {
-      got.write_frame_words(f, words.data() + f * fm.frame_words());
-    }
+    got.write_frames(0, board.readback(0, fm.num_frames()));
     return got;
   }
 

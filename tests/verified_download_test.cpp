@@ -66,11 +66,8 @@ class VerifiedDownloadTest : public ::testing::Test {
   /// Reads the whole plane back from `board` into a ConfigMemory.
   ConfigMemory board_plane(SimBoard& board) const {
     const FrameMap& fm = dev_->frames();
-    const auto words = board.readback(0, fm.num_frames());
     ConfigMemory got(*dev_);
-    for (std::size_t f = 0; f < fm.num_frames(); ++f) {
-      got.write_frame_words(f, words.data() + f * fm.frame_words());
-    }
+    got.write_frames(0, board.readback(0, fm.num_frames()));
     return got;
   }
 
@@ -398,9 +395,7 @@ TEST(FaultyBoardTest, CleanProfileIsTransparent) {
   board.send_config(bs.words);
   EXPECT_TRUE(board.config_done());
   EXPECT_EQ(board.faults_injected(), 0u);
-  std::vector<std::uint32_t> buf(dev.frames().frame_words());
-  mem.read_frame_words(9, buf.data());
-  EXPECT_EQ(board.readback(9, 1), buf);
+  EXPECT_TRUE(std::ranges::equal(board.readback(9, 1), mem.frame(9).words()));
   EXPECT_NE(board.board_name().find("faulty"), std::string::npos);
 }
 

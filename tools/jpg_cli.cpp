@@ -232,7 +232,6 @@ int cmd_verify(int argc, char** argv) {
   }
   std::size_t frames = 0, bad = 0;
   const std::size_t fw = dev.frames().frame_words();
-  std::vector<std::uint32_t> buf(fw);
   for (const auto& [far, count] : reader.far_blocks(fw)) {
     const FrameAddress a = dev.frames().decode_far(far);
     const std::size_t first =
@@ -240,9 +239,8 @@ int cmd_verify(int argc, char** argv) {
                                  static_cast<int>(a.minor));
     for (std::size_t i = 0; i < count; ++i) {
       const auto words = board.readback(first + i, 1);
-      expected.read_frame_words(first + i, buf.data());
       ++frames;
-      if (words != buf) ++bad;
+      if (!std::ranges::equal(words, expected.frame(first + i).words())) ++bad;
     }
   }
   std::printf("readback verification: %zu frames checked, %zu mismatches\n",

@@ -33,7 +33,9 @@
 #              fails if the router threads sweep or the batch fan-out stops
 #              scaling (speedup < 1.5x). The streaming gates hold on any host:
 #              copy_bytes_per_resident_swap == 0, resident words/sec >=
-#              cold, resident ns/frame < warm-buffered ns/frame.
+#              cold, resident ns/frame < warm-buffered ns/frame; so does
+#              the kernels gate, crc16_run_ns_per_word <
+#              crc16_word_ns_per_word.
 #
 # Usage:
 #   tools/run_checks.sh            # the full matrix
@@ -120,8 +122,17 @@ for sec, kv in pgen.items():
         failures.append(f"{sec}: batch fan-out speedup {s:.2f}x "
                         f"< {MIN_SPEEDUP}x on a {cpus}-core host")
 
-# The kernels report has no thread axis; its presence is the smoke check.
-json.load(open(os.path.join(out, "BENCH_word_kernels.json")))
+# The kernels report has no thread axis. On any host, the CRC's run form
+# (eight writes per step) must beat one update per word.
+kern = json.load(open(os.path.join(out, "BENCH_word_kernels.json")))
+for sec, kv in kern.items():
+    if "crc16_run_ns_per_word" not in kv:
+        continue
+    print(f"  {sec}: crc16 ns/word run {kv['crc16_run_ns_per_word']:.2f} "
+          f"vs word {kv['crc16_word_ns_per_word']:.2f}")
+    if kv["crc16_run_ns_per_word"] >= kv["crc16_word_ns_per_word"]:
+        failures.append(f"{sec}: crc16 update_run is not faster per word "
+                        "than one update per word")
 
 # ICAP streaming: the zero-copy and resident-beats-buffered claims hold on
 # any host.
