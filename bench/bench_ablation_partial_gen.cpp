@@ -7,9 +7,8 @@
 //     one block per frame;
 //   * CRC on/off (integrity vs the handful of words it costs);
 //   * the fast path itself: seed-style per-bit compose vs word-blit
-//     composition, cold and through the pbit cache, plus
-//     generate_batch over disjoint regions. Results land in
-//     BENCH_partial_gen.json for the driver to scrape.
+//     composition, cold and through the pbit cache. Results land in
+//     BENCH_partial_gen.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "core/jpg.h"
 #include "scenarios.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 #include "ucf/ucf_parser.h"
 #include "xdl/xdl_writer.h"
 
@@ -263,60 +261,10 @@ void bench_fastpath(benchutil::JsonReport& report) {
     report.set(part, "speedup_warm", seed_ns / warm_ns);
     report.set(part, "cache_hit_rate", stats.hit_rate());
 
-    // Batched generation over disjoint slots vs the same updates serially.
-    std::vector<Region> slots;
-    for (int c = 1; c + 3 < dev.cols() && slots.size() < 4; c += dev.cols() / 4) {
-      slots.push_back(Region{0, c, dev.rows() - 1, c + 2});
-    }
-    std::vector<RegionUpdate> updates;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      updates.push_back({&pool[i % pool.size()], slots[i], opts});
-    }
-    const PartialBitstreamGenerator batch_gen(base, /*cache_capacity=*/0);
-    const double seq_ns = ns_per_call([&] {
-      for (const RegionUpdate& u : updates) {
-        benchmark::DoNotOptimize(
-            batch_gen.generate(*u.module_config, u.region, u.opts).far_blocks);
-      }
-    });
-    // Audit pass before timing: a width-capped batch must report an
-    // observed fan-out (`workers_used`: global-pool workers plus the
-    // calling thread) of at least one thread and at most the cap and the
-    // global pool plus the caller; the bench hard-fails otherwise. On a
-    // single-core host it is honestly 1.
-    constexpr std::size_t kReqThreads = 4;
-    const std::size_t max_workers =
-        std::min(kReqThreads, ThreadPool::global().size() + 1);
-    std::size_t workers_used = 0;
-    for (const PartialGenResult& r : batch_gen.generate_batch(updates,
-                                                              kReqThreads)) {
-      if (r.workers_used < 1 || r.workers_used > max_workers) {
-        std::fprintf(stderr,
-                     "FATAL: generate_batch(threads=%zu) reported "
-                     "workers_used=%zu\n",
-                     kReqThreads, r.workers_used);
-        std::abort();
-      }
-      workers_used = r.workers_used;
-    }
-    const double par_ns = ns_per_call([&] {
-      benchmark::DoNotOptimize(batch_gen.generate_batch(updates).size());
-    });
-    t.row({part, "batch " + std::to_string(updates.size()) + " regions",
-           fmt(par_ns / (fn * static_cast<double>(updates.size())), 0), "-",
-           fmt(seq_ns / par_ns, 2) + "x vs sequential"});
-    report.set(part, "batch_regions", static_cast<double>(updates.size()));
-    report.set(part, "batch_speedup_vs_sequential", seq_ns / par_ns);
-    // ~1x on a single-core host: parallel_for degrades to an inline loop.
-    report.set(part, "pool_threads",
-               static_cast<double>(ThreadPool::global().size()));
-    report.set(part, "requested_pool_threads",
-               static_cast<double>(kReqThreads));
-    report.set(part, "workers_used", static_cast<double>(workers_used));
     report.set(part, "host_cpus",
                static_cast<double>(benchutil::host_cpus()));
   }
-  t.print("ABLATION: fast path (word-blit compose, pbit cache, batch)");
+  t.print("ABLATION: fast path (word-blit compose, pbit cache)");
 }
 
 }  // namespace

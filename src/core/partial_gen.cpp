@@ -6,7 +6,6 @@
 #include "support/error.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
-#include "support/thread_pool.h"
 
 namespace jpg {
 
@@ -246,7 +245,7 @@ PartialGenResult PartialBitstreamGenerator::generate(
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     const auto it = cache_index_.find(key);
     if (it != cache_index_.end()) {
-      // A concurrent batch worker generated the same key; outputs are
+      // A concurrent caller generated the same key; outputs are
       // deterministic, so just refresh recency.
       cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     } else {
@@ -257,48 +256,6 @@ PartialGenResult PartialBitstreamGenerator::generate(
     }
   }
   return result;
-}
-
-std::vector<PartialGenResult> PartialBitstreamGenerator::generate_batch(
-    std::span<const RegionUpdate> updates, std::size_t num_threads) const {
-  JPG_SPAN("pgen.generate_batch");
-  JPG_COUNT("pgen.batches", 1);
-  JPG_HIST("pgen.batch_fanout", updates.size());
-  // Validate everything up front: each update alone, then major
-  // disjointness across the batch — disjoint majors mean disjoint frame
-  // sets, which is what makes the fan-out embarrassingly parallel.
-  std::vector<bool> owned(static_cast<std::size_t>(device_->frames().num_majors()),
-                          false);
-  for (const RegionUpdate& u : updates) {
-    JPG_REQUIRE(u.module_config != nullptr,
-                "batch update missing module config");
-    check_update(*u.module_config, u.region);
-    for (const int major : u.region.clb_majors(*device_)) {
-      JPG_REQUIRE(!owned[static_cast<std::size_t>(major)],
-                  "batch regions must own disjoint majors (major " +
-                      std::to_string(major) + " claimed twice)");
-      owned[static_cast<std::size_t>(major)] = true;
-    }
-  }
-
-  // Fan out over the global pool, at most num_threads wide. Everything
-  // per-update — content hash, cache probe, composition, stream
-  // emission, cache insertion — runs inside the worker; the only
-  // cross-thread state is the mutex-guarded pbit cache, and results land in
-  // input order, so the batch is byte-identical to sequential generate()
-  // calls at any thread count.
-  std::vector<PartialGenResult> out(updates.size());
-  ThreadPool::ParallelForStats pf_stats;
-  ThreadPool::global().parallel_for(
-      updates.size(),
-      [&](std::size_t i) {
-        out[i] = generate(*updates[i].module_config, updates[i].region,
-                          updates[i].opts);
-      },
-      num_threads, &pf_stats);
-  for (PartialGenResult& r : out) r.workers_used = pf_stats.workers_used;
-  JPG_GAUGE_SET("pgen.batch_workers_used", pf_stats.workers_used);
-  return out;
 }
 
 PartialGenResult PartialBitstreamGenerator::generate_bram_update(

@@ -12,8 +12,8 @@
 // Composition copies the base plane (one block copy of its flat word
 // array), row windows of the region's frames move as word-level blits, and a
 // content-addressed LRU cache short-circuits regeneration when a module
-// pool cycles (the Figure-1 serving workload). Batches of updates over
-// disjoint majors fan out across ThreadPool::global().
+// pool cycles (the Figure-1 serving workload). generate() is safe to call
+// concurrently; the cache is the only state the calls share.
 #pragma once
 
 #include <list>
@@ -49,28 +49,15 @@ struct PartialGenResult {
   Bitstream bitstream;
   std::vector<std::size_t> frames;  ///< linear frame indices written
   std::size_t far_blocks = 0;       ///< contiguous FAR/FDRI runs emitted
-  /// Execution-shape audit, filled by generate_batch (a plain generate()
-  /// leaves it at its single-threaded default): the number of distinct
-  /// threads that actually executed the batch's updates. Benches record it
-  /// so a batch can never claim parallelism while silently running on one
-  /// thread. Telemetry only — never part of the output bytes.
-  std::size_t workers_used = 1;
   /// Wall time plus this call's own tallies (frames, far_blocks,
   /// cache_hit); filled by generate(), reset on every cache hit.
   telemetry::StageSnapshot telemetry;
 };
 
-/// One independent region update for generate_batch.
-struct RegionUpdate {
-  const ConfigMemory* module_config = nullptr;
-  Region region;
-  PartialGenOptions opts;
-};
-
 /// Coherent snapshot of the pbit cache: every field is read under the one
 /// cache mutex, in the same critical section that mutates them, so
 /// `hits + misses == lookups` holds in any snapshot regardless of how many
-/// generate()/generate_batch() calls are in flight.
+/// generate() calls are in flight.
 struct PbitCacheStats {
   std::size_t lookups = 0;  ///< cache consultations (hits + misses)
   std::size_t hits = 0;
@@ -158,19 +145,6 @@ class PartialBitstreamGenerator {
                                           const Region& region,
                                           const PartialGenOptions& opts = {}) const;
 
-  /// Fans independent region updates out over ThreadPool::global():
-  /// `num_threads == 0` uses the caller plus every worker, 1 runs the batch
-  /// on the caller, N > 1 uses at most N threads, caller included. Each
-  /// thread runs the whole per-update pipeline: content hash, cache probe,
-  /// composition, stream emission and cache insertion. The regions
-  /// must own pairwise-disjoint majors (their frame sets are then disjoint,
-  /// so the generations are embarrassingly parallel); overlapping batches
-  /// are rejected. Output order matches input order and each element is
-  /// byte-identical to a sequential generate() call at any thread count.
-  /// Every result carries workers_used for auditing.
-  [[nodiscard]] std::vector<PartialGenResult> generate_batch(
-      std::span<const RegionUpdate> updates, std::size_t num_threads = 0) const;
-
   /// Like generate(), but pins the cache entry and returns a lease over it:
   /// the resident words can be streamed to a board (every burst is a
   /// subspan of them) without the per-swap result copy — and without the
@@ -222,8 +196,8 @@ class PartialBitstreamGenerator {
     std::size_t operator()(const CacheKey& k) const noexcept;
   };
 
-  /// Shared precondition of compose/generate/generate_batch: the module
-  /// plane targets this device and the region is in bounds.
+  /// Shared precondition of compose/generate: the module plane targets
+  /// this device and the region is in bounds.
   void check_update(const ConfigMemory& module_config,
                     const Region& region) const;
 
@@ -238,7 +212,7 @@ class PartialBitstreamGenerator {
   const Device* device_;
 
   // LRU pbit cache, keyed by (region, options, content hash); front of the
-  // list is most recently used. Guarded for generate_batch's worker threads.
+  // list is most recently used. Guarded for concurrent generate() callers.
   // List nodes have stable addresses, which is what makes a PbitLease's
   // span over a pinned entry safe across unrelated insertions/evictions.
   struct CacheEntry {

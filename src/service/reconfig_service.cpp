@@ -52,13 +52,9 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
     boards_.push_back(std::move(ctx));
   }
   JPG_GAUGE_SET("svc.boards", static_cast<std::int64_t>(num_boards));
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
-ReconfigService::~ReconfigService() {
-  shutdown(/*drain=*/true);
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
+ReconfigService::~ReconfigService() { shutdown(/*drain=*/true); }
 
 const SimBoard& ReconfigService::board(std::size_t i) const {
   JPG_REQUIRE(i < boards_.size(), "board index out of range");
@@ -169,6 +165,7 @@ std::future<ServiceResponse> ReconfigService::submit(ServiceRequest req) {
       stats_.queue_peak = std::max(stats_.queue_peak, total_pending_);
       JPG_GAUGE_SET("svc.queue_depth",
                     static_cast<std::int64_t>(total_pending_));
+      while (dispatch_one_round_locked()) {}
     }
   }
   if (reject != ServiceError::None) {
@@ -177,9 +174,7 @@ std::future<ServiceResponse> ReconfigService::submit(ServiceRequest req) {
     r.message = std::string(service_error_name(reject));
     r.cookie = cookie;
     complete(promise, std::move(r));
-    return future;
   }
-  cv_.notify_all();
   return future;
 }
 
@@ -190,11 +185,9 @@ void ReconfigService::complete(std::promise<ServiceResponse>& promise,
 }
 
 void ReconfigService::resume() {
-  {
-    const std::lock_guard<std::mutex> lock(lock_);
-    paused_ = false;
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(lock_);
+  paused_ = false;
+  while (dispatch_one_round_locked()) {}
 }
 
 void ReconfigService::shutdown(bool drain) {
@@ -215,8 +208,8 @@ void ReconfigService::shutdown(bool drain) {
       }
       total_pending_ = 0;
     }
+    while (dispatch_one_round_locked()) {}
   }
-  cv_.notify_all();
   for (auto& [p, cookie] : rejected) {
     ServiceResponse r;
     r.error = ServiceError::ShuttingDown;
@@ -224,12 +217,8 @@ void ReconfigService::shutdown(bool drain) {
     r.cookie = cookie;
     complete(p, std::move(r));
   }
-  {
-    std::unique_lock<std::mutex> lock(lock_);
-    cv_.wait(lock, [&] { return total_pending_ == 0 && inflight_ == 0; });
-    stop_dispatcher_ = true;
-  }
-  cv_.notify_all();
+  std::unique_lock<std::mutex> lock(lock_);
+  cv_.wait(lock, [&] { return total_pending_ == 0 && inflight_ == 0; });
 }
 
 ServiceStats ReconfigService::stats() const {
@@ -324,18 +313,7 @@ void ReconfigService::dispatch_locked(Tenant& tenant, int board_idx) {
   ++stats_.dispatched;
   JPG_COUNT("svc.dispatched", 1);
   const std::uint64_t seq = dispatch_seq_++;
-  (void)pool_.submit(
-      [this, p, board_idx, seq] { execute(p, board_idx, seq); });
-}
-
-void ReconfigService::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(lock_);
-  for (;;) {
-    while (!stop_dispatcher_ && dispatch_one_round_locked()) {
-    }
-    if (stop_dispatcher_) return;
-    cv_.wait(lock);
-  }
+  pool_.post([this, p, board_idx, seq] { execute(p, board_idx, seq); });
 }
 
 // --- Execution ---------------------------------------------------------------
@@ -411,6 +389,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
         ctx.applied[p->req.region.to_string()] = AppliedPbit{
             p->req.region, p->req.variant, resp.applied, ++apply_seq_};
       }
+      while (dispatch_one_round_locked()) {}
     }
   }
   // Drop this execution's lease reference before reaping, so a
@@ -420,14 +399,17 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
     const std::lock_guard<std::mutex> lock(resident_lock_);
     reap_residents_locked();
   }
-  cv_.notify_all();  // the board is free again
+  cv_.notify_all();  // the board is free again (claim_board)
   complete(p->promise, std::move(resp));
   // The execution stays in flight until its hook has returned, so
   // shutdown() cannot return while the hook still runs. Notifying under
-  // the lock makes this the last touch of `this`.
+  // the lock makes this the last touch of `this`. Dispatch again: the
+  // in-flight cap may have held work back while the hook ran (on a
+  // one-worker pool it always does).
   const std::lock_guard<std::mutex> lock(lock_);
   --inflight_;
   JPG_GAUGE_SET("svc.inflight", static_cast<std::int64_t>(inflight_));
+  while (dispatch_one_round_locked()) {}
   cv_.notify_all();
 }
 
@@ -598,10 +580,9 @@ void ReconfigService::claim_board(std::size_t i) {
 }
 
 void ReconfigService::release_board(std::size_t i) {
-  {
-    const std::lock_guard<std::mutex> lock(lock_);
-    boards_[i]->busy = false;
-  }
+  const std::lock_guard<std::mutex> lock(lock_);
+  boards_[i]->busy = false;
+  while (dispatch_one_round_locked()) {}
   cv_.notify_all();
 }
 

@@ -37,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bitstream/config_memory.h"
@@ -151,12 +150,14 @@ struct ServiceConfig {
   /// future becomes ready: on a pool worker for executed requests, inside
   /// submit() (the caller's thread) for synchronous rejections, and inside
   /// shutdown(false) for queued requests it rejects. It runs under no
-  /// service lock, so it may call submit() (a rejection of that request
-  /// re-enters the hook on the same thread) and the const queries. It must
-  /// not call shutdown(), attest() or defragment(), and must never block on
-  /// a service future: it may hold one of the service's workers. An
-  /// executed request stays in flight (ServiceStats::inflight) until its
-  /// hook returns, so shutdown() and the destructor wait for it.
+  /// service lock, so it may call submit() and the const queries. Such a
+  /// submit dispatches on the hook's own thread: an accepted request is
+  /// posted to the pool (never run inline), a rejected one re-enters the
+  /// hook on the same thread. It must not call shutdown(), attest() or
+  /// defragment(), and must never block on a service future: it may hold
+  /// one of the service's workers. An executed request stays in flight
+  /// (ServiceStats::inflight) until its hook returns, so shutdown() and the
+  /// destructor wait for it.
   std::function<void(const ServiceResponse&)> on_complete;
   DownloadPolicy policy;  ///< per-board verified-download policy
 };
@@ -339,8 +340,10 @@ class ReconfigService {
   /// funnel for every completion path, so the hook can never be missed.
   void complete(std::promise<ServiceResponse>& promise, ServiceResponse resp);
 
-  void dispatcher_loop();
   /// One DRR pass under lock_; returns true when something dispatched.
+  /// Every call that changes what can run (submit, resume, shutdown,
+  /// release_board, the end of an execution) loops it to no progress; the
+  /// dispatched executions are posted to pool_.
   bool dispatch_one_round_locked();
   void dispatch_locked(Tenant& tenant, int board_idx);
   [[nodiscard]] int pick_board_locked(const ServiceRequest& req) const;
@@ -385,6 +388,8 @@ class ReconfigService {
   ThreadPool& pool_ = ThreadPool::global();
 
   mutable std::mutex lock_;  ///< queue + tenants + boards + stats
+  /// Wakes shutdown()'s drain wait and claim_board() when work finishes or
+  /// a board frees.
   std::condition_variable cv_;
   std::map<std::string, Tenant> tenants_;
   std::vector<std::string> rr_order_;  ///< DRR visit order (insertion)
@@ -395,7 +400,6 @@ class ReconfigService {
   std::uint64_t apply_seq_ = 0;  ///< apply-order stamp for BoardCtx::applied
   bool paused_ = false;
   bool accepting_ = true;
-  bool stop_dispatcher_ = false;
   ServiceStats stats_;
 
   // Resident registry. Guarded by its own mutex, never held together with
@@ -407,8 +411,6 @@ class ReconfigService {
   std::map<std::string, std::shared_ptr<Resident>> residents_;
   /// Per-tenant resident LRU: front = most recently used registry key.
   std::map<std::string, std::list<std::string>> tenant_lru_;
-
-  std::thread dispatcher_;
 };
 
 }  // namespace jpg

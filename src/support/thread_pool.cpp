@@ -5,7 +5,6 @@
 #include <exception>
 #include <memory>
 
-#include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
@@ -13,7 +12,7 @@ namespace jpg {
 namespace {
 /// The pool whose worker_loop is running on this thread (null on any
 /// non-worker thread, including a parallel_for caller participating from
-/// outside the pool). submit() consults it to refuse nested submissions.
+/// outside the pool).
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
@@ -69,20 +68,14 @@ struct ParallelForContext {
   const std::function<void(std::size_t)>* body = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> participants{0};
   std::mutex mutex;
   std::condition_variable cv;
   std::exception_ptr first_error;
 
   void run() {
-    bool counted = false;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      if (!counted) {
-        counted = true;
-        participants.fetch_add(1, std::memory_order_relaxed);
-      }
       try {
         (*body)(i);
       } catch (...) {
@@ -101,18 +94,13 @@ struct ParallelForContext {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body,
-                              std::size_t max_threads,
-                              ParallelForStats* stats) {
-  if (n == 0) {
-    if (stats != nullptr) stats->workers_used = 0;
-    return;
-  }
+                              std::size_t max_threads) {
+  if (n == 0) return;
   // On a single worker, a width cap of 1 or tiny n run inline: no
   // synchronization cost and identical iteration order, which keeps seeded
   // algorithms deterministic.
   if (workers_.size() <= 1 || max_threads == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
-    if (stats != nullptr) stats->workers_used = 1;
     return;
   }
 
@@ -148,25 +136,16 @@ void ThreadPool::parallel_for(std::size_t n,
   ctx->cv.wait(lock, [&] {
     return ctx->done.load(std::memory_order_acquire) >= n;
   });
-  if (stats != nullptr) {
-    stats->workers_used = ctx->participants.load(std::memory_order_relaxed);
-  }
   if (ctx->first_error) std::rethrow_exception(ctx->first_error);
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  JPG_REQUIRE(!on_worker_thread(),
-              "ThreadPool::submit called from one of the pool's own workers");
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
+void ThreadPool::post(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.emplace([packaged] { (*packaged)(); });
+    tasks_.emplace(std::move(task));
     JPG_GAUGE_SET("pool.queue_depth", tasks_.size());
   }
   cv_.notify_one();
-  return future;
 }
 
 bool ThreadPool::on_worker_thread() const noexcept {

@@ -2,11 +2,10 @@
 //
 // jpg-cpp runs one pool per process, ThreadPool::global(), sized to the
 // hardware. Its users: the PathFinder router's per-net path searches within
-// an iteration, PartialBitstreamGenerator::generate_batch's fan-out over
-// disjoint regions, and the ReconfigService's executions (which also carry
-// the scheduler's nodes). A caller that wants a narrower fan-out caps
-// parallel_for's width instead of building a pool of its own; no width
-// value creates a thread beyond the global pool's workers. On a
+// an iteration (parallel_for), and the ReconfigService's executions, which
+// also carry the scheduler's nodes (post). A caller that wants a narrower
+// fan-out caps parallel_for's width instead of building a pool of its own;
+// no width value creates a thread beyond the global pool's workers. On a
 // one-worker pool parallel_for degrades to a plain loop with no thread
 // overhead.
 #pragma once
@@ -14,7 +13,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -33,34 +31,20 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Observed execution shape of one parallel_for call. `workers_used` is
-  /// the number of distinct threads (pool workers plus the caller) that
-  /// claimed at least one iteration — the honest fan-out, as opposed to the
-  /// pool's nominal size. It depends on scheduling, so it is telemetry,
-  /// never an input to any deterministic computation.
-  struct ParallelForStats {
-    std::size_t workers_used = 0;
-  };
-
   /// Runs `body(i)` for i in [0, n). Blocks until all iterations finish.
   /// Exceptions from `body` are rethrown (first one wins) on the caller.
   /// `max_threads` caps the width, caller included: 0 is the caller plus
   /// every worker, 1 runs inline on the caller in index order, k > 1 the
-  /// caller plus at most k - 1 helper tasks. `stats`, when non-null,
-  /// receives the observed execution shape.
+  /// caller plus at most k - 1 helper tasks.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                    std::size_t max_threads = 0,
-                    ParallelForStats* stats = nullptr);
+                    std::size_t max_threads = 0);
 
-  /// Enqueues one task for any worker; the future becomes ready when it
-  /// finishes (an exception thrown by the task is delivered through the
-  /// future). Unlike parallel_for the caller does not participate, so it can
-  /// overlap its own work with the task.
-  ///
-  /// Throws JpgError when called from one of this pool's own workers: a
-  /// pool task that waits on a task of its own pool can deadlock once every
-  /// worker waits. Submit from a non-worker thread (or another pool).
-  [[nodiscard]] std::future<void> submit(std::function<void()> task);
+  /// Enqueues one task for any worker and returns without running it.
+  /// Any thread may post, one of this pool's own workers included (on a
+  /// one-worker pool the posted task runs once the poster's task returns).
+  /// There is no future: a task reports its own completion. A task must
+  /// not throw; an exception escaping it terminates the process.
+  void post(std::function<void()> task);
 
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const noexcept;

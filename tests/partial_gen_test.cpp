@@ -206,8 +206,7 @@ TEST_F(PartialGenTest, ApplyToBaseMutatesInPlace) {
 TEST_F(PartialGenTest, RejectsOutOfBoundsRegion) {
   const PartialBitstreamGenerator gen(*base_);
   EXPECT_THROW((void)gen.compose(*module_, Region{0, 0, 99, 99}), JpgError);
-  const RegionUpdate bad{module_.get(), Region{0, 0, 99, 99}, {}};
-  EXPECT_THROW((void)gen.generate_batch({&bad, 1}), JpgError);
+  EXPECT_THROW((void)gen.generate(*module_, Region{0, 0, 99, 99}), JpgError);
 }
 
 TEST_F(PartialGenTest, GenerateMatchesSeedFramePath) {
@@ -240,41 +239,39 @@ TEST_F(PartialGenTest, GenerateMatchesSeedFramePath) {
   }
 }
 
-TEST_F(PartialGenTest, GenerateBatchMatchesSequentialGenerate) {
-  // Parallel determinism property: batch output is byte-identical to
-  // sequential generate() over the same updates, in input order.
+TEST_F(PartialGenTest, ConcurrentGenerateMatchesSequentialGenerate) {
+  // Concurrent callers (the service generates leases from several pool
+  // workers at once) share one cache: generate() on disjoint regions from
+  // a 3-worker pool is byte-identical to sequential uncached calls.
   PartialGenOptions diff;
   diff.diff_only = true;
-  const std::vector<RegionUpdate> updates = {
-      {module_.get(), Region{0, 2, dev_->rows() - 1, 5}, {}},
-      {module_.get(), Region{3, 8, 10, 11}, diff},
-      {module_.get(), Region{0, 14, 7, 17}, {}},
+  const std::vector<std::pair<Region, PartialGenOptions>> updates = {
+      {Region{0, 2, dev_->rows() - 1, 5}, {}},
+      {Region{3, 8, 10, 11}, diff},
+      {Region{0, 14, 7, 17}, {}},
   };
   const PartialBitstreamGenerator par(*base_);
-  const auto batch = par.generate_batch(updates);
-  ASSERT_EQ(batch.size(), updates.size());
+  ThreadPool pool(3);
+  std::vector<PartialGenResult> got(updates.size());
+  const auto run = [&](std::size_t i) {
+    got[i] = par.generate(*module_, updates[i].first, updates[i].second);
+  };
+  pool.parallel_for(updates.size(), run);
   const PartialBitstreamGenerator seq(*base_, /*cache_capacity=*/0);
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    const PartialGenResult want = seq.generate(
-        *updates[i].module_config, updates[i].region, updates[i].opts);
-    EXPECT_EQ(batch[i].bitstream.words, want.bitstream.words) << "update " << i;
-    EXPECT_EQ(batch[i].frames, want.frames) << "update " << i;
-    EXPECT_EQ(batch[i].far_blocks, want.far_blocks) << "update " << i;
+    const PartialGenResult want =
+        seq.generate(*module_, updates[i].first, updates[i].second);
+    EXPECT_EQ(got[i].bitstream.words, want.bitstream.words) << "update " << i;
+    EXPECT_EQ(got[i].frames, want.frames) << "update " << i;
+    EXPECT_EQ(got[i].far_blocks, want.far_blocks) << "update " << i;
   }
-  // Repeating the batch (now warm in the cache) must be just as identical.
-  const auto again = par.generate_batch(updates);
+  // Repeating the calls (now warm in the cache) must be just as identical.
+  const std::vector<PartialGenResult> cold = got;
+  pool.parallel_for(updates.size(), run);
   for (std::size_t i = 0; i < updates.size(); ++i) {
-    EXPECT_EQ(again[i].bitstream.words, batch[i].bitstream.words);
+    EXPECT_EQ(got[i].bitstream.words, cold[i].bitstream.words);
   }
-}
-
-TEST_F(PartialGenTest, GenerateBatchRejectsOverlappingMajors) {
-  const std::vector<RegionUpdate> updates = {
-      {module_.get(), Region{0, 2, dev_->rows() - 1, 5}, {}},
-      {module_.get(), Region{0, 4, dev_->rows() - 1, 8}, {}},  // shares cols 4-5
-  };
-  const PartialBitstreamGenerator gen(*base_);
-  EXPECT_THROW((void)gen.generate_batch(updates), JpgError);
+  EXPECT_EQ(par.cache_stats().hits, updates.size());
 }
 
 TEST_F(PartialGenTest, CacheHitServesIdenticalBytes) {

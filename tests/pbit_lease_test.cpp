@@ -1,6 +1,6 @@
 // Pin/lease tests for the pbit cache: a pinned entry survives an eviction
-// storm (its spans stay valid), leases released under a concurrent
-// generate_batch keep the cache coherent (run under JPG_SANITIZE=thread),
+// storm (its spans stay valid), leases released under concurrent
+// generate() calls keep the cache coherent (run under JPG_SANITIZE=thread),
 // double-pin and unpin-without-pin are contract errors, and capacity-0
 // leases own a private copy.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "core/partial_gen.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace jpg {
 namespace {
@@ -196,9 +197,9 @@ TEST_F(PbitLeaseTest, CapacityZeroLeaseOwnsAPrivateCopy) {
   EXPECT_THROW(lease.release(), JpgError);
 }
 
-// TSan coverage: leases pinned/released while generate_batch workers churn
-// the same cache. The pinned entries' words must remain stable throughout,
-// and the final cache state coherent.
+// TSan coverage: leases pinned/released while pool workers churn the same
+// cache with generate() on disjoint regions. The pinned entries' words must
+// remain stable throughout, and the final cache state coherent.
 TEST_F(PbitLeaseTest, LeaseUnderConcurrentBatchChurn) {
   PartialBitstreamGenerator gen(*base_);
   gen.set_cache_capacity(4);
@@ -206,22 +207,25 @@ TEST_F(PbitLeaseTest, LeaseUnderConcurrentBatchChurn) {
   const ConfigMemory lease_mod = module_plane(99);
   const PartialGenResult want = gen.generate(lease_mod, lease_region);
 
-  // Disjoint-major batch regions, away from the leased region's columns.
-  const ConfigMemory m1 = module_plane(11);
-  const ConfigMemory m2 = module_plane(12);
-  const ConfigMemory m3 = module_plane(13);
-  const std::vector<RegionUpdate> updates = {
-      {&m1, Region{0, 6, dev_->rows() - 1, 7}, {}},
-      {&m2, Region{0, 10, dev_->rows() - 1, 11}, {}},
-      {&m3, Region{0, 14, dev_->rows() - 1, 15}, {}},
-  };
+  // Disjoint regions, away from the leased region's columns.
+  const std::vector<ConfigMemory> mods = {module_plane(11), module_plane(12),
+                                          module_plane(13)};
+  const std::vector<Region> regions = {Region{0, 6, dev_->rows() - 1, 7},
+                                       Region{0, 10, dev_->rows() - 1, 11},
+                                       Region{0, 14, dev_->rows() - 1, 15}};
 
+  ThreadPool pool(3);
   for (int round = 0; round < 8; ++round) {
     PbitLease lease = gen.generate_leased(lease_mod, lease_region);
     std::thread releaser([&lease] { lease.release(); });
-    const auto results = gen.generate_batch(updates, 3);
+    std::vector<PartialGenResult> results(regions.size());
+    pool.parallel_for(regions.size(), [&](std::size_t i) {
+      results[i] = gen.generate(mods[i], regions[i]);
+    });
     releaser.join();
-    ASSERT_EQ(results.size(), updates.size());
+    for (const PartialGenResult& r : results) {
+      EXPECT_FALSE(r.bitstream.words.empty());
+    }
     EXPECT_FALSE(lease.valid());
   }
   const PbitCacheStats stats = gen.cache_stats();

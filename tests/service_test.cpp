@@ -4,7 +4,9 @@
 // resident-quota enforcement (telemetry-verified), resident-lease sharing
 // across tenants, DRR fairness (a small tenant is not starved behind a
 // flooding one), shutdown semantics, request validation, the applied pbit a
-// response carries, and the completion hook's lifetime. Runs under the
+// response carries, the completion hook's lifetime, and that every call
+// which frees work (a board release, shutdown's drain, the end of an
+// execution) dispatches what it unblocks. Runs under the
 // tsan label: submit, dispatch, execution and completion all race by design.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "service/load_harness.h"
 #include "service/reconfig_service.h"
 #include "support/telemetry/telemetry.h"
+#include "support/thread_pool.h"
 
 namespace jpg {
 namespace {
@@ -383,6 +386,90 @@ TEST_F(ServiceTest, CompletionHookMaySubmit) {
   EXPECT_EQ(st.submitted, 2u);
   EXPECT_EQ(st.completed, 2u);
   EXPECT_EQ(st.submitted, st.accounted());
+}
+
+// A swap pinned to a board that attest() holds waits in the queue; freeing
+// the board must dispatch it, with no later submit or completion to do it.
+// The attest thread keeps claiming the board, so a submit that finds the
+// pinned head queued (queue_depth 1 right after submit; the service is not
+// paused and nothing else runs) was blocked by attest.
+TEST_F(ServiceTest, SwapBlockedByAttestDispatchesWhenTheBoardIsReleased) {
+  ReconfigService svc(*dev_, fx_->base, 1, {});
+  ASSERT_TRUE(svc.submit(fx_->request(0, 0, "t")).get().ok());
+  std::atomic<bool> stop{false};
+  std::thread auditor([&] {
+    while (!stop) EXPECT_TRUE(svc.attest(0).ok());
+  });
+  std::size_t blocked = 0;
+  for (int i = 0; i < 200 && blocked < 3; ++i) {
+    ServiceRequest req = fx_->request(static_cast<std::size_t>(i % 2),
+                                      static_cast<std::size_t>(i % 5), "t");
+    req.board = 0;
+    std::future<ServiceResponse> f = svc.submit(std::move(req));
+    if (svc.stats().queue_depth == 1) ++blocked;
+    if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      ADD_FAILURE() << "a swap queued behind attest() was never dispatched";
+      break;
+    }
+    const ServiceResponse r = f.get();
+    ASSERT_TRUE(r.ok()) << r.message;
+  }
+  stop = true;
+  auditor.join();
+  EXPECT_GE(blocked, 1u) << "no submit found the board held by attest()";
+  svc.shutdown();
+}
+
+// shutdown(drain=true) on a paused service that is never resumed still
+// dispatches and completes the whole backlog.
+TEST_F(ServiceTest, ShutdownDrainsAPausedBacklogWithoutResume) {
+  ServiceConfig cfg;
+  cfg.start_paused = true;
+  ReconfigService svc(*dev_, fx_->base, 2, cfg);
+  std::vector<std::future<ServiceResponse>> staged;
+  for (int i = 0; i < 6; ++i) {
+    staged.push_back(svc.submit(fx_->request(static_cast<std::size_t>(i % 2),
+                                             static_cast<std::size_t>(i % 5),
+                                             i % 2 == 0 ? "a" : "b")));
+  }
+  EXPECT_EQ(svc.stats().queue_depth, 6u);
+  std::future<void> drained =
+      std::async(std::launch::async, [&] { svc.shutdown(/*drain=*/true); });
+  if (drained.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "shutdown(drain=true) did not dispatch a paused backlog";
+    svc.resume();  // unblock the drain so the test can end
+  }
+  drained.get();
+  for (auto& f : staged) {
+    const ServiceResponse r = f.get();
+    EXPECT_TRUE(r.ok()) << r.message;
+  }
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.completed, 6u);
+  EXPECT_EQ(st.submitted, st.accounted());
+}
+
+// Executions beyond the pool's width wait on the in-flight cap, and a
+// Generate frees no board: only the end of an execution (after its hook)
+// can dispatch the rest of a backlog of Generates.
+TEST_F(ServiceTest, GenerateBacklogBeyondThePoolWidthDrains) {
+  ServiceConfig cfg;
+  cfg.start_paused = true;
+  ReconfigService svc(*dev_, fx_->base, 1, cfg);
+  const std::size_t n = 2 * ThreadPool::global().size() + 1;
+  std::vector<std::future<ServiceResponse>> staged;
+  for (std::size_t i = 0; i < n; ++i) {
+    staged.push_back(svc.submit(
+        fx_->request(i % 2, i % 5, "t", RequestKind::Generate)));
+  }
+  svc.resume();
+  for (auto& f : staged) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "a Generate held back by the in-flight cap was never dispatched";
+    EXPECT_TRUE(f.get().ok());
+  }
+  svc.shutdown();
+  EXPECT_EQ(svc.stats().completed, n);
 }
 
 // The hook reads its own captures after a delay, and the service is

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -429,41 +430,33 @@ TEST(ThreadPool, ZeroIterationsIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
-// A task submitting to its own pool and waiting on the future deadlocks
-// once every worker waits — at once on this 1-worker pool — so submit()
-// refuses a call from one of the pool's own workers instead of enqueueing.
-TEST(ThreadPool, NestedSubmitFromWorkerDoesNotDeadlock) {
+// A task may post to its own pool: on this 1-worker pool the post returns
+// at once, without running the task, and the posted task runs once the
+// poster's task has returned (the service dispatches from its completion
+// hooks this way).
+TEST(ThreadPool, PostFromOwnWorkerRunsAfterThePoster) {
   ThreadPool pool(1);
-  std::future<void> outer = pool.submit([&] {
+  std::mutex mutex;
+  std::vector<int> order;
+  std::promise<void> done;
+  pool.post([&] {
     EXPECT_TRUE(pool.on_worker_thread());
-    std::future<void> inner = pool.submit([] {});
-    inner.get();  // would deadlock if the nested task were enqueued
+    EXPECT_NO_THROW(pool.post([&] {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(2);
+      }
+      done.set_value();
+    }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::lock_guard<std::mutex> lock(mutex);
+    order.push_back(1);
   });
-  ASSERT_EQ(outer.wait_for(std::chrono::seconds(30)),
+  ASSERT_EQ(done.get_future().wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
-  EXPECT_THROW(outer.get(), JpgError);
+  const std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_FALSE(pool.on_worker_thread());
-}
-
-// The refusal is raised inline on the submitting worker, before anything is
-// enqueued, so the nested task never runs. A foreign pool's worker is not
-// "this pool's" context: it may submit, and the task's exception reaches
-// its future.
-TEST(ThreadPool, NestedSubmitRunsInlineAndPropagatesExceptions) {
-  ThreadPool pool(1);
-  ThreadPool other(1);
-  bool nested_ran = false;
-  bool foreign_ran = false;
-  pool.submit([&] {
-        EXPECT_THROW((void)pool.submit([&] { nested_ran = true; }), JpgError);
-        EXPECT_FALSE(other.on_worker_thread());
-        other.submit([&] { foreign_ran = true; }).get();
-        std::future<void> boom = other.submit([] { throw JpgError("boom"); });
-        EXPECT_THROW(boom.get(), JpgError);
-      })
-      .get();
-  EXPECT_FALSE(nested_ran);
-  EXPECT_TRUE(foreign_ran);
 }
 
 // A width cap narrows the fan-out on the one global pool: whatever the cap,
@@ -500,7 +493,7 @@ TEST(ThreadPool, SizedCacheStaysBoundedOverWidthSweep) {
 }
 
 // Width 1 is an inline loop on the caller in index order (what the router
-// and generate_batch rely on for num_threads = 1), and an exception thrown
+// relies on for num_threads = 1), and an exception thrown
 // under any cap still reaches the caller.
 TEST(ThreadPool, SizedCacheReusesPoolsAndPinsLeased) {
   ThreadPool& pool = ThreadPool::global();
@@ -508,7 +501,6 @@ TEST(ThreadPool, SizedCacheReusesPoolsAndPinsLeased) {
   std::mutex mutex;
   std::vector<std::size_t> order;
   bool off_caller = false;
-  ThreadPool::ParallelForStats stats;
   pool.parallel_for(
       16,
       [&](std::size_t i) {
@@ -516,12 +508,11 @@ TEST(ThreadPool, SizedCacheReusesPoolsAndPinsLeased) {
         order.push_back(i);
         if (std::this_thread::get_id() != caller) off_caller = true;
       },
-      1, &stats);
+      1);
   std::vector<std::size_t> expected(16);
   for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
   EXPECT_EQ(order, expected);
   EXPECT_FALSE(off_caller);
-  EXPECT_EQ(stats.workers_used, 1u);
 
   for (const std::size_t cap : {1u, 2u, 3u}) {
     EXPECT_THROW(pool.parallel_for(

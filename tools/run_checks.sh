@@ -8,8 +8,9 @@
 #   tsan       JPG_SANITIZE=thread, tsan-labelled     (threaded router)
 #   telemoff   JPG_TELEMETRY=OFF, fast tier           (counters compile out)
 #   service    TSan run of the service, concurrent-stream, shared-lease-
-#              table and scheduler tests, stats coherence and the slot
-#              circuit cache included
+#              table and scheduler tests, stats coherence, the slot
+#              circuit cache and the ThreadPool tests (a service dispatch
+#              posts to the pool from a pool worker) included
 #              (each repeated until a failure, up to 10 runs), then a
 #              release JPG_BENCH_SMOKE=1 run of bench_service gated on the
 #              BENCH_service.json sanity fields: p99 swap latency finite,
@@ -30,8 +31,8 @@
 #   bench      release build, JPG_BENCH_SMOKE=1 run of the parallel-core
 #              benches (router, partial gen, word kernels) plus the ICAP
 #              streaming bench; on hosts with >= 4 cores it additionally
-#              fails if the router threads sweep or the batch fan-out stops
-#              scaling (speedup < 1.5x). The streaming gates hold on any host:
+#              fails if the router threads sweep stops scaling (speedup
+#              < 1.5x). The streaming gates hold on any host:
 #              copy_bytes_per_resident_swap == 0, resident words/sec >=
 #              cold, resident ns/frame < warm-buffered ns/frame; so does
 #              the kernels gate, crc16_run_ns_per_word <
@@ -110,18 +111,6 @@ for sec, kv in pnr.items():
         failures.append(f"{sec}: router threads sweep scales {ratio:.2f}x "
                         f"< {MIN_SPEEDUP}x on a {cpus}-core host")
 
-pgen = json.load(open(os.path.join(out, "BENCH_partial_gen.json")))
-for sec, kv in pgen.items():
-    if "batch_speedup_vs_sequential" not in kv:
-        continue
-    s = kv["batch_speedup_vs_sequential"]
-    print(f"  {sec}: batch_speedup_vs_sequential = {s:.2f} "
-          f"(pool_threads={int(kv['pool_threads'])}, "
-          f"workers_used={int(kv['workers_used'])})")
-    if cpus >= 4 and s < MIN_SPEEDUP:
-        failures.append(f"{sec}: batch fan-out speedup {s:.2f}x "
-                        f"< {MIN_SPEEDUP}x on a {cpus}-core host")
-
 # The kernels report has no thread axis. On any host, the CRC's run form
 # (eight writes per step) must beat one update per word.
 kern = json.load(open(os.path.join(out, "BENCH_word_kernels.json")))
@@ -180,9 +169,9 @@ run_service_checks() {
   echo "=== [service] TSan service + concurrent-stream + shared-table + scheduler tests ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=thread > /dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target service_test concurrent_stream_test sched_test
+    --target service_test concurrent_stream_test sched_test support_test
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" --repeat until-fail:10 \
-     -R 'ServiceTest|ConcurrentStreamTest|ConcurrentLeaseTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|SlotCircuitCacheTest')
+     -R 'ServiceTest|ConcurrentStreamTest|ConcurrentLeaseTest|SchedulerTest|SchedulerChaosTest|ServiceStatsTest|SlotCircuitCacheTest|ThreadPool')
   echo "=== [service] bench_service smoke + gate ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   cmake --build build -j "$JOBS" --target bench_service
