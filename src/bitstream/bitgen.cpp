@@ -1,6 +1,7 @@
 #include "bitstream/bitgen.h"
 
 #include "bitstream/bitstream_reader.h"
+#include "bitstream/frame_table.h"
 #include "support/error.h"
 #include "support/telemetry/telemetry.h"
 
@@ -39,6 +40,18 @@ const Device& device_for_bitstream(const Bitstream& bs) {
     throw BitstreamError("bitstream carries no IDCODE write");
   }
   return Device::get(DeviceSpec::by_idcode(*idcode).name);
+}
+
+ConfigMemory plane_from_full_bitstream(const Bitstream& bs) {
+  const Device& device = device_for_bitstream(bs);
+  const FrameTable table = validate_stream(device, bs.words);
+  if (!table.started) {
+    throw BitstreamError(
+        "bitstream does not start the device; is it a partial bitstream?");
+  }
+  ConfigMemory plane(device);
+  apply_frame_table(table, bs.words, plane);
+  return plane;
 }
 
 }  // namespace jpg

@@ -22,4 +22,10 @@ struct BitgenOptions {
 /// Identifies the device a bitstream targets via its IDCODE write.
 [[nodiscard]] const Device& device_for_bitstream(const Bitstream& bs);
 
+/// The plane a complete bitstream configures: the device picked by IDCODE,
+/// the whole stream validated (validate_stream), then its frame table
+/// applied to a blank plane. Throws BitstreamError on a malformed stream
+/// or one that never starts the device (a partial bitstream, say).
+[[nodiscard]] ConfigMemory plane_from_full_bitstream(const Bitstream& bs);
+
 }  // namespace jpg

@@ -8,14 +8,18 @@
 
 namespace jpg {
 
-ConfigPort::ConfigPort(ConfigMemory& mem) : mem_(&mem) {
+ConfigPort::ConfigPort(ConfigMemory& mem) : ConfigPort(mem.device()) {
+  mem_ = &mem;
   // One up-front reservation sized for the largest legitimate payload (a
   // whole-plane FDRI write plus its pad frame); every later clear() keeps
   // the capacity, so legitimate streams never reallocate on the hot path.
+  // A plane-less port lives for one stream and sizes its buffer per
+  // payload instead.
   const FrameMap& fm = mem.device().frames();
   fdri_buffer_.reserve((fm.num_frames() + 1) * fm.frame_words());
-  reset();
 }
+
+ConfigPort::ConfigPort(const Device& device) : device_(&device) { reset(); }
 
 void ConfigPort::reset() {
   synced_ = false;
@@ -63,6 +67,7 @@ FrameTable ConfigPort::frame_table() const {
   std::sort(table.touched.begin(), table.touched.end());
   table.touched.erase(std::unique(table.touched.begin(), table.touched.end()),
                       table.touched.end());
+  table.started = started_;
   return table;
 }
 
@@ -208,8 +213,9 @@ void ConfigPort::begin_fdri_payload() {
   // clear-don't-shrink: the construction-time reservation covers every
   // legitimate payload. Only a malformed header announcing more words than
   // a whole plane can force growth, and that growth is counted — benches
-  // and tests gate cfg.buffer_reallocs == 0 after warm-up.
-  if (remaining_payload_ > fdri_buffer_.capacity()) {
+  // and tests gate cfg.buffer_reallocs == 0 after warm-up. (A plane-less
+  // port reserves nothing up front, so its growth is not counted.)
+  if (mem_ != nullptr && remaining_payload_ > fdri_buffer_.capacity()) {
     JPG_COUNT("cfg.buffer_reallocs", 1);
   }
   fdri_buffer_.clear();
@@ -233,7 +239,7 @@ void ConfigPort::handle_reg_write(ConfigReg reg, std::uint32_t value) {
   }
   crc_.update(static_cast<std::uint32_t>(reg), value);
 
-  const FrameMap& fm = mem_->device().frames();
+  const FrameMap& fm = device_->frames();
   switch (reg) {
     case ConfigReg::FAR: {
       if (!fm.far_valid(value)) {
@@ -259,10 +265,10 @@ void ConfigPort::handle_reg_write(ConfigReg reg, std::uint32_t value) {
       flr_ = value;
       return;
     case ConfigReg::IDCODE:
-      if (value != mem_->device().spec().idcode) {
+      if (value != device_->spec().idcode) {
         std::ostringstream os;
         os << "IDCODE mismatch: stream is for 0x" << std::hex << value
-           << ", device is 0x" << mem_->device().spec().idcode;
+           << ", device is 0x" << device_->spec().idcode;
         throw BitstreamError(os.str());
       }
       return;
@@ -288,7 +294,7 @@ void ConfigPort::handle_fdri_payload_complete() {
   if (!far_loaded_) {
     throw BitstreamError("FDRI write without a loaded FAR");
   }
-  const FrameMap& fm = mem_->device().frames();
+  const FrameMap& fm = device_->frames();
   const std::size_t fw = fm.frame_words();
   if (fdri_buffer_.size() % fw != 0) {
     std::ostringstream os;
@@ -306,7 +312,9 @@ void ConfigPort::handle_fdri_payload_complete() {
   // through consecutive linear indices); a write running past the last
   // frame commits those, then throws.
   const std::size_t fit = std::min(commit, fm.num_frames() - cur_frame_);
-  mem_->write_frames(cur_frame_, std::span(fdri_buffer_).first(fit * fw));
+  if (mem_ != nullptr) {
+    mem_->write_frames(cur_frame_, std::span(fdri_buffer_).first(fit * fw));
+  }
   committed_run_log_.push_back(
       {cur_frame_, static_cast<std::size_t>(fdri_payload_start_), fit});
   for (std::size_t i = 0; i < fit; ++i) {
@@ -356,6 +364,7 @@ std::vector<std::uint32_t> ConfigPort::readback_frames(std::size_t first,
 
 void ConfigPort::readback_frames_into(std::size_t first, std::size_t count,
                                       std::vector<std::uint32_t>& out) const {
+  JPG_REQUIRE(mem_ != nullptr, "readback from a plane-less port");
   const std::span<const std::uint32_t> words = mem_->frame_run(first, count);
   out.assign(words.begin(), words.end());
   JPG_COUNT("port.readback_words", out.size());

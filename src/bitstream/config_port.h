@@ -6,6 +6,10 @@
 // suite prove that JPG's partial bitstreams are *loadable*: correct sync,
 // packet framing, FAR addressing, pad-frame discipline and CRC.
 //
+// A port built without a plane parses and checks the same way and logs the
+// same frame table, but writes no frames: validate_stream runs one per
+// stream, so the tool side checks a stream without a scratch plane.
+//
 // Modelling notes (documented deviations from the real part):
 //  * Each FDRI write packet must carry a whole number of frames and ends
 //    with one pad frame that flushes the internal pipeline and is discarded;
@@ -29,6 +33,9 @@ namespace jpg {
 class ConfigPort {
  public:
   explicit ConfigPort(ConfigMemory& mem);
+  /// A plane-less port for `device`: it commits nothing, and readback on
+  /// it throws. `device` must outlive the port.
+  explicit ConfigPort(const Device& device);
 
   /// Full power-on reset: desync, clear all state (not the memory).
   void reset();
@@ -88,11 +95,13 @@ class ConfigPort {
   /// The committed-frame log as a FrameTable over the words loaded since
   /// the last reset_stats() or clear_committed_frames(): one run per
   /// committed FDRI payload, its word offset counted from that point.
-  /// Requires every logged payload to have started after it.
+  /// Requires every logged payload to have started after it. `started`
+  /// is started().
   [[nodiscard]] FrameTable frame_table() const;
 
   // --- Readback ---------------------------------------------------------------
-  /// Reads `count` frames starting at linear frame index `first`.
+  /// Reads `count` frames starting at linear frame index `first`. Throws
+  /// JpgError on a plane-less port.
   [[nodiscard]] std::vector<std::uint32_t> readback_frames(
       std::size_t first, std::size_t count) const;
 
@@ -109,7 +118,7 @@ class ConfigPort {
   void handle_fdri_payload_complete();
   void handle_cmd(Command cmd);
 
-  ConfigMemory* mem_;
+  ConfigMemory* mem_ = nullptr;  ///< null for a plane-less port
 
   // Protocol state.
   bool synced_ = false;
@@ -126,7 +135,8 @@ class ConfigPort {
   /// Reserved once at construction for a full-plane payload (every frame
   /// plus the pad frame) and cleared — never shrunk — between packets, so
   /// the download hot path performs no per-stream allocation after warm-up
-  /// (the cfg.buffer_reallocs counter proves it stays at 0).
+  /// (the cfg.buffer_reallocs counter proves it stays at 0). A plane-less
+  /// port grows it to each payload instead.
   std::vector<std::uint32_t> fdri_buffer_;
 
   // Registers.
@@ -149,6 +159,8 @@ class ConfigPort {
   std::uint64_t log_origin_ = 0;
   /// words_consumed_ at the first word of the current FDRI payload.
   std::uint64_t fdri_payload_start_ = 0;
+
+  const Device* device_;
 };
 
 }  // namespace jpg

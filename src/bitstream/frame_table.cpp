@@ -86,10 +86,9 @@ void apply_frame_table(const FrameTable& table,
   }
 }
 
-FrameTable replay_frame_table(ConfigPort& port,
-                              std::span<const std::uint32_t> words) {
-  port.reset();
-  port.reset_stats();
+FrameTable validate_stream(const Device& device,
+                           std::span<const std::uint32_t> words) {
+  ConfigPort port(device);
   port.load(words);
   port.finish();
   return port.frame_table();

@@ -9,7 +9,9 @@
 // the offset of its payload in the stream, its frame count — plus the
 // sorted set of frames touched. Applying the table writes the same frames
 // with block copies, no packet parse and no CRC (the ReconOS pr_frame_t
-// shape).
+// shape). validate_stream is how the tool side gets one: it checks the
+// whole stream on a plane-less port, so every tool-side plane built from a
+// stream is apply_frame_table of a validated table.
 //
 // TargetPlane is the same answer read without writing anything: the plane
 // a stream validated into a table leaves on top of a base plane, as a view.
@@ -29,8 +31,6 @@
 
 namespace jpg {
 
-class ConfigPort;
-
 /// One committed FDRI run: `frame_count` consecutive frames starting at
 /// `first_frame`, whose words start at `word_offset` in the stream.
 struct FrameRun {
@@ -44,6 +44,7 @@ struct FrameRun {
 struct FrameTable {
   std::vector<FrameRun> runs;        ///< in commit order
   std::vector<std::size_t> touched;  ///< every frame the runs write, sorted
+  bool started = false;  ///< the replay processed a START command
 
   bool operator==(const FrameTable&) const = default;
 };
@@ -106,11 +107,13 @@ void apply_frame_table(const FrameTable& table,
                        std::span<const std::uint32_t> words,
                        ConfigMemory& plane);
 
-/// Replays `words` through `port` from power-on reset (reset() and
-/// reset_stats() first) and returns the replay's frame table. Throws
+/// Validates one complete stream for `device`: replays `words` from
+/// power-on reset through a fresh plane-less ConfigPort, then runs its
+/// end-of-stream check, and returns the replay's frame table. Throws
 /// BitstreamError exactly where ConfigPort::load does, or at the end when
-/// the stream ends inside a packet (ConfigPort::finish).
-[[nodiscard]] FrameTable replay_frame_table(
-    ConfigPort& port, std::span<const std::uint32_t> words);
+/// the stream ends inside a packet (ConfigPort::finish). Keeps no state, so
+/// any number of threads may call it at once.
+[[nodiscard]] FrameTable validate_stream(const Device& device,
+                                         std::span<const std::uint32_t> words);
 
 }  // namespace jpg

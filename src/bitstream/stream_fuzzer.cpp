@@ -116,12 +116,10 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
   const std::size_t fw = fm.frame_words();
 
   // The tool-side expectation of the plane after a full reload.
+  const FrameTable base_table = validate_stream(dev, full_base.words);
+  JPG_REQUIRE(base_table.started, "full base stream does not start the device");
   ConfigMemory base_plane(dev);
-  {
-    ConfigPort port(base_plane);
-    port.load(full_base);
-    JPG_REQUIRE(port.started(), "full base stream does not start the device");
-  }
+  apply_frame_table(base_table, full_base.words, base_plane);
 
   // A small always-valid recovery partial: two patterned frames whose
   // round-trip proves the port decodes and commits again after abuse.
@@ -244,20 +242,34 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
       ++rep.table_equiv_failures;
     }
   };
-  {
-    // Every unmutated corpus stream, replayed from reset over the base.
-    ConfigMemory cmem(dev);
-    ConfigPort cport(cmem);
-    for (const Bitstream& bs : corpus) {
-      cmem = base_plane;
-      table_plane = base_plane;
-      try {
-        (void)replay_frame_table(cport, bs.words);
-      } catch (const BitstreamError&) {
-        continue;
-      }
-      check_table(cport, cmem, bs.words);
+  // Validation twin: validate_stream (a fresh plane-less port) against a
+  // port over a plane replaying the same words from power-on reset, with
+  // the same end-of-stream check. Both must accept or reject alike (same
+  // message), and an accepted stream must give the port's frame table.
+  // Returns true when the stream was accepted.
+  ConfigMemory cmem(dev);
+  ConfigPort cport(cmem);
+  const auto check_validate = [&](std::span<const std::uint32_t> words) {
+    cport.reset();
+    cport.reset_stats();
+    const std::string replayed = outcome([&] {
+      cport.load(words);
+      cport.finish();
+    });
+    FrameTable table;
+    const std::string validated =
+        outcome([&] { table = validate_stream(dev, words); });
+    if (validated != replayed ||
+        (replayed == "accepted" && table != cport.frame_table())) {
+      ++rep.table_equiv_failures;
     }
+    return replayed == "accepted";
+  };
+  // Every unmutated corpus stream, replayed from reset over the base.
+  for (const Bitstream& bs : corpus) {
+    cmem = base_plane;
+    table_plane = base_plane;
+    if (check_validate(bs.words)) check_table(cport, cmem, bs.words);
   }
 
   // Returns true when the bulk load threw.
@@ -299,6 +311,7 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
     // other exception type propagates out of the harness as a finding.
     const bool threw = load_both(mutated.words);
     threw ? ++rep.port_rejections : ++rep.port_accepts;
+    (void)check_validate(mutated.words);
     if (threw && port.synced()) ++rep.desync_violations;
 
     bool stream_threw = false;

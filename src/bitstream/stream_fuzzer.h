@@ -77,8 +77,11 @@ struct FuzzReport {
   /// of the plane it started from, its FrameTable and its words, or
   /// written again from the table onto a copy of that plane, gave a
   /// different plane, or the table's frames differ from the port's
-  /// committed-frame log — contract violation: the view and the apply of a
-  /// validated stream's table must equal replaying it.
+  /// committed-frame log; or validate_stream disagreed with a port over a
+  /// plane replaying the stream from reset (accept/reject, the rejection
+  /// message, or the frame table) — contract violation: the view and the
+  /// apply of a validated stream's table must equal replaying it, and the
+  /// plane-less validator must judge a stream as the port does.
   int table_equiv_failures = 0;
   std::array<int, kNumMutationKinds> mutation_counts{};
 

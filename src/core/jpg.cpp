@@ -3,22 +3,15 @@
 #include <algorithm>
 
 #include "bitstream/bitgen.h"
-#include "bitstream/config_port.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
 
 namespace jpg {
 
 Jpg::Jpg(const Bitstream& base_bitstream)
-    : device_(&device_for_bitstream(base_bitstream)) {
-  base_ = std::make_unique<ConfigMemory>(*device_);
-  ConfigPort port(*base_);
-  port.load(base_bitstream);
-  if (!port.started()) {
-    throw BitstreamError(
-        "base bitstream did not complete startup; is it a partial "
-        "bitstream?");
-  }
+    : base_(std::make_unique<ConfigMemory>(
+          plane_from_full_bitstream(base_bitstream))),
+      device_(&base_->device()) {
   gen_ = std::make_unique<PartialBitstreamGenerator>(*base_);
   JPG_INFO("JPG initialised from base bitstream for " << device_->spec().name);
 }
@@ -53,21 +46,14 @@ Jpg::PartialResult Jpg::generate_partial_from_text(
   return generate_partial(xdl, ucf, opts);
 }
 
-FrameTable Jpg::validate(const PartialResult& update) {
-  if (validate_port_ == nullptr) {
-    validate_plane_ = std::make_unique<ConfigMemory>(*device_);
-    validate_port_ = std::make_unique<ConfigPort>(*validate_plane_);
-  }
-  return replay_frame_table(*validate_port_, update.partial.words);
-}
-
 void Jpg::write_onto_base(const PartialResult& update) {
-  // Replaying the partial stream through the validation port checks it
-  // (framing, CRC, FLR, IDCODE, no packet cut short). Only a stream valid
-  // to its last word then overwrites the base plane — the "overwrite the
-  // original bitstream" behaviour of option 2 — so a malformed one leaves
-  // the tool's base untouched.
-  apply_frame_table(validate(update), update.partial.words, *base_);
+  // validate_stream checks the partial stream (framing, CRC, FLR, IDCODE,
+  // no packet cut short). Only a stream valid to its last word then
+  // overwrites the base plane — the "overwrite the original bitstream"
+  // behaviour of option 2 — so a malformed one leaves the tool's base
+  // untouched.
+  const std::span<const std::uint32_t> words = update.partial.words;
+  apply_frame_table(validate_stream(*device_, words), words, *base_);
   if (connected()) {
     download(update.partial);
   }
@@ -85,9 +71,10 @@ void Jpg::download(const Bitstream& bs) {
 DownloadReport Jpg::download_verified(const PartialResult& update,
                                       const DownloadPolicy& policy) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
+  const std::span<const std::uint32_t> words = update.partial.words;
   FrameTable table;
   try {
-    table = validate(update);
+    table = validate_stream(*device_, words);
   } catch (const JpgError& e) {
     return rejected_download(e);
   }
@@ -95,7 +82,6 @@ DownloadReport Jpg::download_verified(const PartialResult& update,
   // The tool's model of the board is the base design it was initialised
   // from (option 2's premise); seed the downloader's mirror with it.
   dl.assume_board_state(*base_);
-  const std::span<const std::uint32_t> words = update.partial.words;
   return dl.download_validated(words, table,
                                std::max<std::size_t>(1, words.size()));
 }
@@ -103,7 +89,7 @@ DownloadReport Jpg::download_verified(const PartialResult& update,
 std::size_t Jpg::verify_via_readback(const PartialResult& update) {
   JPG_REQUIRE(connected(), "no XHWIF board connected");
   const std::span<const std::uint32_t> words = update.partial.words;
-  const TargetPlane expected(*base_, validate(update), words);
+  const TargetPlane expected(*base_, validate_stream(*device_, words), words);
   VerifiedDownloader dl(*board_, *device_);
   const std::size_t mismatches =
       dl.mismatched_frames(expected, update.frames).size();

@@ -25,7 +25,8 @@ namespace jpg {
 class Jpg {
  public:
   /// Initialises the environment from the base design's complete bitstream
-  /// (device identified by IDCODE; frames loaded through a ConfigPort).
+  /// (plane_from_full_bitstream: device identified by IDCODE, the whole
+  /// stream validated, and it must start the device).
   explicit Jpg(const Bitstream& base_bitstream);
 
   [[nodiscard]] const Device& device() const { return *device_; }
@@ -76,8 +77,8 @@ class Jpg {
   /// (JPG's model: the board holds the base design; partial streams are
   /// state-independent, so this also covers a board running another module
   /// variant in the same region). The whole update is validated (framing,
-  /// CRC, no packet cut short) on the tool's validation port before the
-  /// first word is sent — a malformed one is rejected "nothing sent" — then
+  /// CRC, no packet cut short) by validate_stream before the first word is
+  /// sent — a malformed one is rejected "nothing sent" — then
   /// readback-verified frame by frame, repaired under the policy's retry
   /// budget, and rolled back to the base plane if it will not converge.
   /// The tool's base configuration is not modified.
@@ -99,15 +100,8 @@ class Jpg {
   }
 
  private:
-  /// Replays `update` on the validation port (created on first use; only
-  /// its frame table is read, never its plane). Throws BitstreamError on a
-  /// malformed stream.
-  [[nodiscard]] FrameTable validate(const PartialResult& update);
-
-  const Device* device_;
   std::unique_ptr<ConfigMemory> base_;
-  std::unique_ptr<ConfigMemory> validate_plane_;
-  std::unique_ptr<ConfigPort> validate_port_;
+  const Device* device_;
   std::unique_ptr<PartialBitstreamGenerator> gen_;
   Xhwif* board_ = nullptr;
 };

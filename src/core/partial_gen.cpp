@@ -280,25 +280,6 @@ PartialGenResult PartialBitstreamGenerator::generate_bram_update(
   return result;
 }
 
-void PartialBitstreamGenerator::apply_to_base(
-    ConfigMemory& base, const ConfigMemory& module_config,
-    const Region& region) const {
-  check_update(module_config, region);
-  // Equivalent to `base = compose(module_config, region)` without the full
-  // round trip: reset to the generator's base plane (a no-op when applying
-  // onto it directly), then blit the region windows in place.
-  if (&base != base_) base = *base_;
-  const FrameMap& fm = device_->frames();
-  const std::size_t win_lo = window_base(fm, region);
-  const std::size_t win_bits = window_bits(region);
-  for (const int major : region.clb_majors(*device_)) {
-    for (int minor = 0; minor < fm.frames_in_major(major); ++minor) {
-      const std::size_t idx = fm.frame_index(major, minor);
-      base.frame(idx).copy_range(module_config.frame(idx), win_lo, win_bits);
-    }
-  }
-}
-
 PbitLease PartialBitstreamGenerator::generate_leased(
     const ConfigMemory& module_config, const Region& region,
     const PartialGenOptions& opts) const {

@@ -155,11 +155,6 @@ class PartialBitstreamGenerator {
       const ConfigMemory& module_config, const Region& region,
       const PartialGenOptions& opts = {}) const;
 
-  /// Option 2 of the tool (paper §3.2.1): writes the partial update into the
-  /// base configuration itself, overwriting it.
-  void apply_to_base(ConfigMemory& base, const ConfigMemory& module_config,
-                     const Region& region) const;
-
   /// Generic form: emits a partial bitstream shipping exactly `frames`
   /// (linear indices, any block type) with contents taken from `content`.
   [[nodiscard]] PartialGenResult generate_frames(

@@ -4,8 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "bitstream/bitstream_reader.h"
-#include "bitstream/config_port.h"
+#include "bitstream/frame_table.h"
 #include "cbits/cbits.h"
 #include "support/telemetry/telemetry.h"
 
@@ -169,6 +168,10 @@ ConfigMemory PbitRelocator::decode(const Bitstream& pbit,
   JPG_REQUIRE(src.in_bounds(*device_), "source region out of bounds");
   const FrameMap& fm = device_->frames();
 
+  // Validate the pbit (it throws BitstreamError where the port would); its
+  // frame table names every frame it writes.
+  const FrameTable table = validate_stream(*device_, pbit.words);
+
   // Coverage: every frame the pbit writes must belong to the source
   // region's columns (a subset is fine: diff_only pbits skip unchanged
   // frames). Anything else means `src` mislabels where the pbit lives, and
@@ -179,26 +182,19 @@ ConfigMemory PbitRelocator::decode(const Bitstream& pbit,
       allowed.insert(fm.frame_index(major, minor));
     }
   }
-  const BitstreamReader reader(pbit);
-  for (const auto& [far, count] : reader.far_blocks(fm.frame_words())) {
-    std::size_t frame = fm.frame_index_of(fm.decode_far(far));
-    for (std::size_t i = 0; i < count; ++i, frame = fm.next_frame(frame)) {
-      if (!allowed.contains(frame)) {
-        JPG_COUNT("reloc.rejected", 1);
-        throw RelocError(
-            RelocError::Kind::CoverageMismatch,
-            "pbit writes frame " + fm.describe_frame(frame) +
-                " outside source region " + src.to_string());
-      }
+  for (const std::size_t frame : table.touched) {
+    if (!allowed.contains(frame)) {
+      JPG_COUNT("reloc.rejected", 1);
+      throw RelocError(RelocError::Kind::CoverageMismatch,
+                       "pbit writes frame " + fm.describe_frame(frame) +
+                           " outside source region " + src.to_string());
     }
   }
 
-  // Replay the pbit onto a copy of the base: the result is the plane the
+  // Apply the pbit onto a copy of the base: the result is the plane the
   // device would hold after the download, with the module's content at src.
   ConfigMemory plane = gen_->base();
-  ConfigPort port(plane);
-  port.load(pbit);
-  port.finish();
+  apply_frame_table(table, pbit.words, plane);
   return plane;
 }
 

@@ -85,8 +85,9 @@ class PbitRelocator {
   [[nodiscard]] RelocCompat check(const ConfigMemory& plane, const Region& src,
                                   const Region& dst) const;
 
-  /// Replays `pbit` onto a copy of the base and returns the resulting
-  /// plane (content positioned at `src`). Throws RelocError
+  /// Validates `pbit` (validate_stream) and applies its frame table to a
+  /// copy of the base, returning the resulting plane (content positioned
+  /// at `src`). Throws BitstreamError on a malformed pbit and RelocError
   /// (CoverageMismatch) if the pbit writes any frame outside src's columns.
   [[nodiscard]] ConfigMemory decode(const Bitstream& pbit,
                                     const Region& src) const;

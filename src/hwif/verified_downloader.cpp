@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "bitstream/bitstream_writer.h"
-#include "bitstream/config_port.h"
 #include "bitstream/frame_table.h"
 #include "support/log.h"
 #include "support/telemetry/telemetry.h"
@@ -97,9 +96,8 @@ ConfigMemory reconstruct_expected_plane(const ConfigMemory& base,
                                         std::span<const Bitstream> applied) {
   ConfigMemory plane = base;
   for (const Bitstream& pbit : applied) {
-    ConfigPort port(plane);
-    port.load(pbit);
-    port.finish();
+    apply_frame_table(validate_stream(base.device(), pbit.words), pbit.words,
+                      plane);
   }
   return plane;
 }
@@ -164,7 +162,7 @@ Bitstream VerifiedDownloader::build_frames_stream(
 std::size_t VerifiedDownloader::first_mismatch(
     std::size_t frame, std::span<const std::uint32_t> got,
     std::span<const std::uint32_t> want) const {
-  if (!policy_.mask_capture_bits || capture_frame_[frame] == 0) {
+  if (capture_frame_[frame] == 0) {
     // std::equal is the fast path (a memcmp); locate the word only on a miss.
     if (std::equal(got.begin(), got.end(), want.begin())) return got.size();
     return static_cast<std::size_t>(
@@ -338,9 +336,7 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
                   [&](std::size_t frame, std::size_t w,
                       std::span<const std::uint32_t> rb) {
                     const std::uint32_t m =
-                        policy_.mask_capture_bits && capture_frame_[frame] != 0
-                            ? capture_mask_[w]
-                            : ~0u;
+                        capture_frame_[frame] != 0 ? capture_mask_[w] : ~0u;
                     rep.findings.push_back(
                         {frame, fm.describe_frame(frame), w,
                          target.frame_words(frame)[w] & m, rb[w] & m});
@@ -376,12 +372,10 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
   const std::uint64_t telem_t0 = telemetry::now_ns();
   words_sent_ = readback_words_ = repair_rounds_ = aborts_ = 0;
   DownloadReport rep;
-  auto plane = std::make_unique<ConfigMemory>(*device_);
-  std::vector<std::size_t> touched;
+  FrameTable table;
   try {
-    ConfigPort port(*plane);
-    touched = replay_frame_table(port, full.words).touched;
-    if (!port.started()) {
+    table = validate_stream(*device_, full.words);
+    if (!table.started) {
       throw BitstreamError("full bitstream does not start the device");
     }
   } catch (const JpgError& e) {
@@ -389,10 +383,13 @@ DownloadReport VerifiedDownloader::download_full(const Bitstream& full) {
     finish_report(rep, telem_t0);
     return rep;
   }
-  rep.frames_touched = touched.size();
+  auto plane = std::make_unique<ConfigMemory>(*device_);
+  apply_frame_table(table, full.words, *plane);
+  rep.frames_touched = table.touched.size();
   send(full, rep.attempts, rep);
-  if (converge(TargetPlane(*plane), std::move(touched), policy_.max_attempts,
-               /*ensure_started=*/true, rep.attempts, rep)) {
+  if (converge(TargetPlane(*plane), std::move(table.touched),
+               policy_.max_attempts, /*ensure_started=*/true, rep.attempts,
+               rep)) {
     rep.status = DownloadStatus::Success;
     mirror_ = std::move(plane);
   } else {
@@ -412,15 +409,11 @@ DownloadReport VerifiedDownloader::download_partial(const Bitstream& partial) {
 DownloadReport VerifiedDownloader::download_stream(
     std::span<const std::uint32_t> words, std::size_t burst_words) {
   JPG_SPAN("dl.download_stream");
-  if (validate_port_ == nullptr) {
-    validate_plane_ = std::make_unique<ConfigMemory>(*device_);
-    validate_port_ = std::make_unique<ConfigPort>(*validate_plane_);
-  }
   FrameTable table;
   try {
     // Validate the whole stream before any traffic: a stream malformed
     // anywhere, or cut off inside a packet, never reaches the board.
-    table = replay_frame_table(*validate_port_, words);
+    table = validate_stream(*device_, words);
   } catch (const JpgError& e) {
     JPG_COUNT("dl.downloads", 1);
     DownloadReport rep = rejected_download(e);

@@ -22,9 +22,9 @@
 // what makes recovery possible without re-reading the whole device.
 //
 // Every partial download is one primitive: a stream's words and its
-// FrameTable against the mirror. Caller bytes are first replayed into a
-// table on a validation port whose plane is never read; a resident lease
-// brings the table its publish recorded. The intended plane is a
+// FrameTable against the mirror. Caller bytes are first validated into a
+// table by validate_stream; a resident lease brings the table its publish
+// recorded. The intended plane is a
 // TargetPlane view — the stream's own words for the frames the table
 // writes, the mirror for the rest — so nothing is copied to hold it. On
 // Success the table is applied to the mirror; on every other exit the
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bitstream/config_memory.h"
-#include "bitstream/config_port.h"
 #include "bitstream/frame_table.h"
 #include "bitstream/packet.h"
 #include "hwif/burst_engine.h"
@@ -58,9 +57,6 @@ struct DownloadPolicy {
   /// only a sweep catches those strays. Together the two reads cover the
   /// whole plane once after the last send.
   bool full_sweep = true;
-  /// Zero FF capture bits before comparing (the readback-mask discipline);
-  /// live state captured into the plane is not a configuration mismatch.
-  bool mask_capture_bits = true;
 };
 
 enum class DownloadStatus {
@@ -114,8 +110,9 @@ struct AttestReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Replays `applied` partial bitstreams, in order, onto a copy of `base`:
-/// the plane a healthy device must hold after those downloads. Relocated
+/// Validates each of the `applied` partial bitstreams (validate_stream)
+/// and applies its frame table, in order, onto a copy of `base`: the plane
+/// a healthy device must hold after those downloads. Relocated
 /// pbits compose like any other — the expectation is wherever they were
 /// actually targeted. Throws BitstreamError on a malformed pbit.
 [[nodiscard]] ConfigMemory reconstruct_expected_plane(
@@ -148,7 +145,7 @@ class VerifiedDownloader {
   DownloadReport download_partial(const Bitstream& partial);
 
   /// Streaming (ICAP-style) partial download. The whole stream is first
-  /// replayed into a frame table on the validation port; a stream
+  /// validated into a frame table (validate_stream); a stream
   /// malformed anywhere, or cut off inside a packet, is rejected "nothing
   /// sent" with no board traffic at all. Then it takes download_validated's
   /// path.
@@ -156,7 +153,7 @@ class VerifiedDownloader {
                                  std::size_t burst_words = kDefaultBurstWords);
 
   /// The verified download primitive, for a stream validated tool-side
-  /// ahead of time: `table` is replay_frame_table() of exactly `words` on
+  /// ahead of time: `table` is validate_stream() of exactly `words` on
   /// this device (a table that does not fit `words` throws before any
   /// traffic). `words` goes out in bursts of at most `burst_words` words,
   /// each a subspan of `words` — no staging copy; a send fault ends the
@@ -169,14 +166,14 @@ class VerifiedDownloader {
 
   /// The readback comparator every verification here uses: reads back
   /// `frames` (sorted) and returns those whose words differ from `target`,
-  /// capture bits masked per policy. A frame that cannot be read back
+  /// FF capture bits masked. A frame that cannot be read back
   /// counts as differing.
   [[nodiscard]] std::vector<std::size_t> mismatched_frames(
       const TargetPlane& target, const std::vector<std::size_t>& frames);
 
   /// Full-plane readback audit: reads back every frame of the device and
-  /// compares it word-for-word against `expected`, masking FF capture bits
-  /// per policy. Unlike the per-download verification (which checks the
+  /// compares it word-for-word against `expected`, masking FF capture
+  /// bits. Unlike the per-download verification (which checks the
   /// frames a stream touches, plus a sweep against the mirror), attest()
   /// takes the *reconstructed* expectation — base + every applied pbit —
   /// so it catches strays in any frame, including tampering that happened
@@ -202,8 +199,9 @@ class VerifiedDownloader {
       bool ensure_started) const;
 
   /// Index of the first word where readback `got` of `frame` differs from
-  /// `want`, or got.size() if none does. Capture bits of a capture frame
-  /// are ignored under mask_capture_bits.
+  /// `want`, or got.size() if none does. The FF capture bits of a capture
+  /// frame are ignored (the readback-mask discipline): live state captured
+  /// into the plane is not a configuration mismatch.
   [[nodiscard]] std::size_t first_mismatch(
       std::size_t frame, std::span<const std::uint32_t> got,
       std::span<const std::uint32_t> want) const;
@@ -270,10 +268,6 @@ class VerifiedDownloader {
   const Device* device_;
   DownloadPolicy policy_;
   std::unique_ptr<ConfigMemory> mirror_;
-  /// download_stream's validation port, created on first use. Only its
-  /// frame table is read, never its plane.
-  std::unique_ptr<ConfigMemory> validate_plane_;
-  std::unique_ptr<ConfigPort> validate_port_;
   /// capture_frame_[f] != 0 iff frame f is a CLB capture minor.
   std::vector<char> capture_frame_;
   /// One frame of words with the FF capture bits cleared, the rest set.

@@ -25,12 +25,11 @@ ReconfigService::ReconfigService(const Device& device, const ConfigMemory& base,
       base_(&base),
       cfg_(std::move(cfg)),
       gen_(base, cfg_.cache_capacity),
-      validate_plane_(device),
-      validate_port_(validate_plane_),
       paused_(cfg_.start_paused) {
   JPG_REQUIRE(&base.device() == &device,
               "service base plane targets a different device");
   JPG_REQUIRE(num_boards > 0, "a service needs at least one board");
+  JPG_REQUIRE(cfg_.drr_quantum_words > 0, "drr_quantum_words must be positive");
   // Bring the fleet up on the base design over a clean link; each board's
   // downloader owns the mirror that makes every later swap verifiable.
   const Bitstream base_bit = generate_full_bitstream(base);
@@ -262,6 +261,7 @@ bool ReconfigService::dispatch_one_round_locked() {
     return false;
   }
   bool progress = false;
+  bool banking = false;
   const std::size_t nt = rr_order_.size();
   ++stats_.drr_rounds;
   JPG_COUNT("svc.drr.rounds", 1);
@@ -273,13 +273,16 @@ bool ReconfigService::dispatch_one_round_locked() {
       continue;
     }
     tenant.deficit += cfg_.drr_quantum_words;
-    while (!tenant.queue.empty() && inflight_ < pool_.size() &&
-           tenant.deficit >= tenant.queue.front().cost_words) {
+    while (!tenant.queue.empty() && inflight_ < pool_.size()) {
       Pending& head = tenant.queue.front();
       int board_idx = -1;
       if (head.req.kind == RequestKind::Swap) {
         board_idx = pick_board_locked(head.req);
         if (board_idx < 0) break;  // head-of-line blocked on a busy board
+      }
+      if (tenant.deficit < head.cost_words) {
+        banking = true;  // held back by its credit alone
+        break;
       }
       tenant.deficit -= head.cost_words;
       dispatch_locked(tenant, board_idx);
@@ -299,7 +302,10 @@ bool ReconfigService::dispatch_one_round_locked() {
   // head blocked on a busy board) keeps the cursor, or the next completion
   // would always hand the first turn back to the same tenant.
   if (progress && nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
-  return progress;
+  // A round that only banked credit asks for another, since no later event
+  // may come to run it: a head costing more than one quantum goes after
+  // ceil(cost / quantum) rounds.
+  return progress || banking;
 }
 
 void ReconfigService::dispatch_locked(Tenant& tenant, int board_idx) {
@@ -403,13 +409,17 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
   complete(p->promise, std::move(resp));
   // The execution stays in flight until its hook has returned, so
   // shutdown() cannot return while the hook still runs. Notifying under
-  // the lock makes this the last touch of `this`. Dispatch again: the
-  // in-flight cap may have held work back while the hook ran (on a
-  // one-worker pool it always does).
+  // the lock makes this the last touch of `this`. Only a drop from the
+  // in-flight cap can unblock work here (on a one-worker pool the cap
+  // always holds work back while the hook runs): the board was freed
+  // above, and a hook's own submit dispatches.
   const std::lock_guard<std::mutex> lock(lock_);
+  const bool at_cap = inflight_ >= pool_.size();
   --inflight_;
   JPG_GAUGE_SET("svc.inflight", static_cast<std::int64_t>(inflight_));
-  while (dispatch_one_round_locked()) {}
+  if (at_cap) {
+    while (dispatch_one_round_locked()) {}
+  }
   cv_.notify_all();
 }
 
@@ -539,11 +549,10 @@ std::shared_ptr<ReconfigService::Resident> ReconfigService::acquire_resident(
 }
 
 FrameTable ReconfigService::validate_lease(
-    std::span<const std::uint32_t> words) {
+    std::span<const std::uint32_t> words) const {
   JPG_SPAN("svc.validate_lease");
-  const std::lock_guard<std::mutex> lock(validate_lock_);
   try {
-    FrameTable table = replay_frame_table(validate_port_, words);
+    FrameTable table = validate_stream(*device_, words);
     JPG_COUNT("svc.resident.validated", 1);
     return table;
   } catch (const BitstreamError&) {

@@ -13,8 +13,8 @@
 //
 // The datapath reuses the existing backends end to end: pbits come from
 // PartialBitstreamGenerator::generate_leased (pinned, cache-resident — the
-// zero-copy path of DESIGN.md §5g), each newly published lease is replayed
-// once through a ConfigPort into a FrameTable, the wire is
+// zero-copy path of DESIGN.md §5g), each newly published lease is validated
+// once into a FrameTable (validate_stream), the wire is
 // VerifiedDownloader::download_validated (two-state invariant per swap), and
 // per-tenant quotas are layered *over* the content-addressed cache: each
 // tenant owns an LRU of resident leases; exceeding its quota releases the
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bitstream/config_memory.h"
-#include "bitstream/config_port.h"
 #include "bitstream/frame_table.h"
 #include "core/partial_gen.h"
 #include "core/relocate.h"
@@ -120,7 +119,8 @@ struct ServiceConfig {
   /// Resident leases a tenant may hold (0 = unlimited). Exceeding it
   /// releases the tenant's LRU lease (svc.quota.evictions).
   std::size_t tenant_quota = 8;
-  /// DRR quantum in stream words added to a tenant's deficit per round.
+  /// DRR quantum in stream words added to a tenant's deficit per round
+  /// (positive; a request costing more waits several rounds).
   std::uint64_t drr_quantum_words = 32 * 1024;
   /// Pbit cache capacity of the service's generator.
   std::size_t cache_capacity = PartialBitstreamGenerator::kDefaultCacheCapacity;
@@ -340,10 +340,11 @@ class ReconfigService {
   /// funnel for every completion path, so the hook can never be missed.
   void complete(std::promise<ServiceResponse>& promise, ServiceResponse resp);
 
-  /// One DRR pass under lock_; returns true when something dispatched.
+  /// One DRR pass under lock_; returns true when something dispatched or
+  /// a head waits on its credit alone (another pass would bank more).
   /// Every call that changes what can run (submit, resume, shutdown,
-  /// release_board, the end of an execution) loops it to no progress; the
-  /// dispatched executions are posted to pool_.
+  /// release_board, the end of an execution at the in-flight cap) loops it
+  /// until it returns false; the dispatched executions are posted to pool_.
   bool dispatch_one_round_locked();
   void dispatch_locked(Tenant& tenant, int board_idx);
   [[nodiscard]] int pick_board_locked(const ServiceRequest& req) const;
@@ -356,10 +357,10 @@ class ReconfigService {
   std::shared_ptr<Resident> acquire_resident(const std::string& tenant,
                                              const ServiceRequest& req,
                                              bool& resident_hit);
-  /// Replays a lease's words once from reset on the validation port and
-  /// returns the frame table. Throws BitstreamError on a malformed lease.
+  /// validate_stream of a lease's words, counted as a publish validation.
+  /// Takes no lock. Throws BitstreamError on a malformed lease.
   [[nodiscard]] FrameTable validate_lease(
-      std::span<const std::uint32_t> words);
+      std::span<const std::uint32_t> words) const;
   /// Drops registry entries no tenant holds once in-flight users are done.
   void reap_residents_locked();
   /// Ready resident with the same (variant, options) and a shape-compatible
@@ -378,12 +379,6 @@ class ReconfigService {
   ServiceConfig cfg_;
   PartialBitstreamGenerator gen_;
   std::vector<std::unique_ptr<BoardCtx>> boards_;
-  /// Publish-time validation (validate_lease): one scratch plane and port
-  /// shared by every publish under validate_lock_. What the port commits
-  /// depends only on the words, never on the plane's contents.
-  std::mutex validate_lock_;
-  ConfigMemory validate_plane_;
-  ConfigPort validate_port_;
   /// Executions run here, at most pool_.size() at a time.
   ThreadPool& pool_ = ThreadPool::global();
 

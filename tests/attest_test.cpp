@@ -200,14 +200,16 @@ TEST_F(AttestTest, CaptureBitsAreMaskedDuringTheAudit) {
   VerifiedDownloader dl(board, *dev_);
   EXPECT_TRUE(dl.attest(*expected_).attested);
 
-  // ...unless masking is explicitly disabled.
-  DownloadPolicy strict;
-  strict.mask_capture_bits = false;
-  VerifiedDownloader dl_strict(board, *dev_, strict);
-  const AttestReport rep = dl_strict.attest(*expected_);
+  // ...while a configuration bit of the same frame still counts: one
+  // finding, at that frame and word. Row 0's two capture bits lead its
+  // window, so the bit after them is configuration.
+  const std::size_t bit = fm.row_bit_base(0) + 2;
+  board.corrupt_frame_word(cap_frame, bit >> 5, 1u << (bit & 31));
+  const AttestReport rep = dl.attest(*expected_);
   EXPECT_FALSE(rep.attested);
   ASSERT_EQ(rep.findings.size(), 1u);
   EXPECT_EQ(rep.findings[0].frame, cap_frame);
+  EXPECT_EQ(rep.findings[0].word, bit >> 5);
 }
 
 TEST_F(AttestTest, UnreadableFramesBlockAttestation) {

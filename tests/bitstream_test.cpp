@@ -17,6 +17,16 @@
 namespace jpg {
 namespace {
 
+/// Replays one complete stream through `port` (over a plane) from power-on
+/// reset, with the end-of-stream check, and returns its frame table.
+FrameTable replay(ConfigPort& port, std::span<const std::uint32_t> words) {
+  port.reset();
+  port.reset_stats();
+  port.load(words);
+  port.finish();
+  return port.frame_table();
+}
+
 TEST(Crc16, KnownBehaviour) {
   Crc16 crc;
   EXPECT_EQ(crc.value(), 0);
@@ -109,6 +119,8 @@ TEST_P(ConfigRoundtrip, FullBitstreamLoadsExactly) {
   EXPECT_TRUE(port.started());
   EXPECT_EQ(loaded, golden);
   EXPECT_EQ(port.frames_committed(), dev.frames().num_frames());
+  // The tool-side base loader builds the same plane from a validated table.
+  EXPECT_EQ(plane_from_full_bitstream(bs), golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(Parts, ConfigRoundtrip,
@@ -263,7 +275,12 @@ TEST(FrameTable, RecordsEachFdriRunAndReappliesIt) {
   mem.frame(a + 2).set(0, true);
   const ConfigMemory before = mem;
   ConfigPort port(mem);
-  const FrameTable table = replay_frame_table(port, bs.words);
+  const FrameTable table = replay(port, bs.words);
+  // The plane-less validator records the same table, and it writes no
+  // plane: readback on it throws.
+  EXPECT_EQ(validate_stream(dev, bs.words), table);
+  EXPECT_FALSE(table.started);
+  EXPECT_THROW((void)ConfigPort(dev).readback_frames(a, 1), JpgError);
 
   ASSERT_EQ(table.runs.size(), 3u);
   EXPECT_EQ(table.runs[0].first_frame, a);
@@ -328,7 +345,7 @@ TEST(FrameTable, TargetPlaneReadsTheLastWriteOverTheBase) {
   for (std::size_t f = 0; f < fm.num_frames(); f += 7) base.frame(f).set(3, true);
   ConfigMemory replayed = base;
   ConfigPort port(replayed);
-  const FrameTable table = replay_frame_table(port, bs.words);
+  const FrameTable table = replay(port, bs.words);
   const TargetPlane view(base, table, bs.words);
   for (std::size_t f = 0; f < fm.num_frames(); ++f) {
     const std::span<const std::uint32_t> got = view.frame_words(f);
@@ -374,10 +391,10 @@ TEST(FrameTable, TargetPlaneDropsBitsPastTheFrameEnd) {
   const ConfigMemory base(dev);
   ConfigMemory replayed = base;
   ConfigPort port(replayed);
-  FrameTable table = replay_frame_table(port, bs.words);
+  FrameTable table = replay(port, bs.words);
   ASSERT_EQ(table.touched, std::vector<std::size_t>{a});
   bs.words[table.runs[0].word_offset + fm.frame_words() - 1] |= 1u << 31;
-  table = replay_frame_table(port, bs.words);
+  table = replay(port, bs.words);
   const TargetPlane view(base, table, bs.words);
   const std::span<const std::uint32_t> got = view.frame_words(a);
   const std::span<const std::uint32_t> want = replayed.frame(a).words();
@@ -412,13 +429,13 @@ TEST(FrameTable, BlockCommitsMaskEveryFrameOfARun) {
 
   ConfigMemory replayed(dev);
   ConfigPort port(replayed);
-  FrameTable table = replay_frame_table(port, bs.words);
+  FrameTable table = replay(port, bs.words);
   ASSERT_EQ(table.runs.size(), 1u);
   const std::size_t off = table.runs[0].word_offset;
   for (std::size_t k = 0; k < kFrames; ++k) {
     bs.words[off + (k + 1) * fw - 1] |= 1u << 31;
   }
-  table = replay_frame_table(port, bs.words);
+  table = replay(port, bs.words);
   ASSERT_EQ(table.runs[0].frame_count, kFrames);
 
   ConfigMemory expect(dev);
@@ -519,9 +536,7 @@ TEST(ConfigPort, FinishRejectsAStreamCutInsideAPacket) {
       EXPECT_EQ(port.synced(), synced) << "cut " << cut;
       EXPECT_EQ(port.committed_frames(), committed) << "cut " << cut;
       EXPECT_EQ(mem, plane) << "cut " << cut;
-      ConfigMemory scratch(dev);
-      ConfigPort replay(scratch);
-      EXPECT_NO_THROW((void)replay_frame_table(replay, words.first(cut)))
+      EXPECT_NO_THROW((void)validate_stream(dev, words.first(cut)))
           << "cut " << cut;
       continue;
     }
@@ -529,10 +544,7 @@ TEST(ConfigPort, FinishRejectsAStreamCutInsideAPacket) {
     EXPECT_THROW(port.finish(), BitstreamError) << "cut " << cut;
     EXPECT_FALSE(port.synced()) << "cut " << cut;
     EXPECT_EQ(port.committed_frames(), committed) << "cut " << cut;
-    ConfigMemory scratch(dev);
-    ConfigPort replay(scratch);
-    EXPECT_THROW((void)replay_frame_table(replay, words.first(cut)),
-                 BitstreamError)
+    EXPECT_THROW((void)validate_stream(dev, words.first(cut)), BitstreamError)
         << "cut " << cut;
     // Desynced, not stuck: the complete stream loads from here.
     EXPECT_NO_THROW(port.load(words)) << "cut " << cut;

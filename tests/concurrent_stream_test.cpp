@@ -90,10 +90,8 @@ TEST(ConcurrentStreamTest, DistinctFaultyBoardsKeepTwoStateInvariant) {
       // one pinned cache entry, and pinning it twice would throw.
       const PbitLease lease_a = gen.generate_leased(lane.mod_a, lane.region);
       const PbitLease lease_b = gen.generate_leased(lane.mod_b, lane.region);
-      ConfigMemory target_a(base);
-      gen.apply_to_base(target_a, lane.mod_a, lane.region);
-      ConfigMemory target_b(base);
-      gen.apply_to_base(target_b, lane.mod_b, lane.region);
+      const ConfigMemory target_a = gen.compose(lane.mod_a, lane.region);
+      const ConfigMemory target_b = gen.compose(lane.mod_b, lane.region);
 
       const ConfigMemory* verified = &base;
       for (int i = 0; i < kSwapsPerThread; ++i) {
@@ -152,14 +150,9 @@ TEST(ConcurrentLeaseTest, TwoBoardsSwapOneLeaseFromOneSharedTable) {
                                         gen.generate_leased(mods[1], region)};
   std::vector<FrameTable> tables;
   std::vector<ConfigMemory> targets;
-  {
-    ConfigMemory scratch(dev);
-    ConfigPort port(scratch);
-    for (std::size_t k = 0; k < 2; ++k) {
-      tables.push_back(replay_frame_table(port, leases[k].words()));
-      targets.push_back(base);
-      gen.apply_to_base(targets.back(), mods[k], region);
-    }
+  for (std::size_t k = 0; k < 2; ++k) {
+    tables.push_back(validate_stream(dev, leases[k].words()));
+    targets.push_back(gen.compose(mods[k], region));
   }
 
   struct Board {
@@ -224,6 +217,40 @@ TEST(ConcurrentLeaseTest, TwoBoardsSwapOneLeaseFromOneSharedTable) {
     faults_total += boards[b].link->faults_injected();
   }
   EXPECT_GT(faults_total, 0u);
+}
+
+// validate_stream keeps no state: threads validating one lease at once (the
+// service validates publishes without a lock) all get the frame table a
+// port over a plane records for it.
+TEST(ConcurrentStreamTest, ThreadsValidateOneLeaseAtOnce) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 8;
+  const Device& dev = Device::get("XCV50");
+  const ConfigMemory base = noise_plane(dev, 606);
+  const PartialBitstreamGenerator gen(base);
+  const PbitLease lease = gen.generate_leased(
+      noise_plane(dev, 4001), Region{0, 2, dev.rows() - 1, 4});
+  ConfigMemory replayed = base;
+  ConfigPort port(replayed);
+  port.load(lease.words());
+  port.finish();
+  const FrameTable want = port.frame_table();
+  ASSERT_FALSE(want.touched.empty());
+
+  std::vector<std::vector<FrameTable>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        got[t].push_back(validate_stream(dev, lease.words()));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<std::size_t>(kRounds));
+    for (const FrameTable& table : got[t]) EXPECT_EQ(table, want) << t;
+  }
 }
 
 }  // namespace

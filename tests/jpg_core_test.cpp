@@ -10,6 +10,8 @@
 // partial stream is idempotent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitstream/bitgen.h"
 #include "bitstream/config_port.h"
 #include "core/jpg.h"
@@ -294,6 +296,21 @@ TEST_F(JpgCoreTest, MalformedUpdateLeavesTheBaseUnchanged) {
   EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
   EXPECT_EQ(board.config_words(), words_before);
+}
+
+// The base bitstream is validated whole, like every other stream: one cut
+// inside its last packet is rejected even though its START command (and
+// every frame) came before the cut.
+TEST_F(JpgCoreTest, RejectsABaseCutInsideAPacket) {
+  Bitstream cut = base_bit_;
+  // The stream ends START, CRC, DESYNC: keep the final CRC packet's header
+  // and drop its value.
+  const auto crc = std::find(cut.words.rbegin(), cut.words.rend(),
+                             encode_type1(PacketOp::Write, ConfigReg::CRC, 1));
+  ASSERT_NE(crc, cut.words.rend());
+  cut.words.erase(crc.base(), cut.words.end());
+  EXPECT_THROW(Jpg{cut}, BitstreamError);
+  EXPECT_NO_THROW(Jpg{base_bit_});
 }
 
 TEST_F(JpgEndToEnd, DefaultPartialsComposeInAnyOrder) {

@@ -195,14 +195,6 @@ TEST_F(PartialGenTest, EmptyDiffYieldsFramelessStream) {
   EXPECT_EQ(loaded, *base_);
 }
 
-TEST_F(PartialGenTest, ApplyToBaseMutatesInPlace) {
-  const Region region{0, 5, dev_->rows() - 1, 7};
-  const PartialBitstreamGenerator gen(*base_);
-  ConfigMemory target = *base_;
-  gen.apply_to_base(target, *module_, region);
-  EXPECT_EQ(target, gen.compose(*module_, region));
-}
-
 TEST_F(PartialGenTest, RejectsOutOfBoundsRegion) {
   const PartialBitstreamGenerator gen(*base_);
   EXPECT_THROW((void)gen.compose(*module_, Region{0, 0, 99, 99}), JpgError);

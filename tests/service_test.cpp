@@ -45,7 +45,7 @@ class ServiceTest : public ::testing::Test {
 
   /// The plane a board should hold after applying `swaps` (slot, variant)
   /// in order to the fixture base. Each step composes over the *evolving*
-  /// plane (apply_to_base would reset to the pristine base every time).
+  /// plane (a generator over the pristine base would reset it every time).
   ConfigMemory expected_plane(
       const std::vector<std::pair<std::size_t, std::size_t>>& swaps) const {
     ConfigMemory want(fx_->base);
@@ -470,6 +470,25 @@ TEST_F(ServiceTest, GenerateBacklogBeyondThePoolWidthDrains) {
   }
   svc.shutdown();
   EXPECT_EQ(svc.stats().completed, n);
+}
+
+// A request costing more than one DRR quantum waits for its credit over
+// several rounds. With nothing else in flight no later event runs those
+// rounds, so the dispatch that banks credit must keep going until the
+// request goes out.
+TEST_F(ServiceTest, RequestCostingSeveralQuantaIsServedOnAnIdleService) {
+  ServiceConfig cfg;
+  cfg.drr_quantum_words = 256;
+  ReconfigService svc(*dev_, fx_->base, 1, cfg);
+  std::future<ServiceResponse> f =
+      svc.submit(fx_->request(0, 0, "t", RequestKind::Generate));
+  const std::future_status status = f.wait_for(std::chrono::seconds(5));
+  // Reject a stuck backlog, or the destructor's drain would wait forever.
+  if (status != std::future_status::ready) svc.shutdown(/*drain=*/false);
+  ASSERT_EQ(status, std::future_status::ready)
+      << "a request costing more than one quantum was never dispatched";
+  EXPECT_TRUE(f.get().ok());
+  EXPECT_GT(svc.stats().drr_rounds, 1u);
 }
 
 // The hook reads its own captures after a delay, and the service is

@@ -736,10 +736,8 @@ TableCorpus make_table_corpus() {
   nocrc.include_crc = false;
   c.pbits.push_back(
       gen.generate(c.fx.variants[2], c.fx.slots[1], nocrc).bitstream);
-  ConfigMemory scratch(dev);
-  ConfigPort port(scratch);
   for (const Bitstream& pbit : c.pbits) {
-    c.tables.push_back(replay_frame_table(port, pbit.words));
+    c.tables.push_back(validate_stream(dev, pbit.words));
   }
   return c;
 }

@@ -178,18 +178,14 @@ int cmd_apply(int argc, char** argv) {
     throw JpgError(
         "usage: jpg_cli apply <base.bit> <partial.pbit> -o <updated.bit>");
   }
-  const Bitstream base = Bitstream::load(pos[0]);
   const Bitstream partial = Bitstream::load(pos[1]);
-  const Device& dev = device_for_bitstream(base);
-  ConfigMemory mem(dev);
-  ConfigPort port(mem);
-  port.load(base);
-  if (!port.started()) throw JpgError("base bitstream did not start up");
-  port.load(partial);
-  port.finish();
+  ConfigMemory mem = plane_from_full_bitstream(Bitstream::load(pos[0]));
+  const FrameTable table = validate_stream(mem.device(), partial.words);
+  apply_frame_table(table, partial.words, mem);
   generate_full_bitstream(mem).save(out);
-  std::printf("wrote %s (base + %zu partial frames)\n", out.c_str(),
-              port.committed_frames().size() - dev.frames().num_frames());
+  std::size_t frames = 0;
+  for (const FrameRun& run : table.runs) frames += run.frame_count;
+  std::printf("wrote %s (base + %zu partial frames)\n", out.c_str(), frames);
   return 0;
 }
 
@@ -216,35 +212,24 @@ int cmd_verify(int argc, char** argv) {
   }
   const Bitstream base = Bitstream::load(argv[0]);
   const Bitstream partial = Bitstream::load(argv[1]);
-  const Device& dev = device_for_bitstream(base);
+  ConfigMemory expected = plane_from_full_bitstream(base);
+  const Device& dev = expected.device();
+  const FrameTable table = validate_stream(dev, partial.words);
+  apply_frame_table(table, partial.words, expected);
 
   // Board bring-up, download, then frame-by-frame readback comparison.
   SimBoard board(dev);
   board.send_config(base.words);
   board.send_config(partial.words);
-
-  const BitstreamReader reader(partial);
-  ConfigMemory expected(dev);
-  {
-    ConfigPort port(expected);
-    port.load(base);
-    port.load(partial);
-  }
-  std::size_t frames = 0, bad = 0;
-  const std::size_t fw = dev.frames().frame_words();
-  for (const auto& [far, count] : reader.far_blocks(fw)) {
-    const FrameAddress a = dev.frames().decode_far(far);
-    const std::size_t first =
-        dev.frames().frame_index(static_cast<int>(a.major),
-                                 static_cast<int>(a.minor));
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto words = board.readback(first + i, 1);
-      ++frames;
-      if (!std::ranges::equal(words, expected.frame(first + i).words())) ++bad;
+  std::size_t bad = 0;
+  for (const std::size_t frame : table.touched) {
+    if (!std::ranges::equal(board.readback(frame, 1),
+                            expected.frame(frame).words())) {
+      ++bad;
     }
   }
   std::printf("readback verification: %zu frames checked, %zu mismatches\n",
-              frames, bad);
+              table.touched.size(), bad);
   return bad == 0 ? 0 : 1;
 }
 
@@ -280,9 +265,8 @@ int cmd_relocate(int argc, char** argv) {
         "usage: jpg_cli relocate <base.bit> <partial.pbit> "
         "--from R..C..:R..C.. --to R..C.. -o <out.pbit> [--force]");
   }
-  const Bitstream base = Bitstream::load(pos[0]);
+  const ConfigMemory plane = plane_from_full_bitstream(Bitstream::load(pos[0]));
   const Bitstream partial = Bitstream::load(pos[1]);
-  const Device& dev = device_for_bitstream(base);
 
   const auto parts = split(from, ':');
   if (parts.size() != 2) throw JpgError("--from wants R..C..:R..C..");
@@ -293,12 +277,6 @@ int cmd_relocate(int argc, char** argv) {
   parse_rc(to, tr, tc);
   const Region dst{tr, tc, tr + src.height() - 1, tc + src.width() - 1};
 
-  ConfigMemory plane(dev);
-  {
-    ConfigPort port(plane);
-    port.load(base);
-    if (!port.started()) throw JpgError("base bitstream did not start up");
-  }
   const PartialBitstreamGenerator gen(plane);
   const PbitRelocator reloc(gen);
   const ConfigMemory decoded = reloc.decode(partial, src);
@@ -340,7 +318,8 @@ int cmd_attest(int argc, char** argv) {
         "[--corrupt FRAME:WORD:MASK]");
   }
   const Bitstream base = Bitstream::load(pos[0]);
-  const Device& dev = device_for_bitstream(base);
+  const ConfigMemory base_plane = plane_from_full_bitstream(base);
+  const Device& dev = base_plane.device();
   std::vector<Bitstream> applied;
   for (std::size_t i = 1; i < pos.size(); ++i) {
     applied.push_back(Bitstream::load(pos[i]));
@@ -355,12 +334,6 @@ int cmd_attest(int argc, char** argv) {
     board.corrupt_frame_word(frame, word, static_cast<std::uint32_t>(mask));
   }
 
-  ConfigMemory base_plane(dev);
-  {
-    ConfigPort port(base_plane);
-    port.load(base);
-    if (!port.started()) throw JpgError("base bitstream did not start up");
-  }
   const ConfigMemory expected =
       reconstruct_expected_plane(base_plane, applied);
   VerifiedDownloader dl(board, dev);
@@ -603,7 +576,8 @@ int cmd_download(int argc, char** argv) {
   }
   const Bitstream base = Bitstream::load(pos[0]);
   const Bitstream partial = Bitstream::load(pos[1]);
-  const Device& dev = device_for_bitstream(base);
+  const ConfigMemory base_plane = plane_from_full_bitstream(base);
+  const Device& dev = base_plane.device();
 
   // Bring the simulated board up with the base design over a clean link,
   // then run the partial through the verified downloader over the faulty
@@ -612,11 +586,6 @@ int cmd_download(int argc, char** argv) {
   board.send_config(base.words);
   FaultyBoard faulty(board, profile, seed);
   VerifiedDownloader dl(faulty, dev, policy);
-  ConfigMemory base_plane(dev);
-  {
-    ConfigPort port(base_plane);
-    port.load(base);
-  }
   dl.assume_board_state(base_plane);
   const DownloadReport rep = dl.download_partial(partial);
   std::printf("%s\n", rep.summary().c_str());

@@ -18,8 +18,10 @@
 #              per-tenant quota violations and zero failed requests.
 #   reloc      ASan build of the relocation stack: the fast relocation and
 #              defragmentation tests, the attestation suite (incl. the
-#              200-scenario fault sweep), the relocate/attest CLI tests and
-#              the fuzz smoke whose corpus includes relocated streams.
+#              200-scenario fault sweep), the CLI tests of every command
+#              that loads a base bitstream into a plane (relocate, attest,
+#              apply, verify, download, and the truncated-partial case)
+#              and the fuzz smoke whose corpus includes relocated streams.
 #   sched      ASan build + run of the scheduler test suite (oracle family,
 #              chaos tier, stats coherence), the sched CLI smoke sweep, then
 #              a release JPG_BENCH_SMOKE=1 run of bench_sched gated on
@@ -162,7 +164,7 @@ run_reloc_checks() {
   cmake --build build-asan -j "$JOBS" --target \
     relocate_test attest_test cli_test jpg_cli
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-     -R 'RelocateTest|PlanDefrag|RelocationService|AttestTest|CliTest\.(Relocate|Attest)|fuzzcfg_fast')
+     -R 'RelocateTest|PlanDefrag|RelocationService|AttestTest|CliTest\.(Relocate|Attest|Apply|Verify|DownloadVerified|TruncatedPartial)|fuzzcfg_fast')
 }
 
 run_service_checks() {
