@@ -13,8 +13,7 @@ ConfigPort::ConfigPort(ConfigMemory& mem) : ConfigPort(mem.device()) {
   // One up-front reservation sized for the largest legitimate payload (a
   // whole-plane FDRI write plus its pad frame); every later clear() keeps
   // the capacity, so legitimate streams never reallocate on the hot path.
-  // A plane-less port lives for one stream and sizes its buffer per
-  // payload instead.
+  // A plane-less port commits nothing, so it buffers no payload words.
   const FrameMap& fm = mem.device().frames();
   fdri_buffer_.reserve((fm.num_frames() + 1) * fm.frame_words());
 }
@@ -117,7 +116,9 @@ void ConfigPort::load(std::span<const std::uint32_t> words) {
           std::min<std::size_t>(remaining_payload_ - 1, words.size() - i);
       const std::span<const std::uint32_t> payload = words.subspan(i, run);
       crc_.update_run(kFdri, payload);
-      fdri_buffer_.insert(fdri_buffer_.end(), payload.begin(), payload.end());
+      if (mem_ != nullptr) {
+        fdri_buffer_.insert(fdri_buffer_.end(), payload.begin(), payload.end());
+      }
       remaining_payload_ -= static_cast<std::uint32_t>(run);
       words_consumed_ += run;
       i += run;
@@ -194,7 +195,7 @@ void ConfigPort::load_word_impl(std::uint32_t word) {
       --remaining_payload_;
       if (fdri_active_) {
         crc_.update(static_cast<std::uint32_t>(ConfigReg::FDRI), word);
-        fdri_buffer_.push_back(word);
+        if (mem_ != nullptr) fdri_buffer_.push_back(word);
         if (remaining_payload_ == 0) {
           handle_fdri_payload_complete();
           fdri_active_ = false;
@@ -210,17 +211,18 @@ void ConfigPort::load_word_impl(std::uint32_t word) {
 }
 
 void ConfigPort::begin_fdri_payload() {
+  fdri_payload_words_ = remaining_payload_;
+  fdri_payload_start_ = words_consumed_;
+  if (mem_ == nullptr) return;  // a plane-less port buffers no words
   // clear-don't-shrink: the construction-time reservation covers every
   // legitimate payload. Only a malformed header announcing more words than
   // a whole plane can force growth, and that growth is counted — benches
-  // and tests gate cfg.buffer_reallocs == 0 after warm-up. (A plane-less
-  // port reserves nothing up front, so its growth is not counted.)
-  if (mem_ != nullptr && remaining_payload_ > fdri_buffer_.capacity()) {
+  // and tests gate cfg.buffer_reallocs == 0 after warm-up.
+  if (remaining_payload_ > fdri_buffer_.capacity()) {
     JPG_COUNT("cfg.buffer_reallocs", 1);
   }
   fdri_buffer_.clear();
   fdri_buffer_.reserve(remaining_payload_);
-  fdri_payload_start_ = words_consumed_;
 }
 
 void ConfigPort::handle_reg_write(ConfigReg reg, std::uint32_t value) {
@@ -296,13 +298,13 @@ void ConfigPort::handle_fdri_payload_complete() {
   }
   const FrameMap& fm = device_->frames();
   const std::size_t fw = fm.frame_words();
-  if (fdri_buffer_.size() % fw != 0) {
+  if (fdri_payload_words_ % fw != 0) {
     std::ostringstream os;
-    os << "FDRI payload of " << fdri_buffer_.size()
+    os << "FDRI payload of " << fdri_payload_words_
        << " words is not a whole number of " << fw << "-word frames";
     throw BitstreamError(os.str());
   }
-  const std::size_t nframes = fdri_buffer_.size() / fw;
+  const std::size_t nframes = fdri_payload_words_ / fw;
   if (nframes == 0) return;
   // The final frame of every FDRI packet is the pipeline-flush pad frame.
   const std::size_t commit = nframes - 1;

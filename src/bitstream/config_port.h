@@ -136,8 +136,10 @@ class ConfigPort {
   /// plus the pad frame) and cleared — never shrunk — between packets, so
   /// the download hot path performs no per-stream allocation after warm-up
   /// (the cfg.buffer_reallocs counter proves it stays at 0). A plane-less
-  /// port grows it to each payload instead.
+  /// port leaves it empty.
   std::vector<std::uint32_t> fdri_buffer_;
+  /// Word count the current FDRI payload's header announced.
+  std::uint32_t fdri_payload_words_ = 0;
 
   // Registers.
   std::uint32_t far_ = 0;

@@ -120,7 +120,6 @@ std::future<ServiceResponse> ReconfigService::submit(ServiceRequest req) {
     {
       const std::lock_guard<std::mutex> lock(lock_);
       Tenant& tenant = tenants_[req.tenant];
-      if (tenants_.size() != rr_order_.size()) rr_order_.push_back(req.tenant);
       ++stats_.submitted;
       ++stats_.rejected_bad_request;
       ++tenant.stats.submitted;
@@ -138,7 +137,6 @@ std::future<ServiceResponse> ReconfigService::submit(ServiceRequest req) {
   {
     const std::lock_guard<std::mutex> lock(lock_);
     Tenant& tenant = tenants_[req.tenant];
-    if (tenants_.size() != rr_order_.size()) rr_order_.push_back(req.tenant);
     ++stats_.submitted;
     ++tenant.stats.submitted;
     if (!accepting_) {
@@ -159,12 +157,18 @@ std::future<ServiceResponse> ReconfigService::submit(ServiceRequest req) {
       p.req = std::move(req);
       p.promise = std::move(promise);
       p.enqueue_ns = telemetry::now_ns();
+      if (tenant.queue.empty()) {  // DRR join: the tail, one quantum of credit
+        tenant.deficit = cfg_.drr_quantum_words;
+        ++stats_.drr_quanta;
+        JPG_COUNT("svc.drr.quanta", 1);
+        active_.push_back(&tenant);
+      }
       tenant.queue.push_back(std::move(p));
       ++total_pending_;
       stats_.queue_peak = std::max(stats_.queue_peak, total_pending_);
       JPG_GAUGE_SET("svc.queue_depth",
                     static_cast<std::int64_t>(total_pending_));
-      while (dispatch_one_round_locked()) {}
+      dispatch_locked();
     }
   }
   if (reject != ServiceError::None) {
@@ -186,7 +190,7 @@ void ReconfigService::complete(std::promise<ServiceResponse>& promise,
 void ReconfigService::resume() {
   const std::lock_guard<std::mutex> lock(lock_);
   paused_ = false;
-  while (dispatch_one_round_locked()) {}
+  dispatch_locked();
 }
 
 void ReconfigService::shutdown(bool drain) {
@@ -203,11 +207,11 @@ void ReconfigService::shutdown(bool drain) {
           ++tenant.stats.rejected;
         }
         tenant.queue.clear();
-        tenant.deficit = 0;
       }
+      active_.clear();
       total_pending_ = 0;
     }
-    while (dispatch_one_round_locked()) {}
+    dispatch_locked();
   }
   for (auto& [p, cookie] : rejected) {
     ServiceResponse r;
@@ -218,6 +222,7 @@ void ReconfigService::shutdown(bool drain) {
   }
   std::unique_lock<std::mutex> lock(lock_);
   cv_.wait(lock, [&] { return total_pending_ == 0 && inflight_ == 0; });
+  JPG_ASSERT(active_.empty());
 }
 
 ServiceStats ReconfigService::stats() const {
@@ -256,59 +261,47 @@ int ReconfigService::pick_board_locked(const ServiceRequest& req) const {
   return best;
 }
 
-bool ReconfigService::dispatch_one_round_locked() {
-  if (paused_ || total_pending_ == 0 || inflight_ >= pool_.size()) {
-    return false;
-  }
-  bool progress = false;
-  bool banking = false;
-  const std::size_t nt = rr_order_.size();
-  ++stats_.drr_rounds;
-  JPG_COUNT("svc.drr.rounds", 1);
-  for (std::size_t v = 0; v < nt && inflight_ < pool_.size(); ++v) {
-    const std::string& name = rr_order_[(rr_cursor_ + v) % nt];
-    Tenant& tenant = tenants_[name];
-    if (tenant.queue.empty()) {
-      tenant.deficit = 0;  // classic DRR: no backlog, no banked credit
-      continue;
-    }
-    tenant.deficit += cfg_.drr_quantum_words;
-    while (!tenant.queue.empty() && inflight_ < pool_.size()) {
-      Pending& head = tenant.queue.front();
-      int board_idx = -1;
-      if (head.req.kind == RequestKind::Swap) {
-        board_idx = pick_board_locked(head.req);
-        if (board_idx < 0) break;  // head-of-line blocked on a busy board
+void ReconfigService::dispatch_locked() {
+  if (paused_) return;
+  auto it = active_.begin();
+  while (it != active_.end() && inflight_ < pool_.size()) {
+    Tenant& tenant = **it;
+    bool sent = false;
+    bool to_tail = false;
+    while (!tenant.queue.empty()) {
+      const Pending& head = tenant.queue.front();
+      const bool swap = head.req.kind == RequestKind::Swap;
+      const int board_idx = swap ? pick_board_locked(head.req) : -1;
+      if (inflight_ >= pool_.size() || (swap && board_idx < 0)) {
+        // Blocked for the rest of the pass: a turn that sent passes on with
+        // no new credit; one that sent nothing keeps its place and credit.
+        to_tail = sent;
+        break;
       }
       if (tenant.deficit < head.cost_words) {
-        banking = true;  // held back by its credit alone
+        // One more quantum, and this same pass meets the tenant again.
+        tenant.deficit += cfg_.drr_quantum_words;
+        ++stats_.drr_quanta;
+        JPG_COUNT("svc.drr.quanta", 1);
+        to_tail = true;
         break;
       }
       tenant.deficit -= head.cost_words;
-      dispatch_locked(tenant, board_idx);
-      progress = true;
+      post_head_locked(tenant, board_idx);
+      sent = true;
     }
+    auto next = std::next(it);
     if (tenant.queue.empty()) {
-      tenant.deficit = 0;
-    } else {
-      // A board-blocked head keeps its credit, but never banks more than
-      // it needs: one head's cost plus one quantum covers any request.
-      tenant.deficit =
-          std::min(tenant.deficit, tenant.queue.front().cost_words +
-                                       cfg_.drr_quantum_words);
+      active_.erase(it);
+    } else if (to_tail) {
+      active_.splice(active_.end(), active_, it);
+      if (next == active_.end()) next = it;  // it was last: its turn again
     }
+    it = next;
   }
-  // Only a round that dispatched passes the turn on. An empty round (every
-  // head blocked on a busy board) keeps the cursor, or the next completion
-  // would always hand the first turn back to the same tenant.
-  if (progress && nt != 0) rr_cursor_ = (rr_cursor_ + 1) % nt;
-  // A round that only banked credit asks for another, since no later event
-  // may come to run it: a head costing more than one quantum goes after
-  // ceil(cost / quantum) rounds.
-  return progress || banking;
 }
 
-void ReconfigService::dispatch_locked(Tenant& tenant, int board_idx) {
+void ReconfigService::post_head_locked(Tenant& tenant, int board_idx) {
   auto p = std::make_shared<Pending>(std::move(tenant.queue.front()));
   tenant.queue.pop_front();
   --total_pending_;
@@ -395,7 +388,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
         ctx.applied[p->req.region.to_string()] = AppliedPbit{
             p->req.region, p->req.variant, resp.applied, ++apply_seq_};
       }
-      while (dispatch_one_round_locked()) {}
+      dispatch_locked();
     }
   }
   // Drop this execution's lease reference before reaping, so a
@@ -417,9 +410,7 @@ void ReconfigService::execute(std::shared_ptr<Pending> p, int board_idx,
   const bool at_cap = inflight_ >= pool_.size();
   --inflight_;
   JPG_GAUGE_SET("svc.inflight", static_cast<std::int64_t>(inflight_));
-  if (at_cap) {
-    while (dispatch_one_round_locked()) {}
-  }
+  if (at_cap) dispatch_locked();
   cv_.notify_all();
 }
 
@@ -591,7 +582,7 @@ void ReconfigService::claim_board(std::size_t i) {
 void ReconfigService::release_board(std::size_t i) {
   const std::lock_guard<std::mutex> lock(lock_);
   boards_[i]->busy = false;
-  while (dispatch_one_round_locked()) {}
+  dispatch_locked();
   cv_.notify_all();
 }
 

@@ -1,15 +1,15 @@
 // ReconfigService: the in-process core of a long-running `jpgd` daemon.
 //
 // The paper's tool is a one-shot generator; this service is the
-// "reconfiguration as a service" story (ROADMAP item 1): one process owns a
-// fleet of N boards sharing a base design, and many logical tenants submit
-// concurrent generate/swap requests against reconfigurable slots. Requests
-// flow through a bounded admission queue (reject-with-ServiceError beyond
-// the configured depth — the backpressure signal an open-loop client
+// "reconfiguration as a service" story: one process owns a fleet of N
+// boards sharing a base design, and many logical tenants submit concurrent
+// generate/swap requests against reconfigurable slots. Requests flow
+// through a bounded admission queue (reject-with-ServiceError beyond the
+// configured depth — the backpressure signal an open-loop client
 // observes), are scheduled across tenants by deficit round-robin (a tenant
 // flooding the queue cannot starve the others; cost is the stream size, so
-// big-region tenants don't get a free ride either), and execute on a shared
-// ThreadPool with one download in flight per board.
+// big-region tenants don't get a free ride either), and execute on a
+// shared ThreadPool with one download in flight per board.
 //
 // The datapath reuses the existing backends end to end: pbits come from
 // PartialBitstreamGenerator::generate_leased (pinned, cache-resident — the
@@ -119,8 +119,8 @@ struct ServiceConfig {
   /// Resident leases a tenant may hold (0 = unlimited). Exceeding it
   /// releases the tenant's LRU lease (svc.quota.evictions).
   std::size_t tenant_quota = 8;
-  /// DRR quantum in stream words added to a tenant's deficit per round
-  /// (positive; a request costing more waits several rounds).
+  /// DRR quantum in stream words (positive): a tenant's credit on joining
+  /// the active list, and its gain whenever its head costs more than that.
   std::uint64_t drr_quantum_words = 32 * 1024;
   /// Pbit cache capacity of the service's generator.
   std::size_t cache_capacity = PartialBitstreamGenerator::kDefaultCacheCapacity;
@@ -185,7 +185,7 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;          ///< completed with error set
   std::uint64_t dispatched = 0;
-  std::uint64_t drr_rounds = 0;
+  std::uint64_t drr_quanta = 0;      ///< DRR quanta granted
   std::size_t queue_depth = 0;       ///< pending right now
   std::size_t queue_peak = 0;        ///< max pending ever observed
   std::size_t inflight = 0;          ///< executing, completion hook included
@@ -284,7 +284,7 @@ class ReconfigService {
 
   struct Tenant {
     std::deque<Pending> queue;
-    std::uint64_t deficit = 0;  ///< DRR deficit counter (words)
+    std::uint64_t deficit = 0;  ///< DRR credit (words), set on joining
     TenantStats stats;
   };
 
@@ -340,13 +340,12 @@ class ReconfigService {
   /// funnel for every completion path, so the hook can never be missed.
   void complete(std::promise<ServiceResponse>& promise, ServiceResponse resp);
 
-  /// One DRR pass under lock_; returns true when something dispatched or
-  /// a head waits on its credit alone (another pass would bank more).
-  /// Every call that changes what can run (submit, resume, shutdown,
-  /// release_board, the end of an execution at the in-flight cap) loops it
-  /// until it returns false; the dispatched executions are posted to pool_.
-  bool dispatch_one_round_locked();
-  void dispatch_locked(Tenant& tenant, int board_idx);
+  /// One pass over the DRR active list under lock_ (rules 1-5 of
+  /// docs/SERVICE.md), run once by every event that changes what can run:
+  /// submit, resume, shutdown, release_board, the end of an execution.
+  void dispatch_locked();
+  /// Pops the tenant's head, marks its board busy and posts its execution.
+  void post_head_locked(Tenant& tenant, int board_idx);
   [[nodiscard]] int pick_board_locked(const ServiceRequest& req) const;
   [[nodiscard]] std::uint64_t estimate_cost_words(const Region& region) const;
 
@@ -387,8 +386,9 @@ class ReconfigService {
   /// a board frees.
   std::condition_variable cv_;
   std::map<std::string, Tenant> tenants_;
-  std::vector<std::string> rr_order_;  ///< DRR visit order (insertion)
-  std::size_t rr_cursor_ = 0;
+  /// DRR active list: exactly the tenants with a non-empty queue, in turn
+  /// order (map nodes are stable, so the pointers are too).
+  std::list<Tenant*> active_;
   std::size_t total_pending_ = 0;
   std::size_t inflight_ = 0;
   std::uint64_t dispatch_seq_ = 0;

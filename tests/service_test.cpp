@@ -3,11 +3,13 @@
 // tenants), admission control at the configured queue depth, per-tenant
 // resident-quota enforcement (telemetry-verified), resident-lease sharing
 // across tenants, DRR fairness (a small tenant is not starved behind a
-// flooding one), shutdown semantics, request validation, the applied pbit a
-// response carries, the completion hook's lifetime, and that every call
-// which frees work (a board release, shutdown's drain, the end of an
-// execution) dispatches what it unblocks. Runs under the
-// tsan label: submit, dispatch, execution and completion all race by design.
+// flooding one, equal backlogs take strict turns, a head waiting on a busy
+// board does not hold back another tenant's), shutdown semantics, request
+// validation, the applied pbit a response carries, the completion hook's
+// lifetime, and that every call which frees work (a board release,
+// shutdown's drain, the end of an execution) dispatches what it unblocks.
+// Runs under the tsan label: submit, dispatch, execution and completion all
+// race by design.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -172,33 +174,84 @@ TEST_F(ServiceTest, DeficitRoundRobinDoesNotStarveSmallTenants) {
   ServiceConfig cfg;
   cfg.start_paused = true;
   cfg.drr_quantum_words = 1u << 24;  // quantum >> cost: pure round-robin
-  ReconfigService svc(*dev_, fx_->base, 1, cfg);
+  {
+    ReconfigService svc(*dev_, fx_->base, 1, cfg);
 
-  // Tenant "flood" stages 8 swaps before "small" stages 2. FIFO-by-arrival
-  // would dispatch small's at seq 8 and 9; DRR must interleave them early.
-  std::vector<std::future<ServiceResponse>> flood;
-  std::vector<std::future<ServiceResponse>> small;
-  for (int i = 0; i < 8; ++i) {
-    flood.push_back(svc.submit(fx_->request(0, 0, "flood")));
+    // Tenant "flood" stages 8 swaps before "small" stages 2. FIFO-by-arrival
+    // would dispatch small's at seq 8 and 9; DRR must interleave them early.
+    std::vector<std::future<ServiceResponse>> flood;
+    std::vector<std::future<ServiceResponse>> small;
+    for (int i = 0; i < 8; ++i) {
+      flood.push_back(svc.submit(fx_->request(0, 0, "flood")));
+    }
+    for (int i = 0; i < 2; ++i) {
+      small.push_back(svc.submit(fx_->request(1, 1, "small")));
+    }
+    svc.resume();
+    std::uint64_t flood_max = 0;
+    std::uint64_t small_max = 0;
+    for (auto& f : flood) {
+      const ServiceResponse r = f.get();
+      ASSERT_TRUE(r.ok()) << r.message;
+      flood_max = std::max(flood_max, r.dispatch_seq);
+    }
+    for (auto& f : small) {
+      const ServiceResponse r = f.get();
+      ASSERT_TRUE(r.ok()) << r.message;
+      small_max = std::max(small_max, r.dispatch_seq);
+    }
+    EXPECT_LT(small_max, flood_max);
+    EXPECT_LE(small_max, 6u);  // both of small's swaps dispatch well before last
+    svc.shutdown();
   }
-  for (int i = 0; i < 2; ++i) {
-    small.push_back(svc.submit(fx_->request(1, 1, "small")));
+  {
+    // Strict round-robin: on one board, a tenant that sent its head passes
+    // the turn on, so three equal backlogs dispatch A B C A B C A B C.
+    ReconfigService svc(*dev_, fx_->base, 1, cfg);
+    const std::vector<std::string> names = {"a", "b", "c"};
+    std::vector<std::pair<std::string, std::future<ServiceResponse>>> staged;
+    for (const std::string& name : names) {
+      for (std::size_t i = 0; i < 3; ++i) {
+        staged.emplace_back(name, svc.submit(fx_->request(i % 2, i, name)));
+      }
+    }
+    svc.resume();
+    std::vector<std::string> order(staged.size());
+    for (auto& [name, f] : staged) {
+      const ServiceResponse r = f.get();
+      ASSERT_TRUE(r.ok()) << r.message;
+      ASSERT_LT(r.dispatch_seq, order.size());
+      order[r.dispatch_seq] = name;
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a", "b", "c",
+                                                "a", "b", "c"}));
+    svc.shutdown();
   }
+}
+
+// A head waiting on a busy board keeps its tenant's place but does not hold
+// back another tenant's head bound for a free board: "c" is blocked behind
+// "a"'s swap on board 0, and "b" still goes out in the same pass.
+TEST_F(ServiceTest, HeadOnABusyBoardDoesNotHoldBackOtherTenants) {
+  ServiceConfig cfg;
+  cfg.start_paused = true;
+  ReconfigService svc(*dev_, fx_->base, 2, cfg);
+  auto pinned = [&](std::size_t slot, const char* tenant, int board) {
+    ServiceRequest req = fx_->request(slot, slot, tenant);
+    req.board = board;
+    return svc.submit(std::move(req));
+  };
+  std::vector<std::future<ServiceResponse>> a;
+  a.push_back(pinned(0, "a", 0));
+  a.push_back(pinned(1, "a", 0));
+  std::future<ServiceResponse> c = pinned(0, "c", 0);
+  std::future<ServiceResponse> b = pinned(1, "b", 1);
   svc.resume();
-  std::uint64_t flood_max = 0;
-  std::uint64_t small_max = 0;
-  for (auto& f : flood) {
-    const ServiceResponse r = f.get();
-    ASSERT_TRUE(r.ok()) << r.message;
-    flood_max = std::max(flood_max, r.dispatch_seq);
-  }
-  for (auto& f : small) {
-    const ServiceResponse r = f.get();
-    ASSERT_TRUE(r.ok()) << r.message;
-    small_max = std::max(small_max, r.dispatch_seq);
-  }
-  EXPECT_LT(small_max, flood_max);
-  EXPECT_LE(small_max, 6u);  // both of small's swaps dispatch well before last
+  const ServiceResponse rb = b.get();
+  ASSERT_TRUE(rb.ok()) << rb.message;
+  EXPECT_LE(rb.dispatch_seq, 1u);
+  for (auto& f : a) EXPECT_TRUE(f.get().ok());
+  EXPECT_TRUE(c.get().ok());
   svc.shutdown();
 }
 
@@ -472,10 +525,9 @@ TEST_F(ServiceTest, GenerateBacklogBeyondThePoolWidthDrains) {
   EXPECT_EQ(svc.stats().completed, n);
 }
 
-// A request costing more than one DRR quantum waits for its credit over
-// several rounds. With nothing else in flight no later event runs those
-// rounds, so the dispatch that banks credit must keep going until the
-// request goes out.
+// A request costing more than one DRR quantum gains its credit one quantum
+// at a time. With nothing else in flight no later event comes, so the pass
+// that runs on submit must grant all of it and send the request.
 TEST_F(ServiceTest, RequestCostingSeveralQuantaIsServedOnAnIdleService) {
   ServiceConfig cfg;
   cfg.drr_quantum_words = 256;
@@ -488,7 +540,7 @@ TEST_F(ServiceTest, RequestCostingSeveralQuantaIsServedOnAnIdleService) {
   ASSERT_EQ(status, std::future_status::ready)
       << "a request costing more than one quantum was never dispatched";
   EXPECT_TRUE(f.get().ok());
-  EXPECT_GT(svc.stats().drr_rounds, 1u);
+  EXPECT_GT(svc.stats().drr_quanta, 1u);
 }
 
 // The hook reads its own captures after a delay, and the service is

@@ -714,9 +714,11 @@ int cmd_serve(int argc, char** argv) {
               static_cast<double>(percentile_ns(res.latencies_ns, 99)) / 1e6);
   std::printf("throughput    : %.1f swaps/s over %.2f s\n", res.swaps_per_sec(),
               res.elapsed_sec);
-  std::printf("queue         : peak %zu of depth %zu; %llu DRR rounds\n",
+  std::printf("queue         : peak %zu of depth %zu; %llu dispatches, "
+              "%llu DRR quanta\n",
               st.queue_peak, cfg.queue_depth,
-              static_cast<unsigned long long>(st.drr_rounds));
+              static_cast<unsigned long long>(st.dispatched),
+              static_cast<unsigned long long>(st.drr_quanta));
   for (const auto& [name, ts] : st.tenants) {
     std::printf("tenant %-7s: %llu done, %llu rejected, %llu resident hits, "
                 "%llu quota evictions (peak %zu of quota %zu)\n",
