@@ -196,8 +196,13 @@ void bench_icap_stream() {
   for (const char* part : parts) bench_device(part, report, t);
   t.print("ICAP STREAMING: partial swap latency by datapath");
   std::printf(
-      "resident swaps stream the pinned cache entry straight to the port in "
-      "%zu-word bursts;\nthe copy column is measured telemetry "
+      "resident lease: the pinned cache entry's own words, streamed "
+      "unverified in %zu-word bursts (stream_to_board);\nverified swap: "
+      "validate, the same bursts, then readback of the touched frames, "
+      "compared a stretch of the\nintended plane at a time (full-plane sweep "
+      "off); the service's resident swaps call\ndownload_validated with the "
+      "lease's FrameTable (validated once) and the sweep on;\nthe copy "
+      "column is measured telemetry "
       "(pgen.cache.copy_bytes + cfg.bytes_copied), not an estimate.\n",
       kDefaultBurstWords);
   benchutil::add_telemetry_section(report);

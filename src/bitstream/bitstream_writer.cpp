@@ -41,11 +41,9 @@ void BitstreamWriter::write_fdri(std::span<const std::uint32_t> words) {
   crc_.update_run(static_cast<std::uint32_t>(ConfigReg::FDRI), words);
 }
 
-template <typename FrameBlock>
-void BitstreamWriter::write_frames_impl(std::size_t num_frames,
-                                        const FrameBlock& block,
-                                        std::size_t first, std::size_t count) {
-  JPG_REQUIRE(first + count <= num_frames, "frame range out of bounds");
+void BitstreamWriter::write_frames(const TargetPlane& mem, std::size_t first,
+                                   std::size_t count) {
+  JPG_REQUIRE(first + count <= mem.num_frames(), "frame range out of bounds");
   JPG_REQUIRE(count > 0, "empty frame range");
   const std::size_t fw = device_->frames().frame_words();
   const std::size_t payload = (count + 1) * fw;  // +1: pipeline-flush pad
@@ -53,8 +51,8 @@ void BitstreamWriter::write_frames_impl(std::size_t num_frames,
   write_fdri_header(payload);
   const std::size_t before = out_.words.size();
   for (std::size_t f = first; f < first + count;) {
-    const std::span<const std::uint32_t> words = block(f, first + count - f);
-    JPG_ASSERT(!words.empty() && words.size() % fw == 0);
+    const std::span<const std::uint32_t> words =
+        mem.frame_run(f, first + count - f);
     out_.words.insert(out_.words.end(), words.begin(), words.end());
     f += words.size() / fw;
   }
@@ -62,22 +60,6 @@ void BitstreamWriter::write_frames_impl(std::size_t num_frames,
   out_.words.resize(before + payload, 0u);
   crc_.update_run(static_cast<std::uint32_t>(ConfigReg::FDRI),
                   std::span(out_.words).subspan(before));
-}
-
-void BitstreamWriter::write_frames(const ConfigMemory& mem, std::size_t first,
-                                   std::size_t count) {
-  write_frames_impl(
-      mem.num_frames(),
-      [&mem](std::size_t f, std::size_t n) { return mem.frame_run(f, n); },
-      first, count);
-}
-
-void BitstreamWriter::write_frames(const TargetPlane& mem, std::size_t first,
-                                   std::size_t count) {
-  write_frames_impl(
-      mem.num_frames(),
-      [&mem](std::size_t f, std::size_t) { return mem.frame_words(f); },
-      first, count);
 }
 
 void BitstreamWriter::write_crc() {

@@ -40,11 +40,10 @@ class BitstreamWriter {
 
   /// Emits one FDRI packet: frames [first, first+count) of `mem` as one
   /// block, followed by one pad frame (the config pipeline flush frame).
-  void write_frames(const ConfigMemory& mem, std::size_t first,
-                    std::size_t count);
-
-  /// Same, reading through a TargetPlane (the verified downloader's repair
-  /// streams: a stream's frames straight from its words).
+  /// `mem` is a plane or a TargetPlane view (the verified downloader's
+  /// repair streams: a stream's frames straight from its words); each of
+  /// its stretches goes out with one insert, and the payload's CRC is one
+  /// update_run over the emitted words.
   void write_frames(const TargetPlane& mem, std::size_t first,
                     std::size_t count);
 
@@ -64,14 +63,6 @@ class BitstreamWriter {
   /// Type 1 FDRI header for `payload` words, or a zero-count Type 1 and a
   /// Type 2 header when it does not fit 11 bits.
   void write_fdri_header(std::size_t payload);
-
-  /// The one FDRI frame emit: `block(f, n)` yields the words of frame f
-  /// and of up to n - 1 frames after it that lie contiguous with it, and
-  /// each block goes out with one insert. The payload's CRC is one
-  /// update_run over the emitted words.
-  template <typename FrameBlock>
-  void write_frames_impl(std::size_t num_frames, const FrameBlock& block,
-                         std::size_t first, std::size_t count);
 
   void emit(std::uint32_t word) { out_.words.push_back(word); }
 

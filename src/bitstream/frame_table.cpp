@@ -67,14 +67,20 @@ std::vector<TargetPlane::Segment>::const_iterator TargetPlane::segment_after(
       [](std::size_t f, const Segment& g) { return f < g.first; });
 }
 
-std::span<const std::uint32_t> TargetPlane::frame_words(
-    std::size_t idx) const {
-  const auto it = segment_after(idx);
-  if (it == segments_.begin() || idx >= std::prev(it)->end()) {
-    return base_->frame(idx).words();
+std::span<const std::uint32_t> TargetPlane::frame_run(
+    std::size_t first, std::size_t count) const {
+  JPG_ASSERT(count > 0);
+  const auto next = segment_after(first);
+  if (next == segments_.begin() || first >= std::prev(next)->end()) {
+    const std::size_t stop = next == segments_.end()
+                                 ? first + count
+                                 : std::min(first + count, next->first);
+    return base_->frame_run(first, stop - first);
   }
+  const Segment& s = *std::prev(next);
   const std::size_t fw = base_->frame_words();
-  return {std::prev(it)->words + (idx - std::prev(it)->first) * fw, fw};
+  return {s.words + (first - s.first) * fw,
+          std::min(count, s.end() - first) * fw};
 }
 
 void apply_frame_table(const FrameTable& table,

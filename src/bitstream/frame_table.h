@@ -54,12 +54,16 @@ struct FrameTable {
 /// that writes it, every other frame reads `base`. Like the port, the view
 /// drops stream bits past the end of a frame. Its index is sized to the
 /// table, not the device: the runs' frame ranges with later writes cut out
-/// of earlier ones, found by binary search. `base` and `words` must outlive
-/// the view and stay unchanged while it is read.
+/// of earlier ones, found by binary search. So the view is a few
+/// memory-contiguous stretches, each inside one segment of the stream or
+/// one gap of `base` between segments, and it is read a stretch at a time.
+/// `base` and `words` must outlive the view and stay unchanged while it is
+/// read.
 class TargetPlane {
  public:
-  /// `base` itself: no stream written.
-  explicit TargetPlane(const ConfigMemory& base) : base_(&base) {}
+  /// `base` itself: no stream written. Implicit, so a plane reads wherever
+  /// a view does (BitstreamWriter::write_frames).
+  TargetPlane(const ConfigMemory& base) : base_(&base) {}
 
   /// Throws JpgError when a run of `table` reaches past the end of `words`
   /// or of the plane: the table was not recorded from this stream.
@@ -73,9 +77,12 @@ class TargetPlane {
   [[nodiscard]] const Device& device() const { return base_->device(); }
   [[nodiscard]] std::size_t num_frames() const { return base_->num_frames(); }
 
-  /// The `frame_words()` words frame `idx` holds in the view.
-  [[nodiscard]] std::span<const std::uint32_t> frame_words(
-      std::size_t idx) const;
+  /// The view's words from frame `first` to the end of the stretch that
+  /// holds it (its stream segment, or the gap of `base` between segments),
+  /// at most `count` frames: one or more whole frames, contiguous in
+  /// memory. Needs `count` > 0 and `first` + `count` <= num_frames().
+  [[nodiscard]] std::span<const std::uint32_t> frame_run(
+      std::size_t first, std::size_t count) const;
 
  private:
   /// `count` frames from `first`, read from consecutive frames at `words`.

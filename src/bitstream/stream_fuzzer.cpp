@@ -210,23 +210,27 @@ FuzzReport fuzz_config_streams(const Device& dev, const Bitstream& full_base,
   // TargetPlane of the plane the load started from, its FrameTable and its
   // words, then applied from the table onto a copy of that plane. Both
   // must be the replayed plane, frame for frame, and the table's runs must
-  // name the frames the port committed, in commit order.
+  // name the frames the port committed, in commit order. The view is read
+  // a stretch at a time under seeded caps, drawn from their own Rng.
   ConfigMemory table_plane(dev);
-  const auto check_table = [&fm, &rep, &table_plane](
+  Rng cap_rng(opts.seed ^ 0x7ab1e5c0ffee0123ull);
+  const auto check_table = [&fm, &rep, &table_plane, &cap_rng, fw](
                                const ConfigPort& replayed,
                                const ConfigMemory& replayed_plane,
                                std::span<const std::uint32_t> words) {
     const FrameTable table = replayed.frame_table();
     {
       const TargetPlane target(table_plane, table, words);
-      for (std::size_t f = 0; f < fm.num_frames(); ++f) {
-        const std::span<const std::uint32_t> got = target.frame_words(f);
-        const std::span<const std::uint32_t> want =
-            replayed_plane.frame(f).words();
-        if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+      for (std::size_t f = 0; f < fm.num_frames();) {
+        const std::size_t cap = 1 + cap_rng.uniform(fm.num_frames() - f);
+        const std::span<const std::uint32_t> got = target.frame_run(f, cap);
+        const std::size_t n = got.size() / fw;
+        if (n == 0 || n > cap || got.size() != n * fw ||
+            !std::ranges::equal(got, replayed_plane.frame_run(f, n))) {
           ++rep.table_equiv_failures;
           break;
         }
+        f += n;
       }
     }
     apply_frame_table(table, words, table_plane);

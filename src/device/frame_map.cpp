@@ -18,6 +18,19 @@ FrameMap::FrameMap(const DeviceSpec& spec) : spec_(&spec) {
   }
   major_base_[num_majors_] = base;
   num_frames_ = base;
+  capture_frame_.assign(num_frames(), 0);
+  for (int m = 0; m < num_majors_; ++m) {
+    if (column_kind(m) != ColumnKind::Clb) continue;
+    for (const int minor : {16, 17}) capture_frame_[major_base_[m] + minor] = 1;
+  }
+  // Frame bits pack LSB-first (bit i lives in word i>>5 at position i&31),
+  // so the two capture bits of each row window clear with plain word masks.
+  capture_mask_.assign(frame_words(), ~0u);
+  for (int r = 0; r < spec.clb_rows; ++r) {
+    for (std::size_t b = row_bit_base(r); b < row_bit_base(r) + 2; ++b) {
+      capture_mask_[b >> 5] &= ~(1u << (b & 31));
+    }
+  }
 }
 
 std::size_t FrameMap::bram_frame_index(int bram_major, int minor) const {

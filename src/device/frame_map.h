@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,17 @@ class FrameMap {
     return static_cast<std::size_t>(kBitsPerRow) * (row + 1);
   }
 
+  /// True for a CLB capture minor (16 or 17), whose FF capture bits
+  /// readback reports as live state rather than configuration.
+  [[nodiscard]] bool is_capture_frame(std::size_t frame) const {
+    return capture_frame_[frame] != 0;
+  }
+  /// One frame of words with the FF capture bits cleared, the rest set: the
+  /// readback mask of every capture frame.
+  [[nodiscard]] std::span<const std::uint32_t> capture_mask() const {
+    return capture_mask_;
+  }
+
   [[nodiscard]] const DeviceSpec& spec() const { return *spec_; }
 
   /// Human-readable "maj/min" string for diagnostics.
@@ -127,6 +139,8 @@ class FrameMap {
   std::size_t num_frames_ = 0;
   std::size_t frame_bits_ = 0;
   std::vector<std::size_t> major_base_;  // frame index of minor 0 per major
+  std::vector<char> capture_frame_;      // per frame: is_capture_frame
+  std::vector<std::uint32_t> capture_mask_;
 };
 
 }  // namespace jpg

@@ -12,12 +12,6 @@ namespace jpg {
 
 namespace {
 
-bool is_capture_frame(const FrameMap& fm, std::size_t frame) {
-  const FrameAddress a = fm.address_of_index(frame);
-  return a.block_type == 0 && (a.minor == 16 || a.minor == 17) &&
-         fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb;
-}
-
 /// Calls f(first, count) for each maximal run of consecutive frames in
 /// `frames` (sorted, unique), in order.
 template <typename F>
@@ -59,16 +53,10 @@ std::string DownloadReport::summary() const {
 void mask_capture_words_inplace(const Device& device, std::size_t frame,
                                 std::span<std::uint32_t> words) {
   const FrameMap& fm = device.frames();
-  if (!is_capture_frame(fm, frame)) return;
+  if (!fm.is_capture_frame(frame)) return;
   JPG_ASSERT(words.size() == fm.frame_words());
-  // Frame bits pack LSB-first (bit i lives in word i>>5 at position i&31),
-  // so the two capture bits of each row window clear with plain word masks —
-  // no BitVector round trip per compared frame.
-  for (int r = 0; r < device.rows(); ++r) {
-    const std::size_t base = fm.row_bit_base(r);
-    words[base >> 5] &= ~(1u << (base & 31));
-    words[(base + 1) >> 5] &= ~(1u << ((base + 1) & 31));
-  }
+  const std::span<const std::uint32_t> mask = fm.capture_mask();
+  for (std::size_t w = 0; w < words.size(); ++w) words[w] &= mask[w];
 }
 
 DownloadReport rejected_download(const JpgError& why) {
@@ -108,19 +96,6 @@ VerifiedDownloader::VerifiedDownloader(Xhwif& board, const Device& device,
   JPG_REQUIRE(policy.max_attempts > 0, "max_attempts must be positive");
   JPG_REQUIRE(policy.rollback_max_attempts > 0,
               "rollback_max_attempts must be positive");
-  const FrameMap& fm = device.frames();
-  capture_frame_.resize(fm.num_frames());
-  for (std::size_t f = 0; f < fm.num_frames(); ++f) {
-    capture_frame_[f] = is_capture_frame(fm, f) ? 1 : 0;
-  }
-  // Every capture frame masks the same bit positions.
-  capture_mask_.assign(fm.frame_words(), ~0u);
-  const auto cap = std::find(capture_frame_.begin(), capture_frame_.end(), 1);
-  if (cap != capture_frame_.end()) {
-    mask_capture_words_inplace(
-        device, static_cast<std::size_t>(cap - capture_frame_.begin()),
-        capture_mask_);
-  }
 }
 
 void VerifiedDownloader::assume_board_state(const ConfigMemory& plane) {
@@ -162,15 +137,15 @@ Bitstream VerifiedDownloader::build_frames_stream(
 std::size_t VerifiedDownloader::first_mismatch(
     std::size_t frame, std::span<const std::uint32_t> got,
     std::span<const std::uint32_t> want) const {
-  if (capture_frame_[frame] == 0) {
-    // std::equal is the fast path (a memcmp); locate the word only on a miss.
-    if (std::equal(got.begin(), got.end(), want.begin())) return got.size();
+  const FrameMap& fm = device_->frames();
+  if (!fm.is_capture_frame(frame)) {
     return static_cast<std::size_t>(
         std::mismatch(got.begin(), got.end(), want.begin()).first -
         got.begin());
   }
+  const std::span<const std::uint32_t> mask = fm.capture_mask();
   for (std::size_t w = 0; w < got.size(); ++w) {
-    if (((got[w] ^ want[w]) & capture_mask_[w]) != 0) return w;
+    if (((got[w] ^ want[w]) & mask[w]) != 0) return w;
   }
   return got.size();
 }
@@ -183,11 +158,22 @@ void VerifiedDownloader::compare_run(const TargetPlane& target,
   std::vector<std::uint32_t>& got = readback_scratch_;
   board_->readback_into(first, count, got);
   JPG_ASSERT(got.size() == count * fw);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t frame = first + k;
-    const std::span<const std::uint32_t> rb(got.data() + k * fw, fw);
-    const std::size_t w = first_mismatch(frame, rb, target.frame_words(frame));
-    if (w != fw) on_mismatch(frame, w, rb);
+  const std::uint32_t* rb = got.data();
+  for (std::size_t f = first; f < first + count;) {
+    // One memcmp per stretch of the view; a stretch that differs somewhere
+    // is located frame by frame, capture bits masked.
+    const std::span<const std::uint32_t> want =
+        target.frame_run(f, first + count - f);
+    if (!std::equal(want.begin(), want.end(), rb)) {
+      for (std::size_t k = 0; k < want.size(); k += fw) {
+        const std::span<const std::uint32_t> got_k(rb + k, fw);
+        const std::span<const std::uint32_t> want_k = want.subspan(k, fw);
+        const std::size_t w = first_mismatch(f + k / fw, got_k, want_k);
+        if (w != fw) on_mismatch(f + k / fw, w, got_k, want_k);
+      }
+    }
+    rb += want.size();
+    f += want.size() / fw;
   }
 }
 
@@ -199,6 +185,7 @@ void VerifiedDownloader::verify_run(const TargetPlane& target,
   try {
     compare_run(target, first, count,
                 [&bad](std::size_t frame, std::size_t,
+                       std::span<const std::uint32_t>,
                        std::span<const std::uint32_t>) {
                   bad.push_back(frame);
                 });
@@ -334,12 +321,13 @@ AttestReport VerifiedDownloader::attest(const ConfigMemory& expected) {
       // words as compared: capture bits masked on both sides.
       compare_run(target, first, count,
                   [&](std::size_t frame, std::size_t w,
-                      std::span<const std::uint32_t> rb) {
-                    const std::uint32_t m =
-                        capture_frame_[frame] != 0 ? capture_mask_[w] : ~0u;
-                    rep.findings.push_back(
-                        {frame, fm.describe_frame(frame), w,
-                         target.frame_words(frame)[w] & m, rb[w] & m});
+                      std::span<const std::uint32_t> rb,
+                      std::span<const std::uint32_t> want) {
+                    const std::uint32_t m = fm.is_capture_frame(frame)
+                                                ? fm.capture_mask()[w]
+                                                : ~0u;
+                    rep.findings.push_back({frame, fm.describe_frame(frame),
+                                            w, want[w] & m, rb[w] & m});
                   });
       JPG_COUNT("attest.readback_words", count * fm.frame_words());
       rep.frames_audited += count;

@@ -207,8 +207,11 @@ class VerifiedDownloader {
       std::span<const std::uint32_t> want) const;
 
   /// Reads back the `count` frames from `first` and calls
-  /// on_mismatch(frame, word, readback words) for each frame that differs
-  /// from `target` at `word` (first_mismatch). Readback faults propagate.
+  /// on_mismatch(frame, word, readback words, target words) for each frame
+  /// that differs from `target` at `word` (first_mismatch), in frame
+  /// order. Each stretch of `target` (TargetPlane::frame_run) is compared
+  /// whole first; only one that differs is compared frame by frame.
+  /// Readback faults propagate.
   template <typename OnMismatch>
   void compare_run(const TargetPlane& target, std::size_t first,
                    std::size_t count, OnMismatch&& on_mismatch);
@@ -268,10 +271,6 @@ class VerifiedDownloader {
   const Device* device_;
   DownloadPolicy policy_;
   std::unique_ptr<ConfigMemory> mirror_;
-  /// capture_frame_[f] != 0 iff frame f is a CLB capture minor.
-  std::vector<char> capture_frame_;
-  /// One frame of words with the FF capture bits cleared, the rest set.
-  std::vector<std::uint32_t> capture_mask_;
 
   // Readback-verification scratch (clear-don't-shrink): readback words land
   // here via readback_into and are compared in place against the target

@@ -348,20 +348,32 @@ TEST(FrameTable, TargetPlaneReadsTheLastWriteOverTheBase) {
   const FrameTable table = replay(port, bs.words);
   const TargetPlane view(base, table, bs.words);
   for (std::size_t f = 0; f < fm.num_frames(); ++f) {
-    const std::span<const std::uint32_t> got = view.frame_words(f);
+    const std::span<const std::uint32_t> got = view.frame_run(f, 1);
     ASSERT_TRUE(std::equal(got.begin(), got.end(),
                            replayed.frame(f).words().begin(),
                            replayed.frame(f).words().end()))
         << "frame " << f;
   }
-  // Points into the stream for written frames, into the base otherwise.
+  // Stretches: the base up to the stream's first frame, the first run
+  // without its overwritten last frame, the second run, then the base to
+  // the end — each pointing into the stream or the base, never copied.
+  const std::size_t fw = fm.frame_words();
   const std::uint32_t* begin = bs.words.data();
   const std::uint32_t* end = begin + bs.words.size();
-  EXPECT_TRUE(view.frame_words(a).data() >= begin &&
-              view.frame_words(a).data() < end);
-  EXPECT_EQ(view.frame_words(a + 3).data(), base.frame(a + 3).words().data());
-  EXPECT_EQ(TargetPlane(base).frame_words(a).data(),
+  EXPECT_EQ(view.frame_run(0, fm.num_frames()).size(), a * fw);
+  EXPECT_EQ(view.frame_run(0, 2).size(), 2 * fw);
+  EXPECT_EQ(view.frame_run(a, fm.num_frames() - a).size(), 2 * fw);
+  EXPECT_TRUE(view.frame_run(a, 1).data() >= begin &&
+              view.frame_run(a, 1).data() < end);
+  EXPECT_EQ(view.frame_run(a + 1, 3).size(), fw);
+  EXPECT_EQ(view.frame_run(a + 2, 3).size(), fw);
+  EXPECT_EQ(view.frame_run(a + 3, fm.num_frames() - a - 3).size(),
+            (fm.num_frames() - a - 3) * fw);
+  EXPECT_EQ(view.frame_run(a + 3, 1).data(), base.frame(a + 3).words().data());
+  EXPECT_EQ(TargetPlane(base).frame_run(a, 1).data(),
             base.frame(a).words().data());
+  EXPECT_EQ(TargetPlane(base).frame_run(0, fm.num_frames()).size(),
+            fm.num_frames() * fw);
 
   const std::span<const std::uint32_t> words(bs.words);
   EXPECT_THROW(TargetPlane(base, table, words.first(words.size() / 2)),
@@ -396,7 +408,7 @@ TEST(FrameTable, TargetPlaneDropsBitsPastTheFrameEnd) {
   bs.words[table.runs[0].word_offset + fm.frame_words() - 1] |= 1u << 31;
   table = replay(port, bs.words);
   const TargetPlane view(base, table, bs.words);
-  const std::span<const std::uint32_t> got = view.frame_words(a);
+  const std::span<const std::uint32_t> got = view.frame_run(a, 1);
   const std::span<const std::uint32_t> want = replayed.frame(a).words();
   EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
   EXPECT_EQ(got[0], 0x600DF00Du);

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <functional>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "bitstream/bitgen.h"
 #include "bitstream/bitstream_writer.h"
@@ -446,6 +450,261 @@ TEST(JpgDownloadVerified, ModuleUpdateOverFlakyLink) {
   EXPECT_TRUE(rep.ok()) << rep.summary();
   // The budget is spent; the plain readback check agrees with the report.
   EXPECT_EQ(tool.verify_via_readback(update), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The stretch compare (one std::equal per memory-contiguous stretch of the
+// intended plane, per-frame only inside a stretch that differs) must report
+// exactly what a frame-at-a-time compare reports. The reference here is
+// built without the downloader: the intended plane is apply_frame_table
+// onto a plane copy, capture minors come from their frame addresses and
+// capture bits from the row windows.
+
+/// Forwards to a SimBoard, records each stream the downloader sends (one
+/// per ABORT) and runs `before_readback` once, before the first readback:
+/// a stray write that lands after the send, where only readback sees it.
+class RecordingBoard final : public Xhwif {
+ public:
+  explicit RecordingBoard(SimBoard& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::string board_name() const override { return "recording"; }
+  void send_config(std::span<const std::uint32_t> words) override {
+    ASSERT_FALSE(streams.empty());
+    streams.back().insert(streams.back().end(), words.begin(), words.end());
+    inner_->send_config(words);
+  }
+  void abort_config() override {
+    streams.emplace_back();
+    inner_->abort_config();
+  }
+  [[nodiscard]] bool config_done() override { return inner_->config_done(); }
+  [[nodiscard]] std::vector<std::uint32_t> readback(
+      std::size_t first, std::size_t nframes) override {
+    std::vector<std::uint32_t> out;
+    readback_into(first, nframes, out);
+    return out;
+  }
+  void readback_into(std::size_t first, std::size_t nframes,
+                     std::vector<std::uint32_t>& out) override {
+    if (before_readback) std::exchange(before_readback, nullptr)();
+    inner_->readback_into(first, nframes, out);
+  }
+  void capture_state() override { inner_->capture_state(); }
+  void step_clock(int cycles) override { inner_->step_clock(cycles); }
+  void set_pin(int pad, bool value) override { inner_->set_pin(pad, value); }
+  [[nodiscard]] bool get_pin(int pad) override { return inner_->get_pin(pad); }
+
+  std::vector<std::vector<std::uint32_t>> streams;
+  std::function<void()> before_readback;
+
+ private:
+  SimBoard* inner_;
+};
+
+/// One AttestFinding per frame of `frames` whose `got` words differ from
+/// `want` outside the capture bits: the frame-at-a-time comparator.
+std::vector<AttestFinding> per_frame_findings(
+    const ConfigMemory& got, const ConfigMemory& want,
+    const std::vector<std::size_t>& frames) {
+  const FrameMap& fm = want.device().frames();
+  std::vector<std::uint32_t> capture_mask(fm.frame_words(), ~0u);
+  for (int r = 0; r < want.device().rows(); ++r) {
+    for (std::size_t b = fm.row_bit_base(r); b < fm.row_bit_base(r) + 2; ++b) {
+      capture_mask[b >> 5] &= ~(1u << (b & 31));
+    }
+  }
+  std::vector<AttestFinding> out;
+  for (const std::size_t f : frames) {
+    const FrameAddress a = fm.address_of_index(f);
+    const bool capture =
+        a.block_type == 0 && (a.minor == 16 || a.minor == 17) &&
+        fm.column_kind(static_cast<int>(a.major)) == ColumnKind::Clb;
+    const std::span<const std::uint32_t> g = got.frame(f).words();
+    const std::span<const std::uint32_t> w = want.frame(f).words();
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      const std::uint32_t m = capture ? capture_mask[k] : ~0u;
+      if (((g[k] ^ w[k]) & m) != 0) {
+        out.push_back({f, fm.describe_frame(f), k, w[k] & m, g[k] & m});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::size_t> frames_of(const std::vector<AttestFinding>& found) {
+  std::vector<std::size_t> out;
+  for (const AttestFinding& x : found) out.push_back(x.frame);
+  return out;
+}
+
+TEST(StretchCompareTest, VerifySweepAndAttestMatchAPerFrameReference) {
+  const Device& dev = Device::get("XCV50");
+  const FrameMap& fm = dev.frames();
+  const std::size_t nf = fm.num_frames();
+  const std::size_t fw = fm.frame_words();
+  const std::size_t tail_bits = fm.frame_bits() % 32;
+  ASSERT_NE(tail_bits, 0u);
+  const std::uint32_t keep = (1u << tail_bits) - 1;
+  std::vector<std::size_t> capture_frames;
+  for (int m = 0; m < fm.num_majors(); ++m) {
+    if (fm.column_kind(m) != ColumnKind::Clb) continue;
+    capture_frames.push_back(fm.frame_index(m, 16));
+    capture_frames.push_back(fm.frame_index(m, 17));
+  }
+  const auto random_plane = [&](Rng& rng) {
+    std::vector<std::uint32_t> words(nf * fw);
+    for (std::uint32_t& w : words) w = static_cast<std::uint32_t>(rng.next());
+    ConfigMemory plane(dev);
+    plane.write_frames(0, words);
+    return plane;
+  };
+
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const ConfigMemory base = random_plane(rng);
+
+    // Up to five runs; a later run often lands inside an earlier one, so
+    // the view cuts it into stretches.
+    BitstreamWriter w(dev);  // no CRC packet, so the words can be edited
+    w.begin();
+    w.write_cmd(Command::WCFG);
+    std::size_t prev_first = 0, prev_count = 0;
+    for (std::size_t k = 0, n = 1 + rng.uniform(5); k < n; ++k) {
+      std::size_t first = rng.uniform(nf);
+      if (prev_count > 0 && rng.chance(0.5)) {
+        first = prev_first + rng.uniform(prev_count);
+      }
+      const std::size_t count = 1 + rng.uniform(std::min<std::size_t>(
+                                        60, nf - first));
+      w.write_reg(ConfigReg::FAR, fm.encode_far(fm.address_of_index(first)));
+      w.write_frames(random_plane(rng), first, count);
+      prev_first = first;
+      prev_count = count;
+    }
+    w.write_cmd(Command::LFRM);
+    Bitstream bs = w.finish();
+    const FrameTable table = validate_stream(dev, bs.words);
+    // Spill bits past the frame end in some runs: the view reads those
+    // runs from trimmed copies.
+    for (const FrameRun& run : table.runs) {
+      if (!rng.chance(0.5)) continue;
+      for (std::size_t k = 0; k < run.frame_count; ++k) {
+        if (rng.chance(0.4)) {
+          bs.words[run.word_offset + (k + 1) * fw - 1] |=
+              ~keep & static_cast<std::uint32_t>(rng.next() | (1u << 31));
+        }
+      }
+    }
+    ASSERT_EQ(validate_stream(dev, bs.words), table);
+    ConfigMemory intended = base;
+    apply_frame_table(table, bs.words, intended);
+
+    // Frames at the stretch ends and on either side of every seam.
+    std::vector<std::size_t> edges;
+    for (const FrameRun& run : table.runs) {
+      const std::size_t last = run.first_frame + run.frame_count - 1;
+      for (const std::size_t f : {run.first_frame, last}) {
+        for (std::size_t g = f == 0 ? 0 : f - 1; g <= f + 1 && g < nf; ++g) {
+          edges.push_back(g);
+        }
+      }
+    }
+    std::vector<bool> touched(nf, false);
+    for (const std::size_t f : table.touched) touched[f] = true;
+
+    SimBoard sim(dev);
+    sim.send_config(generate_full_bitstream(base).words);
+    // Corrupts `n` frames for which `pick(f)` holds, drawn from the stretch
+    // edges, the capture minors (capture bits only) and the whole plane.
+    const auto corrupt = [&](int n, const std::function<bool(std::size_t)>& pick) {
+      for (int i = 0, tries = 0; i < n && tries < 200; ++tries) {
+        const std::uint64_t kind = rng.uniform(3);
+        const std::vector<std::size_t>& from =
+            kind == 0 ? edges : kind == 1 ? capture_frames : table.touched;
+        const std::size_t f =
+            rng.chance(0.3) ? rng.uniform(nf) : from[rng.uniform(from.size())];
+        if (!pick(f)) continue;
+        ++i;
+        if (kind == 1) {
+          const std::size_t b =
+              fm.row_bit_base(static_cast<int>(rng.uniform(dev.rows()))) +
+              rng.uniform(2);
+          sim.corrupt_frame_word(f, b >> 5, 1u << (b & 31));
+          continue;
+        }
+        const std::size_t word = rng.uniform(fw);
+        std::uint32_t mask = static_cast<std::uint32_t>(rng.next());
+        if (word == fw - 1) mask &= keep;
+        sim.corrupt_frame_word(f, word, mask == 0 ? 1u : mask);
+      }
+    };
+    std::vector<std::size_t> all(nf);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::size_t> untouched;
+    for (std::size_t f = 0; f < nf; ++f) {
+      if (!touched[f]) untouched.push_back(f);
+    }
+
+    // Verify, then sweep: strays outside the stream's frames are on the
+    // board before the send, strays inside land after it. Each repair
+    // stream rewrites exactly the frames its pass found.
+    corrupt(static_cast<int>(rng.uniform(4)),
+            [&](std::size_t f) { return !touched[f]; });
+    RecordingBoard board(sim);
+    std::vector<std::size_t> want_verify, want_sweep;
+    board.before_readback = [&] {
+      corrupt(static_cast<int>(rng.uniform(4)),
+              [&](std::size_t f) { return touched[f]; });
+      want_verify =
+          frames_of(per_frame_findings(sim.config(), intended, table.touched));
+      want_sweep =
+          frames_of(per_frame_findings(sim.config(), intended, untouched));
+    };
+    VerifiedDownloader dl(board, dev);
+    dl.assume_board_state(base);
+    const DownloadReport rep = dl.download_validated(bs.words, table);
+    ASSERT_TRUE(rep.ok()) << rep.summary();
+    std::vector<std::vector<std::size_t>> want_repairs;
+    for (const auto* list : {&want_verify, &want_sweep}) {
+      if (!list->empty()) want_repairs.push_back(*list);
+    }
+    ASSERT_EQ(board.streams.size(), 1 + want_repairs.size());
+    EXPECT_EQ(board.streams[0], bs.words);
+    for (std::size_t i = 0; i < want_repairs.size(); ++i) {
+      EXPECT_EQ(validate_stream(dev, board.streams[i + 1]).touched,
+                want_repairs[i])
+          << "repair stream " << i;
+    }
+    EXPECT_EQ(rep.frames_repaired, want_verify.size() + want_sweep.size());
+
+    // Verify over ranges that cut through stretches, and attest over the
+    // whole plane, against fresh strays on the converged board.
+    corrupt(1 + static_cast<int>(rng.uniform(8)),
+            [](std::size_t) { return true; });
+    const TargetPlane view(base, table, bs.words);
+    for (int i = 0; i < 6; ++i) {
+      const std::size_t a = rng.uniform(nf);
+      const std::size_t b = a + 1 + rng.uniform(nf - a);
+      const std::vector<std::size_t> range(all.begin() + a, all.begin() + b);
+      EXPECT_EQ(dl.mismatched_frames(view, range),
+                frames_of(per_frame_findings(sim.config(), intended, range)))
+          << "frames [" << a << ", " << b << ")";
+    }
+    EXPECT_EQ(dl.mismatched_frames(view, all),
+              frames_of(per_frame_findings(sim.config(), intended, all)));
+    const std::vector<AttestFinding> want =
+        per_frame_findings(sim.config(), intended, all);
+    const AttestReport audit = dl.attest(intended);
+    ASSERT_EQ(audit.findings.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const AttestFinding& g = audit.findings[i];
+      EXPECT_EQ(std::tie(g.frame, g.address, g.word, g.expected, g.got),
+                std::tie(want[i].frame, want[i].address, want[i].word,
+                         want[i].expected, want[i].got));
+    }
+  }
 }
 
 }  // namespace

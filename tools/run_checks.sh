@@ -20,8 +20,11 @@
 #              defragmentation tests, the attestation suite (incl. the
 #              200-scenario fault sweep), the CLI tests of every command
 #              that loads a base bitstream into a plane (relocate, attest,
-#              apply, verify, download, and the truncated-partial case)
-#              and the fuzz smoke whose corpus includes relocated streams.
+#              apply, verify, download, and the truncated-partial case),
+#              the fuzz smoke whose corpus includes relocated streams, and
+#              the verified- and streaming-download suites (the readback
+#              compare walks the intended plane by pointer, a stretch at a
+#              time).
 #   sched      ASan build + run of the scheduler test suite (oracle family,
 #              chaos tier, stats coherence), the sched CLI smoke sweep, then
 #              a release JPG_BENCH_SMOKE=1 run of bench_sched gated on
@@ -159,12 +162,13 @@ EOF
 }
 
 run_reloc_checks() {
-  echo "=== [reloc] ASan relocation + attestation + fuzz smoke ==="
+  echo "=== [reloc] ASan relocation + attestation + download + fuzz smoke ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Release -DJPG_SANITIZE=address > /dev/null
   cmake --build build-asan -j "$JOBS" --target \
-    relocate_test attest_test cli_test jpg_cli
+    relocate_test attest_test cli_test jpg_cli verified_download_test \
+    stream_download_test
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-     -R 'RelocateTest|PlanDefrag|RelocationService|AttestTest|CliTest\.(Relocate|Attest|Apply|Verify|DownloadVerified|TruncatedPartial)|fuzzcfg_fast')
+     -R 'RelocateTest|PlanDefrag|RelocationService|AttestTest|CliTest\.(Relocate|Attest|Apply|Verify|DownloadVerified|TruncatedPartial)|fuzzcfg_fast|VerifiedDownloadTest|FaultyBoardTest|JpgDownloadVerified|StretchCompareTest|StreamSourceTest|BurstCursorTest|StreamDownloadTest')
 }
 
 run_service_checks() {
