@@ -5,8 +5,9 @@
 // 64-bit popcount) with masked edges and a funnel-shift fallback for
 // misaligned relocation. Per part it also measures the two whole-stream
 // kernels of a verified swap (DESIGN.md §5d): the configuration CRC over a
-// full-plane FDRI payload, one update per word against update_run's
-// eight-write steps, and a copy of the flat configuration plane. It writes
+// full-plane FDRI payload, one update per word against update_run (16
+// writes per step folded with carry-less multiplies where the CPU has
+// them), and a copy of the flat configuration plane. It writes
 // BENCH_word_kernels.json to the working directory.
 #include <benchmark/benchmark.h>
 

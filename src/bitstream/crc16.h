@@ -9,8 +9,10 @@
 //
 // Crc16 is the table-driven implementation used on the hot paths: every
 // configuration word clocked through ConfigPort and every word emitted by
-// BitstreamWriter. FDRI payloads, nearly all of a stream's words, go
-// through update_run, which folds eight writes per step. Crc16Serial is the
+// BitstreamWriter. One write is four byte lookups. FDRI payloads, nearly
+// all of a stream's words, go through update_run, which on x86-64 folds 16
+// writes per step with carry-less multiplies (crc16.cpp), so only two
+// lookups per step wait on the running register. Crc16Serial is the
 // bit-serial formulation straight from the definition above; it exists as
 // the cross-check reference — the test suite asserts the two agree over
 // random register-write streams and runs.
@@ -43,28 +45,19 @@ consteval std::uint16_t crc16_feed(std::uint32_t r, std::uint32_t bits,
   return static_cast<std::uint16_t>(r);
 }
 
-inline constexpr int kCrc16RunStep = 8;  ///< writes per update_run step
 using Crc16ByteTables = std::array<std::array<std::uint16_t, 256>, 4>;
 
 // One update is linear in (register, data, address), so it splits into
 // independent lookups. With x = r ^ data (the register overlaps the first
 // 16 data bits), byte k of x contributes a table entry: the register after
-// that byte, the 3 - k data bytes behind it and the bits that follow the
-// word, all fed from zero with everything else zero; the address bits add
-// their own tail-table entry. In a step of kCrc16RunStep writes to one
-// register, word j's bytes are followed by its 5 address bits and the 37
-// bits of each later write: T[j]. Only word 0 of a step depends on the
-// register. T[last] is the single-write table, and T[j] is T[j + 1] fed 37
-// zero bits, so the 16 KB build stays far inside constexpr step limits.
-consteval std::array<Crc16ByteTables, kCrc16RunStep> make_crc16_run_tables() {
-  std::array<Crc16ByteTables, kCrc16RunStep> t{};
+// that byte, the 3 - k data bytes behind it and the 5 address bits, all fed
+// from zero with everything else zero; the address bits add their own
+// tail-table entry.
+consteval Crc16ByteTables make_crc16_byte_tables() {
+  Crc16ByteTables t{};
   for (int k = 0; k < 4; ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint16_t r = crc16_feed(crc16_feed(0, i, 8), 0, 8 * (3 - k) + 5);
-      for (int j = kCrc16RunStep - 1; j >= 0; --j) {
-        t[j][k][i] = r;
-        r = crc16_feed(r, 0, 37);
-      }
+      t[k][i] = crc16_feed(crc16_feed(0, i, 8), 0, 8 * (3 - k) + 5);
     }
   }
   return t;
@@ -82,10 +75,8 @@ consteval std::array<std::uint16_t, 32> make_crc16_tail_table(int writes) {
   return t;
 }
 
-inline constexpr auto kCrc16RunTables = make_crc16_run_tables();
+inline constexpr auto kCrc16Table = make_crc16_byte_tables();
 inline constexpr auto kCrc16TailTable = make_crc16_tail_table(1);
-inline constexpr auto kCrc16RunTailTable =
-    make_crc16_tail_table(kCrc16RunStep);
 
 /// Word `x`'s four byte lookups in `t`.
 constexpr std::uint16_t crc16_lookup(const Crc16ByteTables& t,
@@ -106,37 +97,25 @@ constexpr std::uint16_t reverse16(std::uint16_t v) noexcept {
 
 class Crc16 {
  public:
+  /// Writes update_run folds per step where it has carry-less multiplies.
+  static constexpr std::size_t kRunStep = 16;
+
   void reset() noexcept { reg_ = 0; }
 
   /// Accumulates one register write: 32 data bits LSB-first, then the 5
   /// register-address bits LSB-first.
   void update(std::uint32_t reg_addr, std::uint32_t data) noexcept {
-    reg_ = detail::crc16_lookup(detail::kCrc16RunTables.back(), reg_ ^ data) ^
+    reg_ = detail::crc16_lookup(detail::kCrc16Table, reg_ ^ data) ^
            detail::kCrc16TailTable[reg_addr & 0x1Fu];
   }
 
   /// Accumulates one write of each word of `data` to the same register,
-  /// in order — update(reg_addr, w) per word, eight words per step. Only
-  /// the first word of a step depends on the running register, so a step
-  /// costs one dependent lookup round instead of eight.
+  /// in order: the register update(reg_addr, w) per word would leave. On
+  /// an x86-64 CPU with PCLMULQDQ, every step of kRunStep words is folded
+  /// with carry-less multiplies (crc16.cpp); elsewhere it is that update
+  /// loop.
   void update_run(std::uint32_t reg_addr,
-                  std::span<const std::uint32_t> data) noexcept {
-    constexpr std::size_t kStep = detail::kCrc16RunStep;
-    const auto& t = detail::kCrc16RunTables;
-    const std::uint16_t tail = detail::kCrc16RunTailTable[reg_addr & 0x1Fu];
-    std::uint16_t r = reg_;
-    std::size_t i = 0;
-    for (; i + kStep <= data.size(); i += kStep) {
-      // Words 1.. first: the register waits only on word 0's round.
-      std::uint16_t acc = tail;
-      for (std::size_t j = 1; j < kStep; ++j) {
-        acc ^= detail::crc16_lookup(t[j], data[i + j]);
-      }
-      r = acc ^ detail::crc16_lookup(t[0], r ^ data[i]);
-    }
-    reg_ = r;
-    for (; i < data.size(); ++i) update(reg_addr, data[i]);
-  }
+                  std::span<const std::uint32_t> data) noexcept;
 
   [[nodiscard]] std::uint16_t value() const noexcept {
     return detail::reverse16(reg_);

@@ -31,6 +31,7 @@ std::string_view download_status_name(DownloadStatus s) {
   switch (s) {
     case DownloadStatus::Success: return "success";
     case DownloadStatus::RolledBack: return "rolled-back";
+    case DownloadStatus::Rejected: return "rejected";
     case DownloadStatus::Failed: return "failed";
   }
   return "?";
@@ -61,6 +62,7 @@ void mask_capture_words_inplace(const Device& device, std::size_t frame,
 
 DownloadReport rejected_download(const JpgError& why) {
   DownloadReport rep;
+  rep.status = DownloadStatus::Rejected;
   rep.error =
       std::string("stream rejected tool-side, nothing sent: ") + why.what();
   return rep;

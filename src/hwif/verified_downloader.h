@@ -62,9 +62,8 @@ struct DownloadPolicy {
 enum class DownloadStatus {
   Success,     ///< update applied; readback matches the intended plane
   RolledBack,  ///< update abandoned; readback matches the pre-update plane
-  /// Rejected tool-side with nothing sent (board untouched), or the
-  /// rollback did not converge either (board state unknown).
-  Failed,
+  Rejected,    ///< stream rejected tool-side; nothing sent, board untouched
+  Failed,      ///< the update and its rollback failed; board state unknown
 };
 
 struct DownloadReport {
@@ -76,7 +75,7 @@ struct DownloadReport {
   std::size_t frames_repaired = 0;  ///< mismatches rewritten by repairs
   std::size_t faults_seen = 0;      ///< send/readback exceptions caught
   std::vector<std::string> fault_log;  ///< one line per caught fault
-  std::string error;  ///< why the download failed (Failed only)
+  std::string error;  ///< why the download failed (Rejected, Failed)
   /// Wall time plus this download's own tallies (words_sent,
   /// readback_words, repair_rounds, aborts).
   telemetry::StageSnapshot telemetry;
@@ -124,8 +123,8 @@ struct AttestReport {
 void mask_capture_words_inplace(const Device& device, std::size_t frame,
                                 std::span<std::uint32_t> words);
 
-/// The report of a download rejected tool-side before any traffic: Failed,
-/// "stream rejected tool-side, nothing sent: <why>".
+/// The report of a download rejected tool-side before any traffic:
+/// Rejected, "stream rejected tool-side, nothing sent: <why>".
 [[nodiscard]] DownloadReport rejected_download(const JpgError& why);
 
 class VerifiedDownloader {

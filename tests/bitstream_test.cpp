@@ -670,27 +670,51 @@ TEST(Crc16, TableMatchesBitSerialReference) {
 }
 
 TEST(Crc16, RunMatchesBitSerialReference) {
-  // update_run folds eight writes per step; runs of 0..40 words (empty, a
-  // remainder alone, several steps with and without a remainder) must
-  // leave the same register as the one-bit-at-a-time definition, and a run
-  // split anywhere the same register as the whole run.
+  // update_run folds kRunStep writes per step and feeds the remainder one
+  // write at a time. For every register address, from a nonzero register,
+  // runs of 0 to 3 steps + 1 words (every remainder mod the step, with and
+  // without whole steps) must leave the register of the one-bit-at-a-time
+  // definition, and so must the run split at every offset in its first
+  // step, where the second call's steps start out of phase with the first.
+  // Last, one whole full-plane payload.
+  constexpr std::size_t kStep = Crc16::kRunStep;
   Rng rng(0xC4C2ull);
+  std::vector<std::uint32_t> run(3 * kStep + 1);
+  for (std::uint32_t reg = 0; reg < 32; ++reg) {
+    for (std::size_t len = 0; len <= run.size(); ++len) {
+      for (std::uint32_t& w : run) w = static_cast<std::uint32_t>(rng.next());
+      const std::span<const std::uint32_t> words =
+          std::span(run).first(len);
+      Crc16 start;
+      Crc16Serial ref;
+      start.update(reg ^ 7u, 0xA5C3u + reg);
+      ref.update(reg ^ 7u, 0xA5C3u + reg);
+      ASSERT_NE(start.value(), 0);
+      for (const std::uint32_t w : words) ref.update(reg, w);
+      Crc16 whole = start;
+      whole.update_run(reg, words);
+      ASSERT_EQ(whole.value(), ref.value()) << "reg " << reg << " len " << len;
+      for (std::size_t cut = 1; cut <= std::min(kStep, len); ++cut) {
+        Crc16 split = start;
+        split.update_run(reg, words.first(cut));
+        split.update_run(reg, words.subspan(cut));
+        ASSERT_EQ(split.value(), ref.value())
+            << "reg " << reg << " len " << len << " cut " << cut;
+      }
+    }
+  }
+
+  // One XCV300 full-plane FDRI payload: every frame and the pad frame.
+  const Device& dev = Device::get("XCV300");
+  std::vector<std::uint32_t> payload((dev.frames().num_frames() + 1) *
+                                     dev.frames().frame_words());
+  for (std::uint32_t& w : payload) w = static_cast<std::uint32_t>(rng.next());
+  constexpr auto kFdri = static_cast<std::uint32_t>(ConfigReg::FDRI);
   Crc16 fast;
   Crc16Serial ref;
-  std::vector<std::uint32_t> run;
-  for (int i = 0; i < 2000; ++i) {
-    const auto reg = static_cast<std::uint32_t>(rng.uniform(32));
-    run.resize(rng.uniform(41));
-    for (std::uint32_t& w : run) w = static_cast<std::uint32_t>(rng.next());
-    Crc16 split = fast;
-    const std::size_t cut = rng.uniform(run.size() + 1);
-    split.update_run(reg, std::span(run).first(cut));
-    split.update_run(reg, std::span(run).subspan(cut));
-    fast.update_run(reg, run);
-    for (const std::uint32_t w : run) ref.update(reg, w);
-    ASSERT_EQ(fast.value(), ref.value()) << "run " << i;
-    ASSERT_EQ(split.value(), fast.value()) << "run " << i << " cut " << cut;
-  }
+  fast.update_run(kFdri, payload);
+  for (const std::uint32_t w : payload) ref.update(kFdri, w);
+  EXPECT_EQ(fast.value(), ref.value());
 }
 
 TEST(BitstreamReader, FarBlocksRejectsMisalignedPayload) {

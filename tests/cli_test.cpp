@@ -242,7 +242,7 @@ TEST_F(CliTest, DownloadVerifiedOverFaultyLink) {
 
 // A pbit cut to half its length ends inside a packet: apply refuses to
 // write it onto the base, and the verified download rejects it with
-// nothing sent.
+// nothing sent: status "rejected", exit code 1.
 TEST_F(CliTest, TruncatedPartialIsRejectedByApplyAndDownload) {
   ASSERT_EQ(run("partial " + path("base.bit") + " " + path("mod.xdl") + " " +
                 path("mod.ucf") + " -o " + path("update.pbit")),
@@ -255,9 +255,11 @@ TEST_F(CliTest, TruncatedPartialIsRejectedByApplyAndDownload) {
             0);
   EXPECT_NE(output().find("ends inside a packet"), std::string::npos)
       << output();
-  EXPECT_NE(exit_code("download " + path("base.bit") + " " +
+  EXPECT_EQ(exit_code("download " + path("base.bit") + " " +
                       path("update.pbit") + " --seed 1"),
-            0);
+            1);
+  EXPECT_NE(output().find("verified download: rejected"), std::string::npos)
+      << output();
   EXPECT_NE(output().find("nothing sent"), std::string::npos) << output();
 }
 

@@ -293,7 +293,7 @@ TEST_F(JpgCoreTest, MalformedUpdateLeavesTheBaseUnchanged) {
   EXPECT_THROW((void)fresh.verify_via_readback(half), BitstreamError);
   const std::uint64_t words_before = board.config_words();
   const DownloadReport rep = fresh.download_verified(half);
-  EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+  EXPECT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
   EXPECT_EQ(board.config_words(), words_before);
 }

@@ -297,7 +297,7 @@ TEST_F(StreamDownloadTest, MalformedHeadIsRejectedNothingSent) {
   // Default burst (512) covers the whole stream: the head replay fails
   // before anything is sent.
   const DownloadReport rep = dl.download_stream(bad.words);
-  EXPECT_EQ(rep.status, DownloadStatus::Failed);
+  EXPECT_EQ(rep.status, DownloadStatus::Rejected);
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
   EXPECT_EQ(board.config_words(), words_before);
@@ -316,7 +316,7 @@ TEST_F(StreamDownloadTest, MidStreamMalformationRollsBack) {
   // checked before the first one goes out.
   bad.words[bad.words.size() - 4] ^= 1u;
   const DownloadReport rep = dl.download_stream(bad.words, 8);
-  EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+  EXPECT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
   EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
   EXPECT_EQ(rep.attempts, 0);
   EXPECT_EQ(board.config_words(), words_before);
@@ -345,7 +345,7 @@ TEST_F(StreamDownloadTest, TruncatedStreamIsRejectedNothingSent) {
     VerifiedDownloader dl(board, *dev_);
     dl.assume_board_state(*base_plane_);
     const DownloadReport rep = dl.download_stream(half, burst);
-    EXPECT_EQ(rep.status, DownloadStatus::Failed)
+    EXPECT_EQ(rep.status, DownloadStatus::Rejected)
         << "burst=" << burst << ": " << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos)
         << "burst=" << burst << ": " << rep.error;
@@ -409,7 +409,7 @@ TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
     VerifiedDownloader dl(rec, *dev_);
     dl.assume_board_state(*base_plane_);
     const DownloadReport rep = dl.download_stream(bad.words, kBurst);
-    EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+    EXPECT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
     EXPECT_TRUE(rec.sends().empty());
     EXPECT_EQ(rec.aborts(), 0);
@@ -428,7 +428,7 @@ TEST_F(StreamDownloadTest, BoardReceivesExactlyTheValidatedPrefix) {
     VerifiedDownloader dl(rec, *dev_);
     dl.assume_board_state(*base_plane_);
     const DownloadReport rep = dl.download_stream(bad.words, kBurst);
-    EXPECT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+    EXPECT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
     EXPECT_NE(rep.error.find("nothing sent"), std::string::npos) << rep.error;
     EXPECT_TRUE(rec.sends().empty());
     EXPECT_EQ(rec.aborts(), 0);
@@ -664,12 +664,12 @@ TEST_F(StreamDownloadTest, ShadowPlaneStaysCoherentAcrossEveryOutcome) {
     switch (kind) {
       case kHeadReject:
         rep = dl.download_stream(bad.words, bad.words.size());
-        ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+        ASSERT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
         ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
       case kMidStream:
         rep = dl.download_stream(bad.words, 8);
-        ASSERT_EQ(rep.status, DownloadStatus::Failed) << rep.summary();
+        ASSERT_EQ(rep.status, DownloadStatus::Rejected) << rep.summary();
         ASSERT_NE(rep.error.find("nothing sent"), std::string::npos);
         break;
       case kSuccess:
@@ -834,6 +834,49 @@ TEST_F(StreamDownloadTest, FrameTableDownloadMatchesReplayUnderFaults) {
   }
   // A campaign that injected nothing would compare two clean runs.
   EXPECT_GT(faults, 0u);
+}
+
+// The board checks the CRC of an FDRI payload that Crc16::update_run folds
+// kRunStep words per step: one bit flipped at each word position of a step
+// (mid-payload, in a resident XCV300 pbit) must fail the board's CRC check.
+TEST(BoardCrcTest, PayloadFlipAtEveryStepOffsetFailsTheBoardCrc) {
+  const Device& dev = Device::get("XCV300");
+  const LoadFixture fx = make_load_fixture(dev, 1, 2, 6);
+  const Bitstream pbit = PartialBitstreamGenerator(fx.base)
+                             .generate(fx.variants[0], fx.slots[0])
+                             .bitstream;
+  const FrameTable table = validate_stream(dev, pbit.words);
+  ASSERT_FALSE(table.runs.empty());
+  const FrameRun& run = table.runs.front();
+  const std::size_t payload = run.frame_count * dev.frames().frame_words();
+  ASSERT_GE(payload, 2 * Crc16::kRunStep);
+  const std::size_t step_start =
+      run.word_offset + payload / 2 / Crc16::kRunStep * Crc16::kRunStep;
+  SimBoard board(dev);
+  board.send_config(generate_full_bitstream(fx.base).words);
+  for (std::size_t k = 0; k < Crc16::kRunStep; ++k) {
+    Bitstream bad = pbit;
+    bad.words[step_start + k] ^= 1u << (7 * k % 32);
+    const std::uint64_t before =
+        telemetry::MetricsRegistry::global().snapshot().counter(
+            "port.crc_failures");
+    board.abort_config();
+    try {
+      board.send_config(bad.words);
+      ADD_FAILURE() << "word " << k << " of the step: no CRC failure";
+    } catch (const BitstreamError& e) {
+      EXPECT_NE(std::string(e.what()).find("CRC mismatch"), std::string::npos)
+          << "word " << k << ": " << e.what();
+    }
+#if JPG_TELEMETRY_ENABLED
+    EXPECT_EQ(telemetry::MetricsRegistry::global().snapshot().counter(
+                  "port.crc_failures"),
+              before + 1)
+        << "word " << k;
+#else
+    (void)before;
+#endif
+  }
 }
 
 #if JPG_TELEMETRY_ENABLED

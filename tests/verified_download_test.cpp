@@ -132,7 +132,7 @@ TEST_F(VerifiedDownloadTest, MalformedStreamIsRejectedToolSideNothingSent) {
   Bitstream bad = partial_;
   bad.words[10] ^= 0x40u;  // CRC-covered register write corrupted
   const DownloadReport rep = dl.download_partial(bad);
-  EXPECT_EQ(rep.status, DownloadStatus::Failed);
+  EXPECT_EQ(rep.status, DownloadStatus::Rejected);
   EXPECT_NE(rep.error.find("tool-side"), std::string::npos) << rep.error;
   EXPECT_EQ(rep.attempts, 0);
   // Not a single word crossed the link; the board still holds the base.
@@ -203,6 +203,7 @@ TEST_F(VerifiedDownloadTest, ReportSummaryNamesTheOutcome) {
   EXPECT_NE(rep.summary().find("success"), std::string::npos);
   EXPECT_NE(rep.summary().find("frames touched"), std::string::npos);
   EXPECT_EQ(download_status_name(DownloadStatus::RolledBack), "rolled-back");
+  EXPECT_EQ(download_status_name(DownloadStatus::Rejected), "rejected");
   EXPECT_EQ(download_status_name(DownloadStatus::Failed), "failed");
 }
 

@@ -593,7 +593,10 @@ int cmd_download(int argc, char** argv) {
     std::printf("  fault       : %s\n", line.c_str());
   }
   std::printf("board faults  : %zu injected\n", faulty.faults_injected());
-  return rep.status == DownloadStatus::Failed ? 1 : 0;
+  return rep.status == DownloadStatus::Failed ||
+                 rep.status == DownloadStatus::Rejected
+             ? 1
+             : 0;
 }
 
 int cmd_stats(int argc, char** argv) {

@@ -40,7 +40,7 @@
 #              < 1.5x). The streaming gates hold on any host:
 #              copy_bytes_per_resident_swap == 0, resident words/sec >=
 #              cold, resident ns/frame < warm-buffered ns/frame; so does
-#              the kernels gate, crc16_run_ns_per_word <
+#              the kernels gate, crc16_run_ns_per_word * 3 <=
 #              crc16_word_ns_per_word.
 #
 # Usage:
@@ -116,16 +116,18 @@ for sec, kv in pnr.items():
         failures.append(f"{sec}: router threads sweep scales {ratio:.2f}x "
                         f"< {MIN_SPEEDUP}x on a {cpus}-core host")
 
-# The kernels report has no thread axis. On any host, the CRC's run form
-# (eight writes per step) must beat one update per word.
+# The kernels report has no thread axis. The CRC's run form (16 writes per
+# carry-less-multiply step) must be at least 3x faster per word than one
+# update per word. On a CPU without PCLMULQDQ the run form is one update
+# per word, so there this gate fails.
 kern = json.load(open(os.path.join(out, "BENCH_word_kernels.json")))
 for sec, kv in kern.items():
     if "crc16_run_ns_per_word" not in kv:
         continue
     print(f"  {sec}: crc16 ns/word run {kv['crc16_run_ns_per_word']:.2f} "
           f"vs word {kv['crc16_word_ns_per_word']:.2f}")
-    if kv["crc16_run_ns_per_word"] >= kv["crc16_word_ns_per_word"]:
-        failures.append(f"{sec}: crc16 update_run is not faster per word "
+    if kv["crc16_run_ns_per_word"] * 3 > kv["crc16_word_ns_per_word"]:
+        failures.append(f"{sec}: crc16 update_run is not 3x faster per word "
                         "than one update per word")
 
 # ICAP streaming: the zero-copy and resident-beats-buffered claims hold on
